@@ -24,6 +24,7 @@ from .formula import (
 )
 from .fragments import classify_formula
 from .synth import (
+    EncoderSoundnessError,
     SolverFailure,
     SynthesisResult,
     prepare,
@@ -274,20 +275,22 @@ def run_instance(
             )
         except SolverFailure as e:
             kind = "timeout" if "timed out" in str(e) else "error"
-            if expected == "optional":
-                report.bounds.append(
-                    BoundResult(n, m, expected, kind, None, None, time.monotonic() - tb, str(e))
-                )
-            else:
+            report.bounds.append(
+                BoundResult(n, m, expected, kind, None, None, time.monotonic() - tb, str(e))
+            )
+            if expected != "optional":
                 report.error = str(e)
-                report.bounds.append(
-                    BoundResult(n, m, expected, kind, None, None, time.monotonic() - tb, str(e))
-                )
                 break
-        except Exception as e:  # noqa: BLE001 - verification failures land here
+        except EncoderSoundnessError as e:
             report.bounds.append(
                 BoundResult(n, m, expected, "sat", False, None, time.monotonic() - tb, str(e))
             )
+        except Exception as e:  # noqa: BLE001 - an internal fault is an error, not a verdict
+            report.error = f"{type(e).__name__}: {e}"
+            report.bounds.append(
+                BoundResult(n, m, expected, "error", None, None, time.monotonic() - tb, report.error)
+            )
+            break
     report.seconds = time.monotonic() - t0
     return report
 

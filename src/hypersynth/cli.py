@@ -11,6 +11,7 @@ from .formula import SpecError, parse, print_formula
 from .fragments import classify_formula
 from .machines import ExistGenerator, MooreSystem
 from .mc import mc_exists_forall
+from .sat import emit_dimacs
 from .synth import (
     EncoderSoundnessError,
     SolverFailure,
@@ -73,7 +74,10 @@ def cmd_synth(args) -> int:
     )
     if args.backend:
         problem = encode(inst, args.max_system, args.max_exists, args.lambda_max)
-        text = problem.to_dimacs() if args.backend == "dimacs" else problem.to_smtlib()
+        if args.backend == "dimacs":
+            text = emit_dimacs(problem.nvars, problem.clauses, problem.comments)
+        else:
+            text = problem.to_smtlib()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -23,40 +23,6 @@ def body_trace_vars(f: Formula) -> list:
     return seen
 
 
-def self_composition(M: MooreSystem, copies: list) -> MooreSystem:
-    """Product of identical copies of M, signals renamed sig@copy."""
-    if not copies:
-        raise SpecError("at least one copy name is required")
-    k = len(copies)
-    inputs = tuple(flatten_atom(i, c) for c in copies for i in M.inputs)
-    outputs = tuple(flatten_atom(o, c) for c in copies for o in M.outputs)
-    states = list(itertools.product(range(M.state_count), repeat=k))
-    index = {s: n for n, s in enumerate(states)}
-    labels = []
-    for vec in states:
-        lab = frozenset(
-            flatten_atom(o, c) for c, s in zip(copies, vec) for o in M.labels[s]
-        )
-        labels.append(lab)
-    in_vals = all_valuations(inputs)
-    n_inputs_single = len(M.inputs)
-    delta = []
-    for vec in states:
-        row = []
-        for val in in_vals:
-            succ = []
-            for j, c in enumerate(copies):
-                local = frozenset(i for i in M.inputs if flatten_atom(i, c) in val)
-                bit = 0
-                for b, i in enumerate(M.inputs):
-                    if i in local:
-                        bit |= 1 << b
-                succ.append(M.delta[vec[j]][bit])
-            row.append(index[tuple(succ)])
-        delta.append(tuple(row))
-    return MooreSystem(inputs, outputs, tuple(labels), tuple(delta), index[(0,) * k])
-
-
 @dataclass
 class ProductGraph:
     """Reachable product of system copies, an optional generator, and an automaton."""
@@ -65,9 +31,6 @@ class ProductGraph:
     edges: dict
     initial: list
     accepting: set
-
-    def node_count(self) -> int:
-        return len(self.nodes)
 
 
 def _letter(M: MooreSystem, trace_vars, state_vec, input_vecs, gen_val: frozenset) -> frozenset:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import time
 from typing import Iterable, Optional
 
 # literals are encoded as 2*var for positive, 2*var+1 for negative (vars 1-based)
@@ -305,8 +306,13 @@ class Solver:
 
     # ------------------------------------------------------------------ main
 
-    def solve(self, conflict_budget: Optional[int] = None) -> Optional[bool]:
-        """True if satisfiable, False if not; None when the budget ran out."""
+    def solve(
+        self, conflict_budget: Optional[int] = None, deadline: Optional[float] = None
+    ) -> Optional[bool]:
+        """True if satisfiable, False if not; None when the budget ran out.
+
+        `deadline` is a `time.monotonic()` instant, checked at each conflict.
+        """
         if not self.ok:
             return False
         if self._propagate() is not None:
@@ -321,7 +327,9 @@ class Solver:
             if confl is not None:
                 self.conflicts += 1
                 since_restart += 1
-                if conflict_budget is not None and self.conflicts > conflict_budget:
+                if (conflict_budget is not None and self.conflicts > conflict_budget) or (
+                    deadline is not None and time.monotonic() >= deadline
+                ):
                     self._backtrack(0)
                     return None
                 if not self.lim:
@@ -402,12 +410,16 @@ def emit_dimacs(nvars: int, clauses: list, comments: Optional[list] = None) -> s
     return "\n".join(lines) + "\n"
 
 
-def solve_clauses(nvars: int, clauses: list) -> Optional[list]:
-    """Convenience in-process entry: a model as signed literals, or None."""
+def solve_clauses(nvars: int, clauses: list, deadline: Optional[float] = None):
+    """Load a CNF into a fresh solver and solve it.
+
+    Returns (status, model): status is True, False, or None when the deadline
+    passed; model holds signed literals for every variable when status is True,
+    else None.
+    """
     s = Solver()
     s.ensure_vars(nvars)
     for cl in clauses:
         s.add_clause(cl)
-    if s.solve():
-        return s.model()
-    return None
+    status = s.solve(deadline=deadline)
+    return status, (s.model() if status else None)

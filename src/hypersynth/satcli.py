@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .sat import Solver, parse_dimacs
+from .sat import parse_dimacs, solve_clauses
 
 
 def main(argv=None) -> int:
@@ -31,14 +31,9 @@ def main(argv=None) -> int:
         print(f"c parse error: {e}", file=sys.stderr)
         return 1
 
-    solver = Solver()
-    solver.ensure_vars(nvars)
-    for cl in clauses:
-        solver.add_clause(cl)
-    result = solver.solve()
-    if result:
+    status, model = solve_clauses(nvars, clauses)
+    if status:
         print("s SATISFIABLE")
-        model = solver.model()
         for start in range(0, len(model), 20):
             chunk = model[start : start + 20]
             tail = " 0" if start + 20 >= len(model) else ""

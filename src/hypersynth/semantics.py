@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Mapping, Optional
 
-import numpy as np
-
 from .formula import (
     And,
     Binary,
@@ -217,15 +215,6 @@ class KnowledgeNotAllowed(Exception):
 # ---------------------------------------------------------------------------
 # the recursive evaluator
 
-@dataclass(frozen=True)
-class Verdict:
-    value: bool
-    prop_bound: int
-
-    def __bool__(self) -> bool:
-        return self.value
-
-
 def eval_formula(
     f: Formula,
     T: TraceSet,
@@ -246,17 +235,6 @@ def eval_knowledge(
 ) -> bool:
     """Evaluate a formula that may contain knowledge operators."""
     return _eval(f, T, dict(Pi or {}), i, prop_bound, allow_knowledge=True)
-
-
-def eval_labeled(
-    f: Formula,
-    T: TraceSet,
-    Pi: Optional[TraceAssignment] = None,
-    i: int = 0,
-    prop_bound: int = 3,
-) -> Verdict:
-    """Like eval_formula but the verdict carries the witness bound it was computed at."""
-    return Verdict(_eval(f, T, dict(Pi or {}), i, prop_bound, allow_knowledge=True), prop_bound)
 
 
 def _eval(f: Formula, T: TraceSet, Pi: dict, i: int, prop_bound: int, allow_knowledge: bool) -> bool:
@@ -467,8 +445,11 @@ def eval_bulk(f: Formula, atoms: Mapping[tuple, np.ndarray], pre: int, period: i
     """Return a bool array of shape (rows, pre + period) of per-position verdicts.
 
     Atom keys are ("trace", prop, traceVar) and ("prop", var); each maps to a
-    (rows, pre + period) bool array.
+    (rows, pre + period) bool array. numpy is imported here, not at module
+    level, because only the test oracles use this path.
     """
+    import numpy as np
+
     n = pre + period
 
     def rec(g: Formula) -> np.ndarray:

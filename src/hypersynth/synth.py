@@ -6,9 +6,10 @@ import itertools
 import os
 import shlex
 import subprocess
-import sys
 import tempfile
+import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .automata import NBA, ltl_to_nba
@@ -42,6 +43,7 @@ from .reductions import (
     eliminate_knowledge,
     to_hyperltl,
 )
+from .sat import emit_dimacs, solve_clauses
 
 ALLOWED_CLASSES = (NO_UNIVERSAL, SINGLE_UNIVERSAL, LINEAR_CANDIDATE)
 
@@ -69,6 +71,11 @@ class SynthesisInstance:
     @property
     def k(self) -> int:
         return len(self.universal_vars)
+
+    @cached_property
+    def nba(self) -> NBA:
+        """Buchi automaton for the negated body, built once per instance."""
+        return ltl_to_nba(Not(self.body))
 
 
 def prepare(
@@ -203,14 +210,6 @@ class ConstraintProblem:
     var_maps: dict
     comments: list = field(default_factory=list)
 
-    def to_dimacs(self) -> str:
-        lines = [f"c {c}" for c in self.comments]
-        lines.append(f"p cnf {self.nvars} {len(self.clauses)}")
-        ext = lines.append
-        for cl in self.clauses:
-            ext(" ".join(map(str, cl)) + " 0")
-        return "\n".join(lines) + "\n"
-
     def to_smtlib(self) -> str:
         lines = ["(set-logic QF_UF)"]
         for c in self.comments:
@@ -232,6 +231,12 @@ def _parse_guard_atom(sig: str):
     return a, var
 
 
+def _lambda_bound(instance: SynthesisInstance, n: int, m: int) -> int:
+    """Sufficient annotation bound: one step per rejecting product node."""
+    m_eff = m if instance.exist_vars else 1
+    return (n**instance.k) * m_eff * len(instance.nba.accepting)
+
+
 def encode(
     instance: SynthesisInstance,
     n: int,
@@ -250,7 +255,7 @@ def encode(
     has_gen = bool(evars)
     m_eff = m if has_gen else 1
 
-    nba = ltl_to_nba(Not(instance.body))
+    nba = instance.nba
     Q = nba.n_states
     rejecting = set(nba.accepting)
 
@@ -258,10 +263,9 @@ def encode(
     V = len(in_vals)
     gen_signals = tuple(f"{a}@{j}" for j in evars for a in tuple(inputs) + tuple(outputs))
 
-    default_lambda = (n**k) * m_eff * Q
-    reject_nodes = (n**k) * m_eff * len(rejecting)
-    requested = default_lambda if lambda_max is None else lambda_max
-    lam = min(requested, reject_nodes)
+    lam = _lambda_bound(instance, n, m)
+    if lambda_max is not None:
+        lam = min(lambda_max, lam)
 
     nxt = [0]
 
@@ -452,22 +456,22 @@ def encode(
 # solving
 
 
-def default_solver_command() -> list:
-    env = os.environ.get("HYPERSYNTH_SOLVER")
-    if env:
-        return shlex.split(env)
-    return [sys.executable, "-m", "hypersynth.satcli"]
-
-
 def _run_solver(problem: ConstraintProblem, solver_cmd=None, timeout=None):
-    cmd = list(solver_cmd) if solver_cmd else default_solver_command()
-    if isinstance(solver_cmd, str):
-        cmd = shlex.split(solver_cmd)
+    """(status, model as a set of signed literals) from the bundled solver, run
+    in process, or from an external DIMACS solver when one is named."""
+    cmd = solver_cmd or os.environ.get("HYPERSYNTH_SOLVER")
+    cmd = shlex.split(cmd) if isinstance(cmd, str) else list(cmd or ())
+    if not cmd:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        status, model = solve_clauses(problem.nvars, problem.clauses, deadline)
+        if status is None:
+            raise SolverFailure(f"solver timed out after {timeout}s")
+        return status, set(model or ())
     with tempfile.NamedTemporaryFile(
         "w", suffix=".cnf", prefix="hypersynth_", delete=False
     ) as fh:
         path = fh.name
-        fh.write(problem.to_dimacs())
+        fh.write(emit_dimacs(problem.nvars, problem.clauses, problem.comments))
     try:
         try:
             proc = subprocess.run(
@@ -511,8 +515,13 @@ def _run_solver(problem: ConstraintProblem, solver_cmd=None, timeout=None):
                 f"solver produced no verdict (exit {proc.returncode}): {out[:200]!r} "
                 f"{(proc.stderr or '')[:200]!r}"
             )
-    if status and not model:
-        raise SolverFailure("solver reported SAT but printed no model")
+    if status:
+        missing = [v for v in range(1, problem.nvars + 1) if v not in model and -v not in model]
+        if missing:
+            raise SolverFailure(
+                f"solver reported SAT but its model leaves {len(missing)} of "
+                f"{problem.nvars} variables unassigned (first: {missing[0]})"
+            )
     return status, model
 
 
@@ -635,20 +644,19 @@ def solve_at_bounds(
 ) -> SynthesisResult:
     """Verdict at one bound point; a small annotation bound is tried first.
 
-    A model found under a smaller bound is still a proof, so the quick pass is
-    sound for SAT; on UNSAT the sufficient bound is re-checked to make the
-    verdict bound-independent. An explicit lambda_max disables the laddering.
+    The quick bound is |F| + QUICK_LAMBDA_SLACK, with |F| the accepting states
+    of the instance's cached automaton. A model found under a smaller bound is
+    still a proof, so the quick pass is sound for SAT. Only when it comes back
+    UNSAT is the sufficient bound encoded and solved, which makes the verdict
+    bound-independent. An explicit lambda_max disables the laddering.
     """
-    if lambda_max is not None:
-        return solve(encode(instance, n, m, lambda_max), solver_cmd, timeout)
-    full = encode(instance, n, m)
-    quick_bound = len(full.nba.accepting) + QUICK_LAMBDA_SLACK
-    if quick_bound < full.lambda_max:
-        quick = encode(instance, n, m, quick_bound)
-        res = solve(quick, solver_cmd, timeout)
-        if res.status == "sat":
-            return res
-    return solve(full, solver_cmd, timeout)
+    if lambda_max is None:
+        quick_bound = len(instance.nba.accepting) + QUICK_LAMBDA_SLACK
+        if quick_bound < _lambda_bound(instance, n, m):
+            res = solve(encode(instance, n, m, quick_bound), solver_cmd, timeout)
+            if res.status == "sat":
+                return res
+    return solve(encode(instance, n, m, lambda_max), solver_cmd, timeout)
 
 
 def search(

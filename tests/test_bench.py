@@ -145,3 +145,19 @@ def test_suite_report_render_and_json():
     assert data[0]["ok"] is True
     assert {row["verdict"] for row in data[0]["bounds"]} == {"sat", "unsat"}
     assert suite.exit_code == 0
+
+
+def test_internal_exception_is_an_error_not_a_verdict(monkeypatch):
+    from hypersynth import bench
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver internals broke")
+
+    monkeypatch.setattr(bench, "solve_at_bounds", broken)
+    rep = run_instance(instance_by_name("arbiter-2-prompt"))
+    assert [b.verdict for b in rep.bounds] == ["error"]
+    assert rep.bounds[0].verified is None
+    assert "RuntimeError: solver internals broke" in rep.error
+    suite = SuiteReport([rep])
+    assert suite.exit_code == 3
+    assert "UNVERIFIED" not in suite.render()

@@ -11,7 +11,6 @@ from hypersynth.mc import (
     generator_vars,
     mc_exists_forall,
     mc_universal,
-    self_composition,
 )
 from hypersynth.semantics import LassoTrace, TraceSet, eval_formula
 
@@ -121,25 +120,6 @@ def test_trace_var_order_matches_counterexample_order():
 def test_body_trace_vars_rejects_quantifier():
     with pytest.raises(SpecError):
         body_trace_vars(TraceForall("pi", body("g[pi]")))
-
-
-# ---------------------------------------------------------------------------
-# self composition
-
-def test_self_composition_shapes():
-    M2 = self_composition(ECHO, ["p1", "p2"])
-    assert M2.inputs == ("r@p1", "r@p2")
-    assert M2.outputs == ("g@p1", "g@p2")
-    assert M2.state_count == 4
-    s = M2.step(M2.initial, frozenset({"r@p1"}))
-    assert M2.labels[s] == frozenset({"g@p1"})
-    s = M2.step(M2.initial, frozenset({"r@p1", "r@p2"}))
-    assert M2.labels[s] == frozenset({"g@p1", "g@p2"})
-
-
-def test_self_composition_needs_copies():
-    with pytest.raises(SpecError):
-        self_composition(ECHO, [])
 
 
 # ---------------------------------------------------------------------------

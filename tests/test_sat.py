@@ -4,6 +4,7 @@ import itertools
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -79,8 +80,8 @@ def test_unit_propagation_chain():
 
 
 def test_model_covers_all_vars():
-    model = solve_clauses(5, [[1, 2], [-3]])
-    assert model is not None
+    status, model = solve_clauses(5, [[1, 2], [-3]])
+    assert status is True
     assert sorted(abs(l) for l in model) == [1, 2, 3, 4, 5]
     assert -3 in model
 
@@ -88,7 +89,7 @@ def test_model_covers_all_vars():
 def test_pigeonhole_unsat():
     for holes in (2, 3):
         nvars, clauses = php(holes)
-        assert solve_clauses(nvars, clauses) is None
+        assert solve_clauses(nvars, clauses) == (False, None)
 
 
 def test_conflict_budget_returns_unknown():
@@ -98,6 +99,17 @@ def test_conflict_budget_returns_unknown():
     for cl in clauses:
         s.add_clause(cl)
     assert s.solve(conflict_budget=1) is None
+
+
+def test_deadline_returns_unknown():
+    nvars, clauses = php(5)
+    s = Solver()
+    s.ensure_vars(nvars)
+    for cl in clauses:
+        s.add_clause(cl)
+    assert s.solve(deadline=time.monotonic()) is None
+    assert s.conflicts == 1
+    assert solve_clauses(nvars, clauses, deadline=time.monotonic()) == (None, None)
 
 
 def test_random_instances_match_brute_force():
@@ -110,10 +122,10 @@ def test_random_instances_match_brute_force():
             width = rng.randrange(1, 4)
             cl = [rng.choice([-1, 1]) * rng.randrange(1, nvars + 1) for _ in range(width)]
             clauses.append(cl)
-        model = solve_clauses(nvars, clauses)
+        status, model = solve_clauses(nvars, clauses)
         want = brute_sat(nvars, clauses)
-        assert (model is not None) == want, clauses
-        if model is not None:
+        assert status == want, clauses
+        if status:
             assert satisfies(model, clauses)
 
 

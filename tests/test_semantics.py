@@ -11,7 +11,6 @@ from hypersynth.semantics import (
     TraceSet,
     eval_bulk,
     eval_formula,
-    eval_labeled,
     prop_witnesses,
     replace,
     system_traces,
@@ -151,14 +150,6 @@ def test_prop_witnesses_dedupe_and_persistence():
     keys3 = {t.key() for t in w3}
     assert len(keys2) == len(w2)
     assert keys2 <= keys3  # a witness never disappears when the bound grows
-
-
-def test_eval_labeled_carries_bound():
-    t = lasso([], [["a"]])
-    f = parse_formula("exists q : prop . G (q <-> a[pi])", {"a", "b"}, trace_vars={"pi"})
-    v = eval_labeled(f, ts(t), {"pi": t}, prop_bound=2)
-    assert bool(v) is True
-    assert v.prop_bound == 2
 
 
 def test_system_traces_shapes():

@@ -1,16 +1,19 @@
 """End-to-end synthesis: prepare, encode, solve, search."""
 
+import subprocess
 import sys
+import tempfile
 
 import pytest
 
+from hypersynth import synth
+from hypersynth.bench import gen_arbiter
 from hypersynth.formula import SpecError, parse
 from hypersynth.fragments import SINGLE_UNIVERSAL, UNDEC_FORALL_EXISTS
 from hypersynth.mc import mc_universal
-from hypersynth.sat import parse_dimacs
+from hypersynth.sat import emit_dimacs, parse_dimacs
 from hypersynth.synth import (
     SolverFailure,
-    default_solver_command,
     encode,
     prepare,
     search,
@@ -130,7 +133,7 @@ def test_lambda_override_caps_encoding():
 
 def test_dimacs_emission_parses_back():
     problem = encode(prepare(spec(ALWAYS)), 2, 1)
-    nvars, clauses = parse_dimacs(problem.to_dimacs())
+    nvars, clauses = parse_dimacs(emit_dimacs(problem.nvars, problem.clauses, problem.comments))
     assert nvars == problem.nvars
     assert len(clauses) == len(problem.clauses)
 
@@ -150,11 +153,60 @@ def test_solver_failure_on_bad_command():
 
 
 def test_solver_env_override(monkeypatch):
-    monkeypatch.setenv("HYPERSYNTH_SOLVER", "'/some solver' --flag")
-    assert default_solver_command() == ["/some solver", "--flag"]
-    monkeypatch.delenv("HYPERSYNTH_SOLVER")
-    cmd = default_solver_command()
-    assert cmd[0] == sys.executable and cmd[-1].endswith("satcli")
+    problem = encode(prepare(spec(ALWAYS)), 1, 1)
+    monkeypatch.setenv("HYPERSYNTH_SOLVER", "'/nonexistent/some solver' --flag")
+    with pytest.raises(SolverFailure, match="some solver"):
+        solve(problem)
+
+
+def test_partial_external_model_is_solver_failure(tmp_path):
+    fake = tmp_path / "fake_solver.py"
+    fake.write_text('print("s SATISFIABLE")\nprint("v 1 0")\n')
+    problem = encode(prepare(spec(ALWAYS)), 2, 1)
+    with pytest.raises(SolverFailure, match="unassigned"):
+        solve(problem, solver_cmd=[sys.executable, str(fake)])
+
+
+def test_external_solver_agrees_with_in_process():
+    satcli = [sys.executable, "-m", "hypersynth.satcli"]
+    for text, want in ((ALWAYS, "sat"), (CONTRADICTION, "unsat")):
+        problem = encode(prepare(spec(text)), 1, 1)
+        assert solve(problem).status == want
+        assert solve(problem, solver_cmd=satcli).status == want
+
+
+def test_timeout_is_solver_failure():
+    # the (2,1) row of the two-client arbiter is unsat only after conflicts
+    problem = encode(prepare(gen_arbiter(2, {1})), 2, 1)
+    with pytest.raises(SolverFailure, match="timed out"):
+        solve(problem, timeout=1e-9)
+
+
+def test_default_path_starts_no_process(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default solver path must stay in process")
+
+    monkeypatch.delenv("HYPERSYNTH_SOLVER", raising=False)
+    monkeypatch.setattr(subprocess, "run", refuse)
+    monkeypatch.setattr(tempfile, "NamedTemporaryFile", refuse)
+    res = solve_at_bounds(prepare(gen_arbiter(2, {1})), 2, 2)
+    assert res.status == "sat" and res.system is not None
+
+
+def test_quick_sat_row_encodes_once(monkeypatch):
+    calls = []
+    real = synth.encode
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "encode", counting)
+    inst = prepare(gen_arbiter(2, {1}))
+    res = solve_at_bounds(inst, 2, 2)
+    assert res.status == "sat"
+    assert res.lambda_max == len(inst.nba.accepting) + synth.QUICK_LAMBDA_SLACK
+    assert len(calls) == 1
 
 
 def test_search_returns_first_sat_point():
