@@ -133,6 +133,7 @@ class BoundResult:
     slack: Optional[tuple] = None  # bound actually used when it differs
     seconds: float = 0.0
     detail: str = ""
+    stats: dict = field(default_factory=dict)  # of the result that decided the verdict
 
     @property
     def matched(self) -> bool:
@@ -215,6 +216,7 @@ class SuiteReport:
                             "slack": list(b.slack) if b.slack else None,
                             "seconds": round(b.seconds, 3),
                             "detail": b.detail,
+                            "stats": b.stats,
                         }
                         for b in r.bounds
                     ],
@@ -271,7 +273,10 @@ def run_instance(
             if verdict == "sat":
                 verified = True  # solve raises on failed verification
             report.bounds.append(
-                BoundResult(n, m, expected, verdict, verified, used, time.monotonic() - tb)
+                BoundResult(
+                    n, m, expected, verdict, verified, used, time.monotonic() - tb,
+                    stats=res.stats,
+                )
             )
         except SolverFailure as e:
             kind = "timeout" if "timed out" in str(e) else "error"

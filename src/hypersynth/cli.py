@@ -94,7 +94,12 @@ def cmd_synth(args) -> int:
         timeout=args.timeout,
     )
     if result is None:
-        print("unrealizable within the given bounds; attempted:")
+        if "uniformize" in {s.name for s in inst.trace.steps}:
+            # witnesses fixed before the universal traces only under-approximate
+            print("no model found under uniform witnesses within the given bounds; "
+                  "the verdict is bound-relative; attempted:")
+        else:
+            print("unrealizable within the given bounds; attempted:")
         for a in attempts:
             print(f"  ({a.n},{a.m}) lambda={a.lambda_max}: {a.status}")
         return EXIT_UNREALIZABLE
@@ -203,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-system", type=int, required=True, metavar="N")
     sp.add_argument("--max-exists", type=int, required=True, metavar="M")
     sp.add_argument("--lambda-max", type=int, default=None, metavar="K",
-                    help="annotation counter bound (default: a sufficient bound)")
+                    help="cap on the annotation counter bound of each automaton SCC "
+                         "(default: a sufficient bound per SCC)")
     sp.add_argument("--backend", choices=("dimacs", "smtlib"), default=None,
                     help="emit constraints at the maximal bounds instead of solving")
     sp.add_argument("--solver", default=None, metavar="CMD",

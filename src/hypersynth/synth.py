@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .automata import NBA, ltl_to_nba
+from .automata import NBA, ltl_to_nba, tarjan_sccs
 from .formula import (
     And,
     Formula,
@@ -76,6 +76,29 @@ class SynthesisInstance:
     def nba(self) -> NBA:
         """Buchi automaton for the negated body, built once per instance."""
         return ltl_to_nba(Not(self.body))
+
+    @cached_property
+    def nba_sccs(self) -> tuple:
+        """(SCC index of each automaton state, accepting states of each SCC).
+
+        An SCC without a cycle counts no accepting states: no run visits it
+        twice, so its rejecting visits need no counter.
+        """
+        nba = self.nba
+        succ: dict = {}
+        loops = set()
+        for s, _, d in nba.transitions:
+            succ.setdefault(s, []).append(d)
+            if s == d:
+                loops.add(s)
+        scc_of = [0] * nba.n_states
+        weight = []
+        for c, comp in enumerate(tarjan_sccs(nba.n_states, succ)):
+            for q in comp:
+                scc_of[q] = c
+            cyclic = len(comp) > 1 or comp[0] in loops
+            weight.append(len(set(comp) & nba.accepting) if cyclic else 0)
+        return tuple(scc_of), tuple(weight)
 
 
 def prepare(
@@ -191,7 +214,11 @@ def prepare(
 
 @dataclass
 class Annotation:
-    """Per product node: None when unreachable, else the rejecting-visit bound."""
+    """Per product node: None when unreachable, else its counter value.
+
+    A node counts rejecting visits only within its automaton SCC, so values of
+    nodes in different SCCs are unrelated; bound is the largest SCC bound.
+    """
 
     values: dict
     bound: int
@@ -231,10 +258,21 @@ def _parse_guard_atom(sig: str):
     return a, var
 
 
-def _lambda_bound(instance: SynthesisInstance, n: int, m: int) -> int:
-    """Sufficient annotation bound: one step per rejecting product node."""
+def _scc_bounds(instance: SynthesisInstance, n: int, m: int) -> list:
+    """Sufficient counter bound of each automaton SCC: one step per rejecting
+    product node whose automaton state lies in it, n^k * m * |F & C|."""
     m_eff = m if instance.exist_vars else 1
-    return (n**instance.k) * m_eff * len(instance.nba.accepting)
+    _, weight = instance.nba_sccs
+    return [(n**instance.k) * m_eff * w for w in weight]
+
+
+def _lambda_bound(instance: SynthesisInstance, n: int, m: int) -> int:
+    """Sufficient annotation bound: the largest per-SCC counter bound.
+
+    Every product cycle projects onto a cycle of the automaton, so it stays
+    inside one SCC; a counter only has to count the rejecting nodes there.
+    """
+    return max(_scc_bounds(instance, n, m), default=0)
 
 
 def encode(
@@ -263,9 +301,12 @@ def encode(
     V = len(in_vals)
     gen_signals = tuple(f"{a}@{j}" for j in evars for a in tuple(inputs) + tuple(outputs))
 
-    lam = _lambda_bound(instance, n, m)
+    scc_of, _ = instance.nba_sccs
+    scc_lam = _scc_bounds(instance, n, m)
     if lambda_max is not None:
-        lam = min(lambda_max, lam)
+        scc_lam = [min(lambda_max, b) for b in scc_lam]
+    lam = max(scc_lam, default=0)
+    lam_of = [scc_lam[scc_of[q]] for q in range(Q)]
 
     nxt = [0]
 
@@ -291,12 +332,17 @@ def encode(
     def r_var(node: int) -> int:
         return r_base + 1 + node
 
+    # counters only for nodes whose automaton state lies in an SCC with a bound
     l_base = nxt[0]
-    nxt[0] += n_nodes * lam
+    l_start = []
+    for node in range(n_nodes):
+        l_start.append(nxt[0] + 1)
+        nxt[0] += lam_of[node % Q]
+    counter_vars = nxt[0] - l_base
 
     def l_var(node: int, j: int) -> int:
-        # j in 1..lam, meaning "annotation >= j"
-        return l_base + 1 + node * lam + (j - 1)
+        # j in 1..lam_of[q], meaning "annotation >= j"
+        return l_start[node] + (j - 1)
 
     clauses: list = []
     add = clauses.append
@@ -319,19 +365,13 @@ def encode(
 
     # annotation order chains
     for node in range(n_nodes):
-        for j in range(2, lam + 1):
+        for j in range(2, lam_of[node % Q] + 1):
             add([-l_var(node, j), l_var(node, j - 1)])
 
     # initial nodes: all copies in state 0, generator state 0
     init_svec = svec_id[(0,) * k]
     for q0 in sorted(nba.initial):
-        node = node_id(init_svec, 0, q0)
-        add([r_var(node)])
-        if q0 in rejecting:
-            if lam == 0:
-                add([])  # malformed bound: rejecting node needs annotation >= 1
-            else:
-                add([l_var(node, 1)])
+        add([r_var(node_id(init_svec, 0, q0))])
 
     nba_from: dict = {}
     for s, g, d in nba.transitions:
@@ -351,7 +391,8 @@ def encode(
         conj_cache[lits] = v
         return v
 
-    # per (node, successor) pair: an activation variable and its annotation clauses
+    # per (node, successor) pair inside one counted SCC: an activation
+    # variable and its annotation clauses
     pair_act: dict = {}
 
     def pair_clauses(node: int, node2: int, q2: int):
@@ -360,17 +401,18 @@ def encode(
             a = new_var()
             pair_act[(node, node2)] = a
             rn = r_var(node)
+            lam_c = lam_of[q2]
             add([-rn, -a, r_var(node2)])
             if q2 in rejecting:
-                if lam == 0:
+                if lam_c == 0:
                     add([-rn, -a])
                 else:
                     add([-rn, -a, l_var(node2, 1)])
-                    for j in range(1, lam):
+                    for j in range(1, lam_c):
                         add([-rn, -a, -l_var(node, j), l_var(node2, j + 1)])
-                    add([-rn, -a, -l_var(node, lam)])
+                    add([-rn, -a, -l_var(node, lam_c)])
             else:
-                for j in range(1, lam + 1):
+                for j in range(1, lam_c + 1):
                     add([-rn, -a, -l_var(node, j), l_var(node2, j)])
         return a
 
@@ -383,6 +425,8 @@ def encode(
                 node = node_id(svec_i, e, q)
                 for iv_vec in itertools.product(range(V), repeat=k):
                     for g, q2 in nba_from.get(q, ()):
+                        # a step that leaves its SCC closes no cycle: reachability only
+                        counted = scc_of[q] == scc_of[q2] and (lam_of[q2] > 0 or q2 in rejecting)
                         residual = set()
                         feasible = True
                         for sig, val in g:
@@ -413,13 +457,15 @@ def encode(
                             e2_range = range(m_eff) if has_gen else (0,)
                             for e2 in e2_range:
                                 node2 = node_id(svec_id[svec2], e2, q2)
-                                act = pair_clauses(node, node2, q2)
                                 ante = [-x for x in d_lits]
                                 if has_gen:
                                     ante.append(-tau_var[e][e2])
                                 if ok_lit is not None:
                                     ante.append(-ok_lit)
-                                add(ante + [act])
+                                if counted:
+                                    add(ante + [pair_clauses(node, node2, q2)])
+                                else:
+                                    add(ante + [-r_var(node), r_var(node2)])
 
     var_maps = {
         "d": d_var,
@@ -428,7 +474,9 @@ def encode(
         "gen": gen_var,
         "gen_signals": gen_signals,
         "r_base": r_base,
-        "l_base": l_base,
+        "l_start": l_start,
+        "lam_of": lam_of,
+        "counter_vars": counter_vars,
         "n_nodes": n_nodes,
         "svecs": svecs,
         "m_eff": m_eff,
@@ -436,7 +484,8 @@ def encode(
     }
     comments = [
         f"bounded synthesis: n={n} m={m} k={k} nba={Q} lambda={lam}",
-        f"vars: delta 1..{n*V*n}, outputs, generator, reach at {r_base+1}, counters at {l_base+1}",
+        f"vars: delta 1..{n*V*n}, outputs, generator, reach at {r_base+1}, "
+        f"{counter_vars} counters at {l_base+1}, local to each automaton SCC",
     ]
     return ConstraintProblem(
         nvars=nxt[0],
@@ -568,7 +617,6 @@ def decode(problem: ConstraintProblem, model: set):
         )
 
     values = {}
-    lam = problem.lambda_max
     Q = problem.nba.n_states
     m_eff = vm["m_eff"]
     for si, svec in enumerate(vm["svecs"]):
@@ -579,11 +627,11 @@ def decode(problem: ConstraintProblem, model: set):
                     values[(svec, e, q)] = None
                 else:
                     level = 0
-                    for j in range(1, lam + 1):
-                        if true(vm["l_base"] + 1 + node * lam + (j - 1)):
+                    for j in range(1, vm["lam_of"][q] + 1):
+                        if true(vm["l_start"][node] + (j - 1)):
                             level = j
                     values[(svec, e, q)] = level
-    return system, generator, Annotation(values, lam)
+    return system, generator, Annotation(values, problem.lambda_max)
 
 
 @dataclass
@@ -606,7 +654,12 @@ def solve(
 ) -> SynthesisResult:
     """Run the solver on an encoded problem and decode plus verify any model."""
     status, model = _run_solver(problem, solver_cmd, timeout)
-    stats = {"vars": problem.nvars, "clauses": len(problem.clauses)}
+    stats = {
+        "vars": problem.nvars,
+        "clauses": len(problem.clauses),
+        "lambda": problem.lambda_max,
+        "counter_vars": problem.var_maps["counter_vars"],
+    }
     if not status:
         return SynthesisResult(
             "unsat", problem.n, problem.m, problem.lambda_max, stats=stats
@@ -644,11 +697,14 @@ def solve_at_bounds(
 ) -> SynthesisResult:
     """Verdict at one bound point; a small annotation bound is tried first.
 
-    The quick bound is |F| + QUICK_LAMBDA_SLACK, with |F| the accepting states
-    of the instance's cached automaton. A model found under a smaller bound is
-    still a proof, so the quick pass is sound for SAT. Only when it comes back
-    UNSAT is the sufficient bound encoded and solved, which makes the verdict
-    bound-independent. An explicit lambda_max disables the laddering.
+    The sufficient bound is the largest per-SCC counter bound (_lambda_bound).
+    When the quick bound |F| + QUICK_LAMBDA_SLACK, with |F| the accepting
+    states of the instance's cached automaton, lies below it, every SCC's
+    counter is first capped at the quick bound. A model found under a smaller
+    bound is still a proof, so the quick pass is sound for SAT. Only when it
+    comes back UNSAT is the sufficient bound encoded and solved, which makes
+    the verdict bound-independent. An explicit lambda_max caps every SCC's
+    bound and disables the laddering.
     """
     if lambda_max is None:
         quick_bound = len(instance.nba.accepting) + QUICK_LAMBDA_SLACK

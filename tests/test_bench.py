@@ -144,6 +144,10 @@ def test_suite_report_render_and_json():
     assert data[0]["name"] == "arbiter-2-prompt"
     assert data[0]["ok"] is True
     assert {row["verdict"] for row in data[0]["bounds"]} == {"sat", "unsat"}
+    # each row carries the stats of the solve that decided it
+    stats = {(row["n"], row["m"]): row["stats"] for row in data[0]["bounds"]}
+    assert {p: s["lambda"] for p, s in stats.items()} == {(2, 1): 2, (2, 2): 4}
+    assert all(s["counter_vars"] > 0 and s["clauses"] > 0 for s in stats.values())
     assert suite.exit_code == 0
 
 

@@ -13,6 +13,8 @@ ALWAYS = "inputs: i\noutputs: o\nforall pi : trace . G (o[pi])\n"
 DELAYED = "inputs: i\noutputs: o\nforall pi : trace . G (i[pi] -> (X (o[pi])))\n"
 INSTANT = "inputs: i\noutputs: o\nforall pi : trace . G (o[pi] <-> i[pi])\n"
 FORALL_EXISTS = "inputs: i\noutputs: o\nforall pi : trace . exists e : trace . G (o[e] -> o[pi])\n"
+# holds (e is pi with its inputs flipped), but not with e fixed before pi
+FLIPPED_WITNESS = "inputs: i\noutputs: o\nforall pi : trace . exists e : trace . G (i[e] <-> !i[pi])\n"
 
 
 @pytest.fixture
@@ -79,6 +81,17 @@ def test_synth_unrealizable_exit(specfile, capsys):
     out = capsys.readouterr().out
     assert "unrealizable within the given bounds" in out
     assert "(1,1)" in out and "(2,1)" in out
+
+
+def test_synth_uniformized_unsat_is_bound_relative(specfile, capsys):
+    rc = main([
+        "synth", specfile(FLIPPED_WITNESS), "--force",
+        "--max-system", "2", "--max-exists", "2",
+    ])
+    assert rc == EXIT_UNREALIZABLE
+    out = capsys.readouterr().out
+    assert "unrealizable" not in out
+    assert "uniform witnesses" in out and "bound-relative" in out
 
 
 def test_synth_out_and_dot_then_verify(specfile, tmp_path, capsys):

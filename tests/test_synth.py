@@ -1,16 +1,20 @@
 """End-to-end synthesis: prepare, encode, solve, search."""
 
+import functools
+import itertools
 import subprocess
 import sys
 import tempfile
 
 import pytest
 
-from hypersynth import synth
+from hypersynth import mc, synth
+from hypersynth.automata import tarjan_sccs
 from hypersynth.bench import gen_arbiter
 from hypersynth.formula import SpecError, parse
 from hypersynth.fragments import SINGLE_UNIVERSAL, UNDEC_FORALL_EXISTS
-from hypersynth.mc import mc_universal
+from hypersynth.machines import MooreSystem
+from hypersynth.mc import mc_exists_forall, mc_universal
 from hypersynth.sat import emit_dimacs, parse_dimacs
 from hypersynth.synth import (
     SolverFailure,
@@ -129,6 +133,42 @@ def test_lambda_override_caps_encoding():
     full = encode(inst, 2, 1)
     assert full.lambda_max >= low.lambda_max
     assert solve_at_bounds(inst, 1, 1, lambda_max=1).status == "sat"
+    # the override caps the counter bound of every automaton SCC
+    arb = prepare(gen_arbiter(3, {1}))
+    full = encode(arb, 2, 1).var_maps["lam_of"]
+    capped = encode(arb, 2, 1, lambda_max=1).var_maps["lam_of"]
+    assert max(full) == 2
+    assert capped == [min(1, b) for b in full]
+
+
+def _accepting_sccs(nba) -> list:
+    """SCCs of the automaton that have a cycle and an accepting state."""
+    succ: dict = {}
+    for s, _, d in nba.transitions:
+        succ.setdefault(s, []).append(d)
+    out = []
+    for comp in tarjan_sccs(nba.n_states, succ):
+        cyclic = len(comp) > 1 or comp[0] in succ.get(comp[0], ())
+        if cyclic and set(comp) & nba.accepting:
+            out.append(set(comp))
+    return out
+
+
+def test_counters_are_scc_local():
+    inst = prepare(gen_arbiter(3, {1}))
+    problem = encode(inst, 3, 2)
+    assert problem.lambda_max == 6
+    # one global counter of height n^k * m * |F| = 54 per node took 118,765 clauses
+    assert len(problem.clauses) <= 118_765 // 4
+    vm = problem.var_maps
+    starts = vm["l_start"]
+    ends = starts[1:] + [starts[0] + vm["counter_vars"]]
+    counted = set().union(*_accepting_sccs(inst.nba))
+    Q = inst.nba.n_states
+    assert any(q in counted for q in range(Q))
+    for node, (a, b) in enumerate(zip(starts, ends)):
+        if node % Q not in counted:
+            assert a == b, node
 
 
 def test_dimacs_emission_parses_back():
@@ -193,7 +233,7 @@ def test_default_path_starts_no_process(monkeypatch):
     assert res.status == "sat" and res.system is not None
 
 
-def test_quick_sat_row_encodes_once(monkeypatch):
+def _count_encodes(monkeypatch) -> list:
     calls = []
     real = synth.encode
 
@@ -202,11 +242,72 @@ def test_quick_sat_row_encodes_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(synth, "encode", counting)
+    return calls
+
+
+def test_scc_bound_row_encodes_once(monkeypatch):
+    # the per-SCC bound 2 * 2 * 1 lies below the quick bound, so no ladder
+    calls = _count_encodes(monkeypatch)
     inst = prepare(gen_arbiter(2, {1}))
     res = solve_at_bounds(inst, 2, 2)
     assert res.status == "sat"
-    assert res.lambda_max == len(inst.nba.accepting) + synth.QUICK_LAMBDA_SLACK
+    assert res.lambda_max == 4 < len(inst.nba.accepting) + synth.QUICK_LAMBDA_SLACK
     assert len(calls) == 1
+
+
+ARBITER_K2 = """
+forall p1 : trace . forall p2 : trace .
+  G !(g1[p1] & g2[p1])
+  & G (r1[p1] -> F g1[p1]) & G (r2[p1] -> F g2[p1])
+  & (!g1[p1] W r1[p1]) & (!g2[p1] W r2[p1])
+  & (G (r1[p1] <-> r1[p2]) -> G (g1[p1] <-> g1[p2]))
+"""
+
+
+def test_quick_sat_row_encodes_once(monkeypatch):
+    # two universal copies: the per-SCC bound 4^2 exceeds the quick bound
+    calls = _count_encodes(monkeypatch)
+    inst = prepare(spec(ARBITER_K2, inputs="r1, r2", outputs="g1, g2"))
+    quick = len(inst.nba.accepting) + synth.QUICK_LAMBDA_SLACK
+    assert quick < synth._lambda_bound(inst, 4, 1)
+    res = solve_at_bounds(inst, 4, 1)
+    assert res.status == "sat"
+    assert res.lambda_max == quick
+    assert len(calls) == 1
+
+
+# tiny one-input, one-output specs for the brute-force realizability oracle
+ORACLE_SPECS = (
+    INSTANT_ECHO,
+    "forall pi : trace . G (i[pi] -> (X (o[pi])))",
+    # unrealizable; the negation's automaton has a 3-state accepting SCC
+    "forall pi : trace . G F o[pi] & (F G !i[pi] | F G !o[pi])",
+    # unsat at one state, sat from two on; 2-state accepting SCCs
+    "forall pi : trace . (G F i[pi]) -> G F o[pi] & G F !o[pi]",
+    # sat from three states on, and only with counters above one
+    "forall pi : trace . G F (o[pi] & X o[pi]) & G F !o[pi]",
+)
+
+
+def _moore_machines(n: int):
+    """Every Moore machine over input i and output o with n states."""
+    labels = (frozenset(), frozenset({"o"}))
+    for lab in itertools.product(labels, repeat=n):
+        for flat in itertools.product(range(n), repeat=2 * n):
+            delta = tuple(flat[2 * s : 2 * s + 2] for s in range(n))
+            yield MooreSystem(("i",), ("o",), lab, delta, 0)
+
+
+def test_verdicts_agree_with_brute_force_machines(monkeypatch):
+    # every machine of one spec is checked against the same automaton
+    monkeypatch.setattr(mc, "ltl_to_nba", functools.lru_cache(maxsize=None)(mc.ltl_to_nba))
+    insts = [prepare(spec(text)) for text in ORACLE_SPECS]
+    # the SCC-local cut is exercised only by a multi-state accepting SCC
+    assert any(len(c) > 1 for inst in insts for c in _accepting_sccs(inst.nba))
+    for text, inst in zip(ORACLE_SPECS, insts):
+        for n in (1, 2, 3):
+            some = any(mc_exists_forall(M, None, inst.core)[0] for M in _moore_machines(n))
+            assert (solve_at_bounds(inst, n, 1).status == "sat") == some, (text, n)
 
 
 def test_search_returns_first_sat_point():
