@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .formula import (
@@ -69,8 +70,30 @@ class NBA:
         for src, _, dst in self.transitions:
             assert 0 <= src < self.n_states and 0 <= dst < self.n_states
 
-    def edges_from(self, state: int) -> list:
-        return [(g, d) for s, g, d in self.transitions if s == state]
+    @cached_property
+    def edges(self) -> tuple:
+        """Outgoing (guard, target) pairs of each state, in transition order."""
+        out: list = [[] for _ in range(self.n_states)]
+        for s, g, d in self.transitions:
+            out[s].append((g, d))
+        return tuple(tuple(es) for es in out)
+
+    @cached_property
+    def sccs(self) -> tuple:
+        """(index of each state's accepting SCC or -1, accepting states of each).
+
+        Only SCCs with a cycle and an accepting state are indexed: no run
+        visits an accepting state of any other SCC infinitely often, so the
+        annotation counters of bounded synthesis live only in these.
+        """
+        succ = {s: [d for _, d in es] for s, es in enumerate(self.edges)}
+        scc_of = [-1] * self.n_states
+        weight = []
+        for c, comp in enumerate(accepting_sccs(self.n_states, succ, self.accepting)):
+            for q in comp:
+                scc_of[q] = c
+            weight.append(len(comp & self.accepting))
+        return tuple(scc_of), tuple(weight)
 
     def to_hoa(self) -> str:
         lines = ["HOA: v1"]
@@ -83,13 +106,10 @@ class NBA:
         lines.append("Acceptance: 1 Inf(0)")
         lines.append("--BODY--")
         index = {a: i for i, a in enumerate(self.signals)}
-        by_src: dict[int, list] = {s: [] for s in range(self.n_states)}
-        for src, g, dst in self.transitions:
-            by_src[src].append((g, dst))
         for s in range(self.n_states):
             mark = " {0}" if s in self.accepting else ""
             lines.append(f"State: {s}{mark}")
-            for g, dst in sorted(by_src[s], key=lambda e: (sorted(e[0]), e[1])):
+            for g, dst in sorted(self.edges[s], key=lambda e: (sorted(e[0]), e[1])):
                 if not g:
                     lines.append(f"[t] {dst}")
                 else:
@@ -196,15 +216,28 @@ def _state_transitions(state: frozenset, memo: dict) -> list:
     return out
 
 
+# formulas whose automata are kept; synthesis and its verification share one
+_NBA_CACHE_SIZE = 128
+
+
 def ltl_to_nba(f: Formula, signals: Optional[Iterable] = None) -> NBA:
-    """Build a Buchi automaton for a quantifier-free formula over plain propositions."""
+    """Buchi automaton for a quantifier-free formula over plain propositions.
+
+    The tableau runs once per (formula, signals); later calls with an equal
+    formula return the same automaton.
+    """
+    return _tableau(f, None if signals is None else tuple(signals))
+
+
+@lru_cache(maxsize=_NBA_CACHE_SIZE)
+def _tableau(f: Formula, signals: Optional[tuple]) -> NBA:
     f = flatten(f)
     f = to_nnf(f)
     atoms = sorted({g.var for g in walk(f) if isinstance(g, PropAtom)})
     if signals is None:
         sigs = tuple(atoms)
     else:
-        sigs = tuple(signals)
+        sigs = signals
         missing = set(atoms) - set(sigs)
         if missing:
             raise SpecError(f"atoms outside the declared signal set: {sorted(missing)}")
@@ -267,6 +300,10 @@ def ltl_to_nba(f: Formula, signals: Optional[Iterable] = None) -> NBA:
     return simplify_nba(nba)
 
 
+ltl_to_nba.cache_clear = _tableau.cache_clear
+ltl_to_nba.cache_info = _tableau.cache_info
+
+
 # ---------------------------------------------------------------------------
 # simplification passes
 
@@ -319,6 +356,32 @@ def tarjan_sccs(n: int, succ: dict) -> list:
     return sccs
 
 
+def accepting_sccs(n: int, succ: dict, accepting) -> list:
+    """SCCs (as sets) with a cycle and an accepting node, reverse topological order."""
+    out = []
+    for comp in tarjan_sccs(n, succ):
+        cyclic = len(comp) > 1 or comp[0] in succ.get(comp[0], ())
+        if cyclic and not accepting.isdisjoint(comp):
+            out.append(set(comp))
+    return out
+
+
+def live_states(n: int, succ: dict, sccs: list) -> set:
+    """Nodes that can reach a node of one of the given SCCs."""
+    pred: dict = {}
+    for u in range(n):
+        for v in succ.get(u, ()):
+            pred.setdefault(v, []).append(u)
+    live = set().union(*sccs)
+    todo = list(live)
+    while todo:
+        for p in pred.get(todo.pop(), ()):
+            if p not in live:
+                live.add(p)
+                todo.append(p)
+    return live
+
+
 def _empty_nba(signals: tuple) -> NBA:
     return NBA(signals, 1, frozenset([0]), frozenset(), tuple())
 
@@ -355,25 +418,7 @@ def simplify_nba(nba: NBA) -> NBA:
                 todo.append(d)
 
     # states from which an accepting cycle is reachable
-    succ_sorted = {s: sorted(ds) for s, ds in succ.items()}
-    sccs = tarjan_sccs(nba.n_states, succ_sorted)
-    good = set()
-    for comp in sccs:
-        cs = set(comp)
-        cyclic = len(comp) > 1 or any(s == d and s in cs for s, _, d in trans)
-        if cyclic and (cs & nba.accepting):
-            good |= cs
-    pred: dict[int, set] = {}
-    for s, _, d in trans:
-        pred.setdefault(d, set()).add(s)
-    live = set(good)
-    todo = list(good)
-    while todo:
-        s = todo.pop()
-        for p in pred.get(s, ()):
-            if p not in live:
-                live.add(p)
-                todo.append(p)
+    live = live_states(nba.n_states, succ, accepting_sccs(nba.n_states, succ, nba.accepting))
 
     keep = reach & live
     if not keep:
@@ -421,61 +466,24 @@ def simplify_nba(nba: NBA) -> NBA:
 def loop_acceptance_states(nba: NBA, loop_vals: list) -> set:
     """States from which reading loop_vals forever admits an accepting run (phase 0 entry)."""
     m = len(loop_vals)
-    by_src: dict[int, list] = {}
-    for s, g, d in nba.transitions:
-        by_src.setdefault(s, []).append((g, d))
-
-    node_id: dict = {}
-
-    def nid(q: int, i: int) -> int:
-        key = (q, i)
-        if key not in node_id:
-            node_id[key] = len(node_id)
-        return node_id[key]
-
-    for q in range(nba.n_states):
-        for i in range(m):
-            nid(q, i)
-    succ = {}
-    for (q, i), u in node_id.items():
-        outs = []
-        for g, d in by_src.get(q, ()):
-            if guard_satisfied(g, loop_vals[i]):
-                outs.append(node_id[(d, (i + 1) % m)])
-        succ[u] = sorted(set(outs))
-
-    sccs = tarjan_sccs(len(node_id), succ)
-    comp_of = {}
-    for ci, comp in enumerate(sccs):
-        for u in comp:
-            comp_of[u] = ci
-    good_comps = set()
-    rev = {u: (q, i) for (q, i), u in node_id.items()}
-    for ci, comp in enumerate(sccs):
-        cs = set(comp)
-        cyclic = len(comp) > 1 or any(u in succ.get(u, ()) for u in comp)
-        if cyclic and any(rev[u][0] in nba.accepting for u in comp):
-            good_comps.add(ci)
-    # nodes that can reach a good component
-    can = [False] * len(node_id)
-    for comp in sccs:  # reverse topological: successors already settled
-        ci = comp_of[comp[0]]
-        flag = ci in good_comps
-        if not flag:
-            flag = any(can[v] for u in comp for v in succ.get(u, ()))
-        for u in comp:
-            can[u] = flag
-    return {q for q in range(nba.n_states) if can[node_id[(q, 0)]]}
+    n = nba.n_states * m
+    # node q * m + i: automaton state q about to read loop position i
+    succ = {
+        q * m + i: {
+            d * m + (i + 1) % m for g, d in nba.edges[q] if guard_satisfied(g, loop_vals[i])
+        }
+        for q in range(nba.n_states)
+        for i in range(m)
+    }
+    accepting = {q * m + i for q in nba.accepting for i in range(m)}
+    live = live_states(n, succ, accepting_sccs(n, succ, accepting))
+    return {q for q in range(nba.n_states) if q * m in live}
 
 
 def run_prefix(nba: NBA, vals: list, from_states: set) -> set:
     cur = set(from_states)
     for v in vals:
-        nxt = set()
-        for s, g, d in nba.transitions:
-            if s in cur and guard_satisfied(g, v):
-                nxt.add(d)
-        cur = nxt
+        cur = {d for s in cur for g, d in nba.edges[s] if guard_satisfied(g, v)}
         if not cur:
             break
     return cur

@@ -26,7 +26,6 @@ from .fragments import classify_formula
 from .synth import (
     EncoderSoundnessError,
     SolverFailure,
-    SynthesisResult,
     prepare,
     solve_at_bounds,
 )
@@ -225,16 +224,11 @@ class SuiteReport:
         return json.dumps(out, indent=2)
 
 
-def _attempt(instance, n, m, solver_cmd, timeout) -> SynthesisResult:
-    return solve_at_bounds(instance, n, m, solver_cmd=solver_cmd, timeout=timeout)
-
-
 def run_instance(
     bench: BenchmarkInstance,
     solver_cmd=None,
     timeout=None,
     include_optional: bool = False,
-    slack: bool = True,
 ) -> InstanceReport:
     """Check one instance against its expected verdict rows.
 
@@ -257,15 +251,15 @@ def run_instance(
             continue
         tb = time.monotonic()
         try:
-            res = _attempt(inst, n, m, solver_cmd, timeout)
+            res = solve_at_bounds(inst, n, m, solver_cmd, timeout)
             verdict = res.status
             used = None
-            if slack and verdict != expected and expected in ("sat", "unsat"):
+            if verdict != expected and expected in ("sat", "unsat"):
                 neighbors = [(n + 1, m), (n, m + 1)] if expected == "sat" else [(n - 1, m)]
                 for n2, m2 in neighbors:
                     if n2 < 1:
                         continue
-                    res2 = _attempt(inst, n2, m2, solver_cmd, timeout)
+                    res2 = solve_at_bounds(inst, n2, m2, solver_cmd, timeout)
                     if res2.status == expected:
                         verdict, used, res = res2.status, (n2, m2), res2
                         break

@@ -73,7 +73,7 @@ def cmd_synth(args) -> int:
         force=args.force,
     )
     if args.backend:
-        problem = encode(inst, args.max_system, args.max_exists, args.lambda_max)
+        problem = encode(inst, args.max_system, args.max_exists)
         if args.backend == "dimacs":
             text = emit_dimacs(problem.nvars, problem.clauses, problem.comments)
         else:
@@ -89,7 +89,6 @@ def cmd_synth(args) -> int:
         inst,
         args.max_system,
         args.max_exists,
-        lambda_max=args.lambda_max,
         solver_cmd=args.solver,
         timeout=args.timeout,
     )
@@ -207,9 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("spec")
     sp.add_argument("--max-system", type=int, required=True, metavar="N")
     sp.add_argument("--max-exists", type=int, required=True, metavar="M")
-    sp.add_argument("--lambda-max", type=int, default=None, metavar="K",
-                    help="cap on the annotation counter bound of each automaton SCC "
-                         "(default: a sufficient bound per SCC)")
     sp.add_argument("--backend", choices=("dimacs", "smtlib"), default=None,
                     help="emit constraints at the maximal bounds instead of solving")
     sp.add_argument("--solver", default=None, metavar="CMD",

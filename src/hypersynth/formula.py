@@ -278,10 +278,6 @@ def walk(f: Formula) -> Iterator[Formula]:
         yield from walk(c)
 
 
-def quantified_vars(f: Formula) -> list[tuple[QuantKind, str]]:
-    return [(g.kind, g.var) for g in walk(f) if isinstance(g, Quantifier)]
-
-
 def substitute_trace_var(f: Formula, old: str, new: str) -> Formula:
     """Rename a free trace variable in atoms and knowledge nodes."""
     if isinstance(f, TraceAtom):
@@ -302,31 +298,6 @@ def substitute_trace_var(f: Formula, old: str, new: str) -> Formula:
             right=substitute_trace_var(f.right, old, new),
         )
     return f
-
-
-def substitute_formula(f: Formula, target: Formula, repl: Formula) -> tuple[Formula, bool]:
-    """Replace the first occurrence (leftmost, innermost irrelevant: exact node match) of target."""
-    if f == target:
-        return repl, True
-    if isinstance(f, Quantifier) or isinstance(f, Unary):
-        new_child, done = substitute_formula(f.children()[0], target, repl)
-        if done:
-            return dc_replace(f, child=new_child), True
-        return f, False
-    if isinstance(f, Knowledge):
-        new_child, done = substitute_formula(f.child, target, repl)
-        if done:
-            return dc_replace(f, child=new_child), True
-        return f, False
-    if isinstance(f, Binary):
-        new_left, done = substitute_formula(f.left, target, repl)
-        if done:
-            return dc_replace(f, left=new_left), True
-        new_right, done = substitute_formula(f.right, target, repl)
-        if done:
-            return dc_replace(f, right=new_right), True
-        return f, False
-    return f, False
 
 
 # ---------------------------------------------------------------------------

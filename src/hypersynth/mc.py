@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import NBA, flatten_atom, guard_satisfied, ltl_to_nba, tarjan_sccs
+from .automata import NBA, accepting_sccs, flatten_atom, guard_satisfied, ltl_to_nba
 from .formula import And, Formula, Not, SpecError, TraceAtom, Quantifier, conj, walk
 from .machines import ExistGenerator, MooreSystem, all_valuations
 from .reductions import build_consistency
@@ -73,10 +73,6 @@ def build_product(
         return index[node]
 
     todo = [nid(n) for n in init_nodes]
-    nba_from: dict = {}
-    for s, g, d in nba.transitions:
-        nba_from.setdefault(s, []).append((g, d))
-
     seen = set(todo)
     while todo:
         u = todo.pop()
@@ -88,10 +84,7 @@ def build_product(
             ivs = [in_vals[j] for j in joint]
             letter = _letter(M, trace_vars, vec, ivs, gen_val)
             succ_vec = tuple(M.delta[s][val_bits[j]] for s, j in zip(vec, joint))
-            targets = set()
-            for g, d in nba_from.get(q, ()):
-                if guard_satisfied(g, letter):
-                    targets.add(d)
+            targets = {d for g, d in nba.edges[q] if guard_satisfied(g, letter)}
             for d in sorted(targets):
                 v = nid((succ_vec, e_next, d))
                 out_edges.append((joint, v))
@@ -107,19 +100,12 @@ def build_product(
 def _find_accepting_lasso(pg: ProductGraph):
     """Path and cycle through an accepting node inside a cyclic component, or None."""
     succ = {u: sorted({v for _, v in es}) for u, es in pg.edges.items()}
-    sccs = tarjan_sccs(len(pg.nodes), succ)
-    target = None
-    for comp in sccs:
-        cs = set(comp)
-        cyclic = len(comp) > 1 or any(u in succ.get(u, ()) for u in comp)
-        if not cyclic:
-            continue
-        hits = sorted(cs & pg.accepting)
-        if hits:
-            target = (hits[0], cs)
-    if target is None:
+    sccs = accepting_sccs(len(pg.nodes), succ, pg.accepting)
+    if not sccs:
         return None
-    v, comp = target
+    # the last such SCC in reverse topological order, at its smallest accepting node
+    comp = sccs[-1]
+    v = min(comp & pg.accepting)
 
     def bfs_labeled(starts, goal, allowed=None):
         prev: dict = {}
@@ -181,6 +167,16 @@ def _labels_to_input_lassos(
     return out
 
 
+def _check(M: MooreSystem, trace_vars: list, formula: Formula, E=None):
+    """(True, None) when no run of the product violates formula, else (False,
+    one counterexample input lasso per trace variable)."""
+    pg = build_product(M, trace_vars, ltl_to_nba(Not(formula)), E)
+    lasso = _find_accepting_lasso(pg)
+    if lasso is None:
+        return True, None
+    return False, _labels_to_input_lassos(M, trace_vars, *lasso)
+
+
 def mc_universal(M: MooreSystem, body: Formula, trace_vars: Optional[list] = None):
     """Does M satisfy the body for all assignments of its traces to the variables?
 
@@ -188,15 +184,7 @@ def mc_universal(M: MooreSystem, body: Formula, trace_vars: Optional[list] = Non
     """
     if trace_vars is None:
         trace_vars = body_trace_vars(body)
-    if not trace_vars:
-        trace_vars = ["pi"]
-    nba = ltl_to_nba(Not(body))
-    pg = build_product(M, trace_vars, nba)
-    lasso = _find_accepting_lasso(pg)
-    if lasso is None:
-        return True, None
-    pre, loop = lasso
-    return False, _labels_to_input_lassos(M, trace_vars, pre, loop)
+    return _check(M, trace_vars or ["pi"], body)
 
 
 def generator_vars(E: ExistGenerator) -> list:
@@ -228,10 +216,4 @@ def mc_exists_forall(M: MooreSystem, E: Optional[ExistGenerator], body: Formula)
             [build_consistency(evars, uv, M.inputs, M.outputs) for uv in uvars]
         )
         checked = And(body, cons)
-    nba = ltl_to_nba(Not(checked))
-    pg = build_product(M, uvars, nba, E)
-    lasso = _find_accepting_lasso(pg)
-    if lasso is None:
-        return True, None
-    pre, loop = lasso
-    return False, _labels_to_input_lassos(M, uvars, pre, loop)
+    return _check(M, uvars, checked, E)

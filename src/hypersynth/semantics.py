@@ -71,10 +71,6 @@ class LassoTrace:
             loop = [loop[-1]] + loop[:-1]
         return (tuple(prefix), tuple(loop))
 
-    def canonical(self) -> "LassoTrace":
-        prefix, loop = self.key()
-        return LassoTrace(self.signals, prefix, loop)
-
 
 @dataclass(frozen=True)
 class TraceSet:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .automata import NBA, ltl_to_nba, tarjan_sccs
+from .automata import NBA, ltl_to_nba
 from .formula import (
     And,
     Formula,
@@ -76,29 +76,6 @@ class SynthesisInstance:
     def nba(self) -> NBA:
         """Buchi automaton for the negated body, built once per instance."""
         return ltl_to_nba(Not(self.body))
-
-    @cached_property
-    def nba_sccs(self) -> tuple:
-        """(SCC index of each automaton state, accepting states of each SCC).
-
-        An SCC without a cycle counts no accepting states: no run visits it
-        twice, so its rejecting visits need no counter.
-        """
-        nba = self.nba
-        succ: dict = {}
-        loops = set()
-        for s, _, d in nba.transitions:
-            succ.setdefault(s, []).append(d)
-            if s == d:
-                loops.add(s)
-        scc_of = [0] * nba.n_states
-        weight = []
-        for c, comp in enumerate(tarjan_sccs(nba.n_states, succ)):
-            for q in comp:
-                scc_of[q] = c
-            cyclic = len(comp) > 1 or comp[0] in loops
-            weight.append(len(set(comp) & nba.accepting) if cyclic else 0)
-        return tuple(scc_of), tuple(weight)
 
 
 def prepare(
@@ -233,7 +210,6 @@ class ConstraintProblem:
     k: int
     lambda_max: int
     instance: SynthesisInstance
-    nba: NBA
     var_maps: dict
     comments: list = field(default_factory=list)
 
@@ -262,7 +238,7 @@ def _scc_bounds(instance: SynthesisInstance, n: int, m: int) -> list:
     """Sufficient counter bound of each automaton SCC: one step per rejecting
     product node whose automaton state lies in it, n^k * m * |F & C|."""
     m_eff = m if instance.exist_vars else 1
-    _, weight = instance.nba_sccs
+    _, weight = instance.nba.sccs
     return [(n**instance.k) * m_eff * w for w in weight]
 
 
@@ -301,12 +277,12 @@ def encode(
     V = len(in_vals)
     gen_signals = tuple(f"{a}@{j}" for j in evars for a in tuple(inputs) + tuple(outputs))
 
-    scc_of, _ = instance.nba_sccs
+    scc_of, _ = nba.sccs
     scc_lam = _scc_bounds(instance, n, m)
     if lambda_max is not None:
         scc_lam = [min(lambda_max, b) for b in scc_lam]
     lam = max(scc_lam, default=0)
-    lam_of = [scc_lam[scc_of[q]] for q in range(Q)]
+    lam_of = [scc_lam[c] if c >= 0 else 0 for c in scc_of]
 
     nxt = [0]
 
@@ -373,10 +349,6 @@ def encode(
     for q0 in sorted(nba.initial):
         add([r_var(node_id(init_svec, 0, q0))])
 
-    nba_from: dict = {}
-    for s, g, d in nba.transitions:
-        nba_from.setdefault(s, []).append((g, d))
-
     conj_cache: dict = {}
 
     def conj_lit(lits: frozenset) -> Optional[int]:
@@ -424,9 +396,12 @@ def encode(
             for q in range(Q):
                 node = node_id(svec_i, e, q)
                 for iv_vec in itertools.product(range(V), repeat=k):
-                    for g, q2 in nba_from.get(q, ()):
-                        # a step that leaves its SCC closes no cycle: reachability only
-                        counted = scc_of[q] == scc_of[q2] and (lam_of[q2] > 0 or q2 in rejecting)
+                    for g, q2 in nba.edges[q]:
+                        # a step that leaves its accepting SCC closes no counted
+                        # cycle: reachability only
+                        counted = scc_of[q] == scc_of[q2] >= 0 and (
+                            lam_of[q2] > 0 or q2 in rejecting
+                        )
                         residual = set()
                         feasible = True
                         for sig, val in g:
@@ -495,7 +470,6 @@ def encode(
         k=k,
         lambda_max=lam,
         instance=instance,
-        nba=nba,
         var_maps=var_maps,
         comments=comments,
     )
@@ -617,7 +591,7 @@ def decode(problem: ConstraintProblem, model: set):
         )
 
     values = {}
-    Q = problem.nba.n_states
+    Q = problem.instance.nba.n_states
     m_eff = vm["m_eff"]
     for si, svec in enumerate(vm["svecs"]):
         for e in range(m_eff):
@@ -691,7 +665,6 @@ def solve_at_bounds(
     instance: SynthesisInstance,
     n: int,
     m: int,
-    lambda_max: Optional[int] = None,
     solver_cmd=None,
     timeout=None,
 ) -> SynthesisResult:
@@ -703,23 +676,21 @@ def solve_at_bounds(
     counter is first capped at the quick bound. A model found under a smaller
     bound is still a proof, so the quick pass is sound for SAT. Only when it
     comes back UNSAT is the sufficient bound encoded and solved, which makes
-    the verdict bound-independent. An explicit lambda_max caps every SCC's
-    bound and disables the laddering.
+    the verdict bound-independent; no caller can cap that second bound, since
+    an UNSAT answer under a capped bound would prove nothing.
     """
-    if lambda_max is None:
-        quick_bound = len(instance.nba.accepting) + QUICK_LAMBDA_SLACK
-        if quick_bound < _lambda_bound(instance, n, m):
-            res = solve(encode(instance, n, m, quick_bound), solver_cmd, timeout)
-            if res.status == "sat":
-                return res
-    return solve(encode(instance, n, m, lambda_max), solver_cmd, timeout)
+    quick_bound = len(instance.nba.accepting) + QUICK_LAMBDA_SLACK
+    if quick_bound < _lambda_bound(instance, n, m):
+        res = solve(encode(instance, n, m, quick_bound), solver_cmd, timeout)
+        if res.status == "sat":
+            return res
+    return solve(encode(instance, n, m), solver_cmd, timeout)
 
 
 def search(
     instance: SynthesisInstance,
     max_system: int,
     max_exists: int,
-    lambda_max: Optional[int] = None,
     solver_cmd=None,
     timeout=None,
 ):
@@ -733,7 +704,7 @@ def search(
     )
     attempts = []
     for n, m in points:
-        res = solve_at_bounds(instance, n, m, lambda_max, solver_cmd, timeout)
+        res = solve_at_bounds(instance, n, m, solver_cmd, timeout)
         attempts.append(res)
         if res.status == "sat":
             return res, attempts

@@ -6,10 +6,12 @@ import pytest
 
 from hypersynth.automata import (
     NBA,
+    accepting_sccs,
     accepts_lasso,
     flatten,
     guard_satisfied,
     guard_text,
+    live_states,
     loop_acceptance_states,
     ltl_to_nba,
     merge_guards,
@@ -232,7 +234,18 @@ def test_simplify_idempotent_and_deterministic():
         nba = ltl_to_nba(body(text))
         again = simplify_nba(nba)
         assert again == nba
-        assert ltl_to_nba(body(text)) == nba
+        # an equal formula hits the memo, so rebuild from an empty one
+        ltl_to_nba.cache_clear()
+        fresh = ltl_to_nba(body(text))
+        assert fresh is not nba and fresh == nba
+
+
+def test_equal_formulas_share_one_automaton():
+    ltl_to_nba.cache_clear()
+    nba = ltl_to_nba(body("G (F a[pi])"), signals=["a@pi", "b@pi"])
+    assert ltl_to_nba(body("G (F a[pi])"), signals=("a@pi", "b@pi")) is nba
+    assert ltl_to_nba(body("G (F a[pi])")) is not nba
+    assert ltl_to_nba.cache_info().misses == 2
 
 
 def test_empty_language_nba():
@@ -259,6 +272,38 @@ def test_tarjan_reverse_topological():
     assert [3] in comps and [4] in comps
     # the cycle is a successor of 3, so it must settle first
     assert comps.index([0, 1, 2]) < comps.index([3])
+
+
+def test_accepting_sccs_and_live_states():
+    # 0 -> 1 -> 1 (accepting self-loop); 2 -> 0; 3 accepting on no cycle -> 4 <-> 5;
+    # 6 reaches only the non-accepting cycle 4 <-> 5
+    succ = {0: [1], 1: [1], 2: [0], 3: [4], 4: [5], 5: [4], 6: [4]}
+    sccs = accepting_sccs(7, succ, {1, 3})
+    assert sccs == [{1}]
+    assert live_states(7, succ, sccs) == {0, 1, 2}
+    # the non-accepting cycle 4 <-> 5 is found once one of its nodes accepts
+    sccs = accepting_sccs(7, succ, {1, 5})
+    assert {4, 5} in sccs and {1} in sccs
+    assert live_states(7, succ, sccs) == set(range(7))
+    assert accepting_sccs(7, succ, set()) == []
+    assert live_states(7, succ, []) == set()
+
+
+def test_accepting_sccs_reverse_topological():
+    # the accepting cycle {2, 3} is reachable from the accepting self-loop 0
+    succ = {0: [0, 1], 1: [2], 2: [3], 3: [2]}
+    assert accepting_sccs(4, succ, {0, 2}) == [{2, 3}, {0}]
+
+
+def test_nba_edges_and_sccs():
+    # states: 0 initial; 1 accepting with a self-loop; 2 accepting on no cycle
+    t = frozenset()
+    a = frozenset({("a", True)})
+    nba = NBA(("a",), 4, frozenset([0]), frozenset([1, 2]),
+              ((0, a, 1), (1, t, 1), (0, t, 2), (2, t, 3), (3, t, 3)))
+    assert nba.edges == (((a, 1), (t, 2)), ((t, 1),), ((t, 3),), ((t, 3),))
+    scc_of, weight = nba.sccs
+    assert scc_of == (-1, 0, -1, -1) and weight == (1,)
 
 
 def test_hoa_emission():

@@ -94,6 +94,19 @@ def test_synth_uniformized_unsat_is_bound_relative(specfile, capsys):
     assert "uniform witnesses" in out and "bound-relative" in out
 
 
+def test_synth_has_no_lambda_cap(specfile, capsys):
+    # an UNSAT answer under a capped counter bound would prove nothing:
+    # with every counter capped at 1 this spec reads as unrealizable at n=3
+    text = "inputs: i\noutputs: o\nforall pi : trace . G F (o[pi] & X o[pi]) & G F !o[pi]\n"
+    path = specfile(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", path, "--max-system", "3", "--max-exists", "1", "--lambda-max", "1"])
+    assert exc.value.code == EXIT_INPUT
+    capsys.readouterr()
+    assert main(["synth", path, "--max-system", "3", "--max-exists", "1"]) == EXIT_OK
+    assert "realizable at system bound 3" in capsys.readouterr().out
+
+
 def test_synth_out_and_dot_then_verify(specfile, tmp_path, capsys):
     out_path = tmp_path / "machine.json"
     dot_path = tmp_path / "machine.dot"

@@ -1,6 +1,5 @@
 """End-to-end synthesis: prepare, encode, solve, search."""
 
-import functools
 import itertools
 import subprocess
 import sys
@@ -8,12 +7,12 @@ import tempfile
 
 import pytest
 
-from hypersynth import mc, synth
-from hypersynth.automata import tarjan_sccs
+from hypersynth import synth
+from hypersynth.automata import ltl_to_nba, tarjan_sccs
 from hypersynth.bench import gen_arbiter
 from hypersynth.formula import SpecError, parse
 from hypersynth.fragments import SINGLE_UNIVERSAL, UNDEC_FORALL_EXISTS
-from hypersynth.machines import MooreSystem
+from hypersynth.machines import ExistGenerator, MooreSystem
 from hypersynth.mc import mc_exists_forall, mc_universal
 from hypersynth.sat import emit_dimacs, parse_dimacs
 from hypersynth.synth import (
@@ -132,7 +131,6 @@ def test_lambda_override_caps_encoding():
     assert low.lambda_max == 1
     full = encode(inst, 2, 1)
     assert full.lambda_max >= low.lambda_max
-    assert solve_at_bounds(inst, 1, 1, lambda_max=1).status == "sat"
     # the override caps the counter bound of every automaton SCC
     arb = prepare(gen_arbiter(3, {1}))
     full = encode(arb, 2, 1).var_maps["lam_of"]
@@ -298,9 +296,7 @@ def _moore_machines(n: int):
             yield MooreSystem(("i",), ("o",), lab, delta, 0)
 
 
-def test_verdicts_agree_with_brute_force_machines(monkeypatch):
-    # every machine of one spec is checked against the same automaton
-    monkeypatch.setattr(mc, "ltl_to_nba", functools.lru_cache(maxsize=None)(mc.ltl_to_nba))
+def test_verdicts_agree_with_brute_force_machines():
     insts = [prepare(spec(text)) for text in ORACLE_SPECS]
     # the SCC-local cut is exercised only by a multi-state accepting SCC
     assert any(len(c) > 1 for inst in insts for c in _accepting_sccs(inst.nba))
@@ -308,6 +304,52 @@ def test_verdicts_agree_with_brute_force_machines(monkeypatch):
         for n in (1, 2, 3):
             some = any(mc_exists_forall(M, None, inst.core)[0] for M in _moore_machines(n))
             assert (solve_at_bounds(inst, n, 1).status == "sat") == some, (text, n)
+
+
+# one existential copy e, witnessed by a lasso generator: (body, SAT points of
+# the grid n <= 2, m <= 2 plus (1, 3))
+GENERATOR_ORACLE_SPECS = (
+    # e's output must alternate and equal every branch's: needs two states each
+    ("G F o[e] & G F !o[e] & G (o[pi] <-> o[e])", {(2, 2)}),
+    ("G (o[pi] <-> i[e])", {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)}),
+    # a three-state generator can hold i[e] twice in a row; two states cannot
+    ("G F (i[e] & X i[e]) & G F !i[e] & G (i[pi] -> X o[pi])", {(1, 3)}),
+)
+
+
+def _generators(m: int):
+    """Every generator over the signals i@e and o@e with m states."""
+    sigs = ("i@e", "o@e")
+    labels = [frozenset(c) for r in range(3) for c in itertools.combinations(sigs, r)]
+    for lab in itertools.product(labels, repeat=m):
+        for nxt in itertools.product(range(m), repeat=m):
+            yield ExistGenerator(sigs, lab, nxt, 0)
+
+
+def test_verdicts_agree_with_brute_force_generators():
+    points = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+    for body, sat_points in GENERATOR_ORACLE_SPECS:
+        inst = prepare(spec(f"exists e : trace . forall pi : trace . {body}"))
+        assert inst.exist_vars == ("e",)
+        found = set()
+        for n, m in points:
+            some = any(
+                mc_exists_forall(M, E, inst.core)[0]
+                for M in _moore_machines(n)
+                for E in _generators(m)
+            )
+            assert (solve_at_bounds(inst, n, m).status == "sat") == some, (body, n, m)
+            if some:
+                found.add((n, m))
+        assert found == sat_points, body
+
+
+def test_sat_row_and_its_verification_build_one_automaton():
+    ltl_to_nba.cache_clear()
+    res = solve_at_bounds(prepare(gen_arbiter(2, {1})), 2, 2)
+    assert res.status == "sat" and res.system is not None
+    # the verifier's formula equals the instance's negated body
+    assert ltl_to_nba.cache_info().misses == 1
 
 
 def test_search_returns_first_sat_point():
