@@ -226,7 +226,6 @@ class SuiteReport:
 
 def run_instance(
     bench: BenchmarkInstance,
-    solver_cmd=None,
     timeout=None,
     include_optional: bool = False,
 ) -> InstanceReport:
@@ -251,7 +250,7 @@ def run_instance(
             continue
         tb = time.monotonic()
         try:
-            res = solve_at_bounds(inst, n, m, solver_cmd, timeout)
+            res = solve_at_bounds(inst, n, m, timeout)
             verdict = res.status
             used = None
             if verdict != expected and expected in ("sat", "unsat"):
@@ -259,7 +258,7 @@ def run_instance(
                 for n2, m2 in neighbors:
                     if n2 < 1:
                         continue
-                    res2 = solve_at_bounds(inst, n2, m2, solver_cmd, timeout)
+                    res2 = solve_at_bounds(inst, n2, m2, timeout)
                     if res2.status == expected:
                         verdict, used, res = res2.status, (n2, m2), res2
                         break
@@ -273,9 +272,8 @@ def run_instance(
                 )
             )
         except SolverFailure as e:
-            kind = "timeout" if "timed out" in str(e) else "error"
             report.bounds.append(
-                BoundResult(n, m, expected, kind, None, None, time.monotonic() - tb, str(e))
+                BoundResult(n, m, expected, "timeout", None, None, time.monotonic() - tb, str(e))
             )
             if expected != "optional":
                 report.error = str(e)
@@ -296,7 +294,6 @@ def run_instance(
 
 def run_suite(
     selection=None,
-    solver_cmd=None,
     timeout=None,
     include_optional: bool = False,
 ) -> SuiteReport:
@@ -307,7 +304,6 @@ def run_suite(
     reports = [
         run_instance(
             instance_by_name(name),
-            solver_cmd=solver_cmd,
             timeout=timeout,
             include_optional=include_optional,
         )

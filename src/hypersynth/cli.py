@@ -89,7 +89,6 @@ def cmd_synth(args) -> int:
         inst,
         args.max_system,
         args.max_exists,
-        solver_cmd=args.solver,
         timeout=args.timeout,
     )
     if result is None:
@@ -167,7 +166,6 @@ def cmd_bench(args) -> int:
         selection = DEFAULT_SELECTION
     report = run_suite(
         selection,
-        solver_cmd=args.solver,
         timeout=args.timeout,
         include_optional=args.full_table,
     )
@@ -208,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-exists", type=int, required=True, metavar="M")
     sp.add_argument("--backend", choices=("dimacs", "smtlib"), default=None,
                     help="emit constraints at the maximal bounds instead of solving")
-    sp.add_argument("--solver", default=None, metavar="CMD",
-                    help="external solver command (also via HYPERSYNTH_SOLVER)")
     sp.add_argument("--timeout", type=float, default=None, metavar="SEC")
     sp.add_argument("--out", default=None, metavar="FILE")
     sp.add_argument("--dot", default=None, metavar="FILE")
@@ -226,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--instance", action="append", default=None, metavar="NAME")
     sp.add_argument("--full-table", action="store_true",
                     help="include the slow instance and its optional rows")
-    sp.add_argument("--solver", default=None, metavar="CMD")
     sp.add_argument("--timeout", type=float, default=None, metavar="SEC")
     sp.add_argument("--json", action="store_true", help="machine-readable report")
     sp.set_defaults(func=cmd_bench)

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import NBA, accepting_sccs, flatten_atom, guard_satisfied, ltl_to_nba
-from .formula import And, Formula, Not, SpecError, TraceAtom, Quantifier, conj, walk
+from .formula import And, Formula, Not, SpecError, TraceAtom, Quantifier, walk
 from .machines import ExistGenerator, MooreSystem, all_valuations
-from .reductions import build_consistency
+from .reductions import build_consistency, consistency_anchor
 from .semantics import LassoTrace
 
 
@@ -203,17 +203,16 @@ def mc_exists_forall(M: MooreSystem, E: Optional[ExistGenerator], body: Formula)
 
     Universal variables range over all branches of M; the consistency
     requirement that every generated witness is itself a branch of M is
-    conjoined automatically. Returns (True, None) or (False, input lassos).
+    conjoined for the universal copy that `consistency_anchor` names, as
+    `prepare` does. Returns (True, None) or (False, input lassos).
     """
     vars_all = body_trace_vars(body)
     evars = generator_vars(E) if E is not None else []
     uvars = [v for v in vars_all if v not in evars]
+    anchor = consistency_anchor(body, evars)
     if not uvars:
-        uvars = ["pi__mc"]
+        uvars = [anchor]
     checked = body
-    if E is not None and evars:
-        cons = conj(
-            [build_consistency(evars, uv, M.inputs, M.outputs) for uv in uvars]
-        )
-        checked = And(body, cons)
+    if evars:
+        checked = And(body, build_consistency(evars, anchor, M.inputs, M.outputs))
     return _check(M, uvars, checked, E)

@@ -186,6 +186,22 @@ def build_consistency(
     return conj(parts)
 
 
+def consistency_anchor(core: Formula, existential_vars) -> str:
+    """The one universal copy that the consistency conjunct names.
+
+    Every universal copy ranges over the same branches of the system, so one
+    conjunct is equivalent to one per copy. The choice reads only the core and
+    the existential copies, so the encoder and the model checker check one
+    formula: the first universal copy that occurs in the core, else a fresh
+    probe name.
+    """
+    names = [g.trace_var for g in walk(core) if isinstance(g, TraceAtom)]
+    for v in names:
+        if v not in existential_vars:
+            return v
+    return fresh_name("pi", set(names) | set(existential_vars))
+
+
 # ---------------------------------------------------------------------------
 # knowledge elimination
 

@@ -306,10 +306,8 @@ class Solver:
 
     # ------------------------------------------------------------------ main
 
-    def solve(
-        self, conflict_budget: Optional[int] = None, deadline: Optional[float] = None
-    ) -> Optional[bool]:
-        """True if satisfiable, False if not; None when the budget ran out.
+    def solve(self, deadline: Optional[float] = None) -> Optional[bool]:
+        """True if satisfiable, False if not; None when the deadline passed.
 
         `deadline` is a `time.monotonic()` instant, checked at each conflict.
         """
@@ -327,9 +325,7 @@ class Solver:
             if confl is not None:
                 self.conflicts += 1
                 since_restart += 1
-                if (conflict_budget is not None and self.conflicts > conflict_budget) or (
-                    deadline is not None and time.monotonic() >= deadline
-                ):
+                if deadline is not None and time.monotonic() >= deadline:
                     self._backtrack(0)
                     return None
                 if not self.lim:
@@ -369,33 +365,6 @@ class Solver:
 
 # ---------------------------------------------------------------------------
 # DIMACS
-
-
-def parse_dimacs(text: str):
-    nvars = 0
-    clauses = []
-    cur: list = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad problem line: {line!r}")
-            nvars = int(parts[2])
-            continue
-        for tok in line.split():
-            n = int(tok)
-            if n == 0:
-                clauses.append(cur)
-                cur = []
-            else:
-                cur.append(n)
-                nvars = max(nvars, abs(n))
-    if cur:
-        clauses.append(cur)
-    return nvars, clauses
 
 
 def emit_dimacs(nvars: int, clauses: list, comments: Optional[list] = None) -> str:

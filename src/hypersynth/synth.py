@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import os
-import shlex
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,7 +19,6 @@ from .formula import (
     SpecError,
     check_well_formed,
     extract_prefix,
-    fresh_name,
     to_nnf,
     walk,
 )
@@ -40,16 +35,17 @@ from .reductions import (
     ReductionTrace,
     build_consistency,
     collapse,
+    consistency_anchor,
     eliminate_knowledge,
     to_hyperltl,
 )
-from .sat import emit_dimacs, solve_clauses
+from .sat import solve_clauses
 
 ALLOWED_CLASSES = (NO_UNIVERSAL, SINGLE_UNIVERSAL, LINEAR_CANDIDATE)
 
 
 class SolverFailure(Exception):
-    """The external solver crashed, timed out, or produced unreadable output."""
+    """The solver ran past its time limit."""
 
 
 class EncoderSoundnessError(Exception):
@@ -151,20 +147,20 @@ def prepare(
             "existential witnesses after the universal block are fixed up front (sound for positives only)",
         )
 
-    used = {e.var for e in prefix}
-    if not universal_vars:
-        probe = fresh_name("pi", used)
-        universal_vars = [probe]
-        tr.record(
-            "probe",
-            f,
-            f,
-            f"fresh universal copy {probe!r} added so witnesses are anchored to branches of the system",
-        )
-
     body = core
     if exist_vars:
-        cons = build_consistency(exist_vars, universal_vars[0], doc.inputs, doc.outputs)
+        anchor = consistency_anchor(core, exist_vars)
+        if anchor not in universal_vars:
+            # the core reads no universal copy: a fresh one anchors the
+            # witnesses, in place of the first unread copy if there is one
+            universal_vars = [anchor] + universal_vars[1:]
+            tr.record(
+                "probe",
+                f,
+                f,
+                f"fresh universal copy {anchor!r} added so witnesses are anchored to branches of the system",
+            )
+        cons = build_consistency(exist_vars, anchor, doc.inputs, doc.outputs)
         body = And(core, cons)
         tr.record(
             "consistency",
@@ -187,18 +183,6 @@ def prepare(
 
 # ---------------------------------------------------------------------------
 # encoding
-
-
-@dataclass
-class Annotation:
-    """Per product node: None when unreachable, else its counter value.
-
-    A node counts rejecting visits only within its automaton SCC, so values of
-    nodes in different SCCs are unrelated; bound is the largest SCC bound.
-    """
-
-    values: dict
-    bound: int
 
 
 @dataclass
@@ -448,12 +432,9 @@ def encode(
         "tau": tau_var,
         "gen": gen_var,
         "gen_signals": gen_signals,
-        "r_base": r_base,
         "l_start": l_start,
         "lam_of": lam_of,
         "counter_vars": counter_vars,
-        "n_nodes": n_nodes,
-        "svecs": svecs,
         "m_eff": m_eff,
         "has_gen": has_gen,
     }
@@ -479,79 +460,10 @@ def encode(
 # solving
 
 
-def _run_solver(problem: ConstraintProblem, solver_cmd=None, timeout=None):
-    """(status, model as a set of signed literals) from the bundled solver, run
-    in process, or from an external DIMACS solver when one is named."""
-    cmd = solver_cmd or os.environ.get("HYPERSYNTH_SOLVER")
-    cmd = shlex.split(cmd) if isinstance(cmd, str) else list(cmd or ())
-    if not cmd:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        status, model = solve_clauses(problem.nvars, problem.clauses, deadline)
-        if status is None:
-            raise SolverFailure(f"solver timed out after {timeout}s")
-        return status, set(model or ())
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".cnf", prefix="hypersynth_", delete=False
-    ) as fh:
-        path = fh.name
-        fh.write(emit_dimacs(problem.nvars, problem.clauses, problem.comments))
-    try:
-        try:
-            proc = subprocess.run(
-                cmd + [path],
-                capture_output=True,
-                text=True,
-                timeout=timeout,
-            )
-        except subprocess.TimeoutExpired as e:
-            raise SolverFailure(f"solver timed out after {timeout}s") from e
-        except OSError as e:
-            raise SolverFailure(f"cannot run solver {cmd!r}: {e}") from e
-    finally:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    out = proc.stdout or ""
-    status = None
-    model: set = set()
-    for line in out.splitlines():
-        if line.startswith("s "):
-            tag = line[2:].strip()
-            if tag == "SATISFIABLE":
-                status = True
-            elif tag == "UNSATISFIABLE":
-                status = False
-        elif line.startswith("v "):
-            for tok in line[2:].split():
-                x = int(tok)
-                if x != 0:
-                    model.add(x)
-    if status is None:
-        if proc.returncode == 10:
-            status = True
-        elif proc.returncode == 20:
-            status = False
-        else:
-            raise SolverFailure(
-                f"solver produced no verdict (exit {proc.returncode}): {out[:200]!r} "
-                f"{(proc.stderr or '')[:200]!r}"
-            )
-    if status:
-        missing = [v for v in range(1, problem.nvars + 1) if v not in model and -v not in model]
-        if missing:
-            raise SolverFailure(
-                f"solver reported SAT but its model leaves {len(missing)} of "
-                f"{problem.nvars} variables unassigned (first: {missing[0]})"
-            )
-    return status, model
-
-
 def decode(problem: ConstraintProblem, model: set):
-    """Model to (MooreSystem, ExistGenerator or None, Annotation)."""
+    """Model to (MooreSystem, ExistGenerator or None)."""
     inst = problem.instance
-    n, k = problem.n, problem.k
+    n = problem.n
     vm = problem.var_maps
     inputs, outputs = inst.inputs, inst.outputs
     V = len(all_valuations(inputs))
@@ -590,22 +502,7 @@ def decode(problem: ConstraintProblem, model: set):
             tuple(vm["gen_signals"]), glabels, tuple(nxt_states), 0
         )
 
-    values = {}
-    Q = problem.instance.nba.n_states
-    m_eff = vm["m_eff"]
-    for si, svec in enumerate(vm["svecs"]):
-        for e in range(m_eff):
-            for q in range(Q):
-                node = (si * m_eff + e) * Q + q
-                if not true(vm["r_base"] + 1 + node):
-                    values[(svec, e, q)] = None
-                else:
-                    level = 0
-                    for j in range(1, vm["lam_of"][q] + 1):
-                        if true(vm["l_start"][node] + (j - 1)):
-                            level = j
-                    values[(svec, e, q)] = level
-    return system, generator, Annotation(values, problem.lambda_max)
+    return system, generator
 
 
 @dataclass
@@ -616,18 +513,18 @@ class SynthesisResult:
     lambda_max: int
     system: Optional[MooreSystem] = None
     generator: Optional[ExistGenerator] = None
-    annotation: Optional[Annotation] = None
     stats: dict = field(default_factory=dict)
 
 
-def solve(
-    problem: ConstraintProblem,
-    solver_cmd=None,
-    timeout=None,
-    verify: bool = True,
-) -> SynthesisResult:
-    """Run the solver on an encoded problem and decode plus verify any model."""
-    status, model = _run_solver(problem, solver_cmd, timeout)
+def solve(problem: ConstraintProblem, timeout=None) -> SynthesisResult:
+    """Run the bundled solver on an encoded problem; decode and verify any model.
+
+    Raises SolverFailure when the solver runs past `timeout` seconds.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    status, model = solve_clauses(problem.nvars, problem.clauses, deadline)
+    if status is None:
+        raise SolverFailure(f"solver timed out after {timeout}s")
     stats = {
         "vars": problem.nvars,
         "clauses": len(problem.clauses),
@@ -638,14 +535,13 @@ def solve(
         return SynthesisResult(
             "unsat", problem.n, problem.m, problem.lambda_max, stats=stats
         )
-    system, generator, annotation = decode(problem, model)
-    if verify:
-        ok, cex = mc_exists_forall(system, generator, problem.instance.core)
-        if not ok:
-            raise EncoderSoundnessError(
-                "SAT model fails containment verification; counterexample inputs: "
-                + "; ".join(str((c.prefix, c.loop)) for c in (cex or []))
-            )
+    system, generator = decode(problem, set(model))
+    ok, cex = mc_exists_forall(system, generator, problem.instance.core)
+    if not ok:
+        raise EncoderSoundnessError(
+            "SAT model fails containment verification; counterexample inputs: "
+            + "; ".join(str((c.prefix, c.loop)) for c in (cex or []))
+        )
     return SynthesisResult(
         "sat",
         problem.n,
@@ -653,7 +549,6 @@ def solve(
         problem.lambda_max,
         system=system,
         generator=generator,
-        annotation=annotation,
         stats=stats,
     )
 
@@ -665,7 +560,6 @@ def solve_at_bounds(
     instance: SynthesisInstance,
     n: int,
     m: int,
-    solver_cmd=None,
     timeout=None,
 ) -> SynthesisResult:
     """Verdict at one bound point; a small annotation bound is tried first.
@@ -681,17 +575,16 @@ def solve_at_bounds(
     """
     quick_bound = len(instance.nba.accepting) + QUICK_LAMBDA_SLACK
     if quick_bound < _lambda_bound(instance, n, m):
-        res = solve(encode(instance, n, m, quick_bound), solver_cmd, timeout)
+        res = solve(encode(instance, n, m, quick_bound), timeout)
         if res.status == "sat":
             return res
-    return solve(encode(instance, n, m), solver_cmd, timeout)
+    return solve(encode(instance, n, m), timeout)
 
 
 def search(
     instance: SynthesisInstance,
     max_system: int,
     max_exists: int,
-    solver_cmd=None,
     timeout=None,
 ):
     """First SAT result over (n, m) in nondecreasing n+m order, else the attempts."""
@@ -704,7 +597,7 @@ def search(
     )
     attempts = []
     for n, m in points:
-        res = solve_at_bounds(instance, n, m, solver_cmd, timeout)
+        res = solve_at_bounds(instance, n, m, timeout)
         attempts.append(res)
         if res.status == "sat":
             return res, attempts

@@ -165,3 +165,11 @@ def test_internal_exception_is_an_error_not_a_verdict(monkeypatch):
     suite = SuiteReport([rep])
     assert suite.exit_code == 3
     assert "UNVERIFIED" not in suite.render()
+
+
+def test_solver_timeout_is_a_timeout_row():
+    # the (2,1) row is unsat only after conflicts, where the deadline is checked
+    rep = run_instance(instance_by_name("arbiter-2-prompt"), timeout=1e-9)
+    assert [b.verdict for b in rep.bounds] == ["timeout"]
+    assert "timed out" in rep.error
+    assert SuiteReport([rep]).exit_code == 3

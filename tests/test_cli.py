@@ -5,13 +5,15 @@ import json
 
 import pytest
 
+from hypersynth.bench import gen_arbiter
 from hypersynth.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_UNREALIZABLE, main
+from hypersynth.formula import print_document
 from hypersynth.machines import MooreSystem
-from hypersynth.sat import parse_dimacs
 
 ALWAYS = "inputs: i\noutputs: o\nforall pi : trace . G (o[pi])\n"
 DELAYED = "inputs: i\noutputs: o\nforall pi : trace . G (i[pi] -> (X (o[pi])))\n"
 INSTANT = "inputs: i\noutputs: o\nforall pi : trace . G (o[pi] <-> i[pi])\n"
+ARBITER_2 = print_document(gen_arbiter(2, {1}))
 FORALL_EXISTS = "inputs: i\noutputs: o\nforall pi : trace . exists e : trace . G (o[e] -> o[pi])\n"
 # holds (e is pi with its inputs flipped), but not with e fixed before pi
 FLIPPED_WITNESS = "inputs: i\noutputs: o\nforall pi : trace . exists e : trace . G (i[e] <-> !i[pi])\n"
@@ -132,8 +134,12 @@ def test_synth_backend_dimacs(specfile, tmp_path, capsys):
     ])
     assert rc == EXIT_OK
     assert "written to" in capsys.readouterr().out
-    nvars, clauses = parse_dimacs(out_path.read_text())
-    assert nvars > 0 and clauses
+    lines = out_path.read_text().splitlines()
+    body = [l for l in lines if not l.startswith("c ")]
+    tag, fmt, nvars, nclauses = body[0].split()
+    assert (tag, fmt) == ("p", "cnf") and int(nvars) > 0
+    assert int(nclauses) == len(body) - 1 > 0
+    assert all(l.endswith(" 0") for l in body[1:])
 
 
 def test_synth_backend_smtlib_stdout(specfile, capsys):
@@ -148,12 +154,25 @@ def test_synth_backend_smtlib_stdout(specfile, capsys):
 
 
 def test_synth_solver_failure(specfile, capsys):
+    # the deadline is checked at conflicts; the two-client arbiter's (1,1)
+    # point takes at least one
     rc = main([
-        "synth", specfile(ALWAYS), "--max-system", "1", "--max-exists", "1",
-        "--solver", "/nonexistent/solver-xyz",
+        "synth", specfile(ARBITER_2), "--max-system", "1", "--max-exists", "1",
+        "--timeout", "1e-9",
     ])
     assert rc == EXIT_SOLVER
-    assert "solver failure" in capsys.readouterr().err
+    assert "timed out" in capsys.readouterr().err
+
+
+def test_no_external_solver_flag(specfile, capsys):
+    for argv in (
+        ["synth", specfile(ALWAYS), "--max-system", "1", "--max-exists", "1", "--solver", "X"],
+        ["bench", "--solver", "X"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+    assert "--solver" in capsys.readouterr().err
 
 
 def test_verify_violation(specfile, tmp_path, capsys):

@@ -1,14 +1,10 @@
-"""The bundled CDCL solver against brute force, DIMACS plumbing, and the CLI."""
+"""The bundled CDCL solver against brute force, and DIMACS emission."""
 
 import itertools
 import random
-import subprocess
-import sys
 import time
 
-import pytest
-
-from hypersynth.sat import Solver, _luby, emit_dimacs, parse_dimacs, solve_clauses
+from hypersynth.sat import Solver, _luby, emit_dimacs, solve_clauses
 
 
 def brute_sat(nvars, clauses):
@@ -92,15 +88,6 @@ def test_pigeonhole_unsat():
         assert solve_clauses(nvars, clauses) == (False, None)
 
 
-def test_conflict_budget_returns_unknown():
-    nvars, clauses = php(5)
-    s = Solver()
-    s.ensure_vars(nvars)
-    for cl in clauses:
-        s.add_clause(cl)
-    assert s.solve(conflict_budget=1) is None
-
-
 def test_deadline_returns_unknown():
     nvars, clauses = php(5)
     s = Solver()
@@ -148,59 +135,4 @@ def test_new_var_numbering():
 def test_dimacs_round_trip():
     clauses = [[1, -2], [3], [-1, -3, 2]]
     text = emit_dimacs(3, clauses, comments=["made by a test"])
-    assert text.startswith("c made by a test\np cnf 3 3\n")
-    nvars, parsed = parse_dimacs(text)
-    assert nvars == 3 and parsed == clauses
-
-
-def test_dimacs_parse_tolerates_noise():
-    nvars, clauses = parse_dimacs("c hi\n%\np cnf 2 1\n1 -2 0\n")
-    assert nvars == 2 and clauses == [[1, -2]]
-    # missing terminating zero on the last clause
-    nvars, clauses = parse_dimacs("1 2\n")
-    assert clauses == [[1, 2]]
-
-
-def test_dimacs_parse_rejects_bad_header():
-    with pytest.raises(ValueError):
-        parse_dimacs("p cnf x\n1 0\n")
-
-
-# ---------------------------------------------------------------------------
-# the solver subprocess
-
-def run_cli(args, stdin=None):
-    return subprocess.run(
-        [sys.executable, "-m", "hypersynth.satcli", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-    )
-
-
-def test_cli_sat_file(tmp_path):
-    path = tmp_path / "f.cnf"
-    path.write_text(emit_dimacs(2, [[1, 2], [-1]]))
-    r = run_cli([str(path)])
-    assert r.returncode == 10
-    assert "s SATISFIABLE" in r.stdout
-    vline = [l for l in r.stdout.splitlines() if l.startswith("v ")]
-    assert vline and vline[-1].endswith(" 0")
-    model = [int(x) for l in vline for x in l[2:].split() if int(x) != 0]
-    assert satisfies(model, [[1, 2], [-1]])
-
-
-def test_cli_unsat_stdin():
-    r = run_cli(["-"], stdin=emit_dimacs(1, [[1], [-1]]))
-    assert r.returncode == 20
-    assert "s UNSATISFIABLE" in r.stdout
-
-
-def test_cli_missing_file():
-    r = run_cli(["/nonexistent/take.cnf"])
-    assert r.returncode == 1
-
-
-def test_cli_bad_header():
-    r = run_cli(["-"], stdin="p cnf broken\n")
-    assert r.returncode == 1
+    assert text == "c made by a test\np cnf 3 3\n1 -2 0\n3 0\n-1 -3 2 0\n"

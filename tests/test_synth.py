@@ -2,7 +2,6 @@
 
 import itertools
 import subprocess
-import sys
 import tempfile
 
 import pytest
@@ -14,7 +13,7 @@ from hypersynth.formula import SpecError, parse
 from hypersynth.fragments import SINGLE_UNIVERSAL, UNDEC_FORALL_EXISTS
 from hypersynth.machines import ExistGenerator, MooreSystem
 from hypersynth.mc import mc_exists_forall, mc_universal
-from hypersynth.sat import emit_dimacs, parse_dimacs
+from hypersynth.sat import emit_dimacs
 from hypersynth.synth import (
     SolverFailure,
     encode,
@@ -171,9 +170,11 @@ def test_counters_are_scc_local():
 
 def test_dimacs_emission_parses_back():
     problem = encode(prepare(spec(ALWAYS)), 2, 1)
-    nvars, clauses = parse_dimacs(emit_dimacs(problem.nvars, problem.clauses, problem.comments))
-    assert nvars == problem.nvars
-    assert len(clauses) == len(problem.clauses)
+    lines = emit_dimacs(problem.nvars, problem.clauses, problem.comments).splitlines()
+    body = [l for l in lines if not l.startswith("c ")]
+    assert body[0] == f"p cnf {problem.nvars} {len(problem.clauses)}"
+    assert all(l.endswith(" 0") for l in body[1:])
+    assert [[int(x) for x in l.split()[:-1]] for l in body[1:]] == problem.clauses
 
 
 def test_smtlib_emission_shape():
@@ -182,35 +183,6 @@ def test_smtlib_emission_shape():
     assert text.startswith("(set-logic QF_UF)")
     assert text.count("declare-const") == problem.nvars
     assert text.rstrip().endswith("(get-model)")
-
-
-def test_solver_failure_on_bad_command():
-    problem = encode(prepare(spec(ALWAYS)), 1, 1)
-    with pytest.raises(SolverFailure):
-        solve(problem, solver_cmd=["/nonexistent/solver-xyz"])
-
-
-def test_solver_env_override(monkeypatch):
-    problem = encode(prepare(spec(ALWAYS)), 1, 1)
-    monkeypatch.setenv("HYPERSYNTH_SOLVER", "'/nonexistent/some solver' --flag")
-    with pytest.raises(SolverFailure, match="some solver"):
-        solve(problem)
-
-
-def test_partial_external_model_is_solver_failure(tmp_path):
-    fake = tmp_path / "fake_solver.py"
-    fake.write_text('print("s SATISFIABLE")\nprint("v 1 0")\n')
-    problem = encode(prepare(spec(ALWAYS)), 2, 1)
-    with pytest.raises(SolverFailure, match="unassigned"):
-        solve(problem, solver_cmd=[sys.executable, str(fake)])
-
-
-def test_external_solver_agrees_with_in_process():
-    satcli = [sys.executable, "-m", "hypersynth.satcli"]
-    for text, want in ((ALWAYS, "sat"), (CONTRADICTION, "unsat")):
-        problem = encode(prepare(spec(text)), 1, 1)
-        assert solve(problem).status == want
-        assert solve(problem, solver_cmd=satcli).status == want
 
 
 def test_timeout_is_solver_failure():
@@ -222,9 +194,8 @@ def test_timeout_is_solver_failure():
 
 def test_default_path_starts_no_process(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the default solver path must stay in process")
+        raise AssertionError("the solver must stay in process")
 
-    monkeypatch.delenv("HYPERSYNTH_SOLVER", raising=False)
     monkeypatch.setattr(subprocess, "run", refuse)
     monkeypatch.setattr(tempfile, "NamedTemporaryFile", refuse)
     res = solve_at_bounds(prepare(gen_arbiter(2, {1})), 2, 2)
@@ -306,6 +277,10 @@ def test_verdicts_agree_with_brute_force_machines():
             assert (solve_at_bounds(inst, n, 1).status == "sat") == some, (text, n)
 
 
+# SAT from m = 4 on (three !i steps, then a loop through i), and only with
+# counters that grow with m: the per-SCC bound needs its factor m
+LATE_I = "!i[e] & X !i[e] & X X !i[e] & G F i[e]"
+
 # one existential copy e, witnessed by a lasso generator: (body, SAT points of
 # the grid n <= 2, m <= 2 plus (1, 3))
 GENERATOR_ORACLE_SPECS = (
@@ -314,6 +289,7 @@ GENERATOR_ORACLE_SPECS = (
     ("G (o[pi] <-> i[e])", {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)}),
     # a three-state generator can hold i[e] twice in a row; two states cannot
     ("G F (i[e] & X i[e]) & G F !i[e] & G (i[pi] -> X o[pi])", {(1, 3)}),
+    (LATE_I, set()),
 )
 
 
@@ -342,6 +318,21 @@ def test_verdicts_agree_with_brute_force_generators():
             if some:
                 found.add((n, m))
         assert found == sat_points, body
+    inst = prepare(spec(f"exists e : trace . forall pi : trace . {LATE_I}"))
+    assert solve_at_bounds(inst, 1, 4).status == "sat"
+
+
+def test_consistency_names_one_universal_copy():
+    # two universal copies: the encoder and the verifier conjoin consistency
+    # with the same one, so they check one formula and build one automaton
+    ltl_to_nba.cache_clear()
+    text = (
+        "exists e : trace . forall p1 : trace . forall p2 : trace . "
+        "G (o[p1] <-> o[e]) & G (o[p2] <-> o[e])"
+    )
+    res = solve_at_bounds(prepare(spec(text)), 1, 1)
+    assert res.status == "sat" and res.system is not None
+    assert ltl_to_nba.cache_info().misses == 1
 
 
 def test_sat_row_and_its_verification_build_one_automaton():
