@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 from .formula import (
     And,
@@ -46,18 +46,10 @@ def merge_guards(g1: Guard, g2: Guard) -> Optional[Guard]:
     return merged
 
 
-def guard_text(guard: Guard) -> str:
-    if not guard:
-        return "t"
-    parts = [(sig if val else "!" + sig) for sig, val in sorted(guard)]
-    return " & ".join(parts)
-
-
 @dataclass(frozen=True)
 class NBA:
     """Nondeterministic Buchi automaton with literal-conjunction edge guards."""
 
-    signals: tuple[str, ...]
     n_states: int
     initial: frozenset
     accepting: frozenset
@@ -95,39 +87,20 @@ class NBA:
             weight.append(len(comp & self.accepting))
         return tuple(scc_of), tuple(weight)
 
-    def to_hoa(self) -> str:
-        lines = ["HOA: v1"]
-        lines.append(f"States: {self.n_states}")
-        for s in sorted(self.initial):
-            lines.append(f"Start: {s}")
-        ap = " ".join(f'"{a}"' for a in self.signals)
-        lines.append(f"AP: {len(self.signals)} {ap}")
-        lines.append("acc-name: Buchi")
-        lines.append("Acceptance: 1 Inf(0)")
-        lines.append("--BODY--")
-        index = {a: i for i, a in enumerate(self.signals)}
-        for s in range(self.n_states):
-            mark = " {0}" if s in self.accepting else ""
-            lines.append(f"State: {s}{mark}")
-            for g, dst in sorted(self.edges[s], key=lambda e: (sorted(e[0]), e[1])):
-                if not g:
-                    lines.append(f"[t] {dst}")
-                else:
-                    lbl = "&".join(
-                        (str(index[sig]) if val else "!" + str(index[sig]))
-                        for sig, val in sorted(g, key=lambda l: index[l[0]])
-                    )
-                    lines.append(f"[{lbl}] {dst}")
-        lines.append("--END--")
-        return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # flattening trace-indexed atoms to composite signals
 
 
 def flatten_atom(prop: str, trace_var: str) -> str:
     return f"{prop}@{trace_var}"
+
+
+def split_atom(sig: str) -> tuple[str, str]:
+    """Inverse of flatten_atom: (prop, trace_var) of a copy-indexed signal."""
+    if "@" not in sig:
+        raise SpecError(f"signal {sig!r} is not copy-indexed (prop@copy)")
+    prop, trace_var = sig.split("@", 1)
+    return prop, trace_var
 
 
 def flatten(f: Formula) -> Formula:
@@ -220,27 +193,15 @@ def _state_transitions(state: frozenset, memo: dict) -> list:
 _NBA_CACHE_SIZE = 128
 
 
-def ltl_to_nba(f: Formula, signals: Optional[Iterable] = None) -> NBA:
+@lru_cache(maxsize=_NBA_CACHE_SIZE)
+def ltl_to_nba(f: Formula) -> NBA:
     """Buchi automaton for a quantifier-free formula over plain propositions.
 
-    The tableau runs once per (formula, signals); later calls with an equal
-    formula return the same automaton.
+    Its alphabet is the formula's atoms. The tableau runs once per formula;
+    later calls with an equal formula return the same automaton.
     """
-    return _tableau(f, None if signals is None else tuple(signals))
-
-
-@lru_cache(maxsize=_NBA_CACHE_SIZE)
-def _tableau(f: Formula, signals: Optional[tuple]) -> NBA:
     f = flatten(f)
     f = to_nnf(f)
-    atoms = sorted({g.var for g in walk(f) if isinstance(g, PropAtom)})
-    if signals is None:
-        sigs = tuple(atoms)
-    else:
-        sigs = signals
-        missing = set(atoms) - set(sigs)
-        if missing:
-            raise SpecError(f"atoms outside the declared signal set: {sorted(missing)}")
 
     liveness = sorted(
         {g for g in walk(f) if isinstance(g, (Until, Eventually))}, key=print_formula
@@ -250,7 +211,7 @@ def _tableau(f: Formula, signals: Optional[tuple]) -> NBA:
 
     start = frozenset() if isinstance(f, BoolConst) and f.value else frozenset([f])
     if isinstance(f, BoolConst) and not f.value:
-        return NBA(sigs, 1, frozenset([0]), frozenset(), tuple())
+        return _empty_nba()
 
     memo: dict = {}
     gnba_trans: dict[frozenset, list] = {}
@@ -296,12 +257,8 @@ def _tableau(f: Formula, signals: Optional[tuple]) -> NBA:
 
     n = len(state_id)
     accepting = frozenset(i for (s, idx), i in state_id.items() if idx == k)
-    nba = NBA(sigs, n, frozenset([init]), accepting, tuple(transitions))
+    nba = NBA(n, frozenset([init]), accepting, tuple(transitions))
     return simplify_nba(nba)
-
-
-ltl_to_nba.cache_clear = _tableau.cache_clear
-ltl_to_nba.cache_info = _tableau.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +339,8 @@ def live_states(n: int, succ: dict, sccs: list) -> set:
     return live
 
 
-def _empty_nba(signals: tuple) -> NBA:
-    return NBA(signals, 1, frozenset([0]), frozenset(), tuple())
+def _empty_nba() -> NBA:
+    return NBA(1, frozenset([0]), frozenset(), tuple())
 
 
 def _subsume_edges(trans: list) -> list:
@@ -422,7 +379,7 @@ def simplify_nba(nba: NBA) -> NBA:
 
     keep = reach & live
     if not keep:
-        return _empty_nba(nba.signals)
+        return _empty_nba()
 
     # quotient by iterated outgoing-signature equality (forward bisimulation)
     block = {s: int(s in nba.accepting) for s in keep}
@@ -448,7 +405,7 @@ def simplify_nba(nba: NBA) -> NBA:
 
     new_initial = frozenset(remap[block[s]] for s in nba.initial if s in keep)
     if not new_initial:
-        return _empty_nba(nba.signals)
+        return _empty_nba()
     new_accept = frozenset(remap[block[s]] for s in keep if s in nba.accepting)
 
     merged = [
@@ -456,7 +413,7 @@ def simplify_nba(nba: NBA) -> NBA:
         for s, g, d in trans
         if s in keep and d in keep and rep_of_block[block[s]] == s
     ]
-    return NBA(nba.signals, len(reps), new_initial, new_accept, tuple(_subsume_edges(merged)))
+    return NBA(len(reps), new_initial, new_accept, tuple(_subsume_edges(merged)))
 
 
 # ---------------------------------------------------------------------------

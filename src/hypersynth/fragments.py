@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .formula import (
     Formula,
@@ -162,15 +162,6 @@ class Architecture:
 
     def edge_label(self, x: str, y: str) -> frozenset:
         return frozenset(self.outputs[x] & self.inputs[y])
-
-    def edges(self) -> dict:
-        out = {}
-        for x in self.processes:
-            for y in self.processes:
-                lbl = self.edge_label(x, y)
-                if lbl:
-                    out[(x, y)] = lbl
-        return out
 
     def all_vars(self) -> frozenset:
         vs: set = set()

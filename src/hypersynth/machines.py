@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 
 def all_valuations(signals: tuple[str, ...]) -> list[frozenset[str]]:
@@ -13,6 +12,11 @@ def all_valuations(signals: tuple[str, ...]) -> list[frozenset[str]]:
     for mask in range(1 << len(signals)):
         out.append(frozenset(s for i, s in enumerate(signals) if mask >> i & 1))
     return out
+
+
+def _is_index(x, n: int) -> bool:
+    """An int (not a bool) in range(n)."""
+    return type(x) is int and 0 <= x < n
 
 
 def valuation_index(val: frozenset[str], signals: tuple[str, ...]) -> int:
@@ -48,9 +52,11 @@ class MooreSystem:
             if len(row) != width:
                 raise ValueError(f"state {s}: transition row incomplete")
             for t in row:
-                if not 0 <= t < n:
-                    raise ValueError(f"state {s}: successor {t} out of range")
-        if not 0 <= self.initial < n:
+                if not _is_index(t, n):
+                    raise ValueError(f"state {s}: successor {t!r} out of range")
+            if not self.labels[s] <= set(self.outputs):
+                raise ValueError(f"state {s}: label names undeclared outputs")
+        if not _is_index(self.initial, n):
             raise ValueError("initial state out of range")
 
     @property
@@ -59,9 +65,6 @@ class MooreSystem:
 
     def step(self, state: int, inp: frozenset[str]) -> int:
         return self.delta[state][valuation_index(inp, self.inputs)]
-
-    def output(self, state: int) -> frozenset[str]:
-        return self.labels[state]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -88,11 +91,21 @@ class MooreSystem:
             raise ValueError("not a moore machine document")
         inputs = tuple(d["inputs"])
         n = d["states"]
+        if type(n) is not int:
+            raise ValueError(f"state count {n!r} is not an integer")
         width = 1 << len(inputs)
-        delta = [[-1] * width for _ in range(n)]
+        delta = [[None] * width for _ in range(n)]
         for tr in d["transitions"]:
-            delta[tr["from"]][valuation_index(frozenset(tr["input"]), inputs)] = tr["to"]
-        if any(t < 0 for row in delta for t in row):
+            src, val = tr["from"], frozenset(tr["input"])
+            if not _is_index(src, n):
+                raise ValueError(f"transition source {src!r} out of range")
+            if not val <= set(inputs):
+                raise ValueError(f"transition input {sorted(val)} names undeclared inputs")
+            row, i = delta[src], valuation_index(val, inputs)
+            if row[i] is not None:
+                raise ValueError(f"state {src}: two transitions on input {sorted(val)}")
+            row[i] = tr["to"]
+        if any(t is None for row in delta for t in row):
             raise ValueError("incomplete transition function")
         return MooreSystem(
             inputs=inputs,
@@ -139,9 +152,12 @@ class ExistGenerator:
         if len(self.next_state) != m:
             raise ValueError("successor table size does not match state count")
         for t in self.next_state:
-            if not 0 <= t < m:
-                raise ValueError("successor out of range")
-        if not 0 <= self.initial < m:
+            if not _is_index(t, m):
+                raise ValueError(f"successor {t!r} out of range")
+        for label in self.labels:
+            if not label <= set(self.signals):
+                raise ValueError(f"label {sorted(label)} names undeclared signals")
+        if not _is_index(self.initial, m):
             raise ValueError("initial state out of range")
 
     @property

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import NBA, accepting_sccs, flatten_atom, guard_satisfied, ltl_to_nba
+from .automata import NBA, accepting_sccs, flatten_atom, guard_satisfied, ltl_to_nba, split_atom
 from .formula import And, Formula, Not, SpecError, TraceAtom, Quantifier, walk
 from .machines import ExistGenerator, MooreSystem, all_valuations
 from .reductions import build_consistency, consistency_anchor
@@ -190,9 +190,7 @@ def mc_universal(M: MooreSystem, body: Formula, trace_vars: Optional[list] = Non
 def generator_vars(E: ExistGenerator) -> list:
     seen = []
     for s in E.signals:
-        if "@" not in s:
-            raise SpecError(f"generator signal {s!r} is not copy-indexed")
-        var = s.split("@", 1)[1]
+        _, var = split_atom(s)
         if var not in seen:
             seen.append(var)
     return seen

@@ -154,14 +154,20 @@ def collapse(f: Formula) -> Formula:
 # dependency formula
 
 
+def _agree_until_differ(inputs, outputs, left, right) -> Formula:
+    """Outputs agree until inputs differ: Release(i_neq, o_eq), or G o_eq
+    without inputs. `left` and `right` map a signal to its atom on each side."""
+    o_eq = conj([Iff(left(o), right(o)) for o in outputs])
+    if not inputs:
+        return Globally(o_eq)
+    return Release(disj([Not(Iff(left(i), right(i))) for i in inputs]), o_eq)
+
+
 def build_dep(A: set[str], C: set[str], var1: str = "pi", var2: str = "pi2") -> Formula:
     """Outputs C depend only on inputs A, phrased over all trace pairs."""
-    o_eq = conj([Iff(TraceAtom(c, var1), TraceAtom(c, var2)) for c in sorted(C)])
-    i_neq = disj([Not(Iff(TraceAtom(a, var1), TraceAtom(a, var2))) for a in sorted(A)])
-    if not A:
-        body: Formula = Globally(o_eq)
-    else:
-        body = Release(i_neq, o_eq)
+    body = _agree_until_differ(
+        sorted(A), sorted(C), lambda s: TraceAtom(s, var1), lambda s: TraceAtom(s, var2)
+    )
     return TraceForall(var=var1, child=TraceForall(var=var2, child=body))
 
 
@@ -175,15 +181,12 @@ def build_consistency(
     inputs: tuple[str, ...],
     outputs: tuple[str, ...],
 ) -> Formula:
-    parts: list[Formula] = []
-    for ev in existential_vars:
-        o_eq = conj([Iff(TraceAtom(o, ev), TraceAtom(o, universal_var)) for o in outputs])
-        i_neq = disj([Not(Iff(TraceAtom(i, ev), TraceAtom(i, universal_var))) for i in inputs])
-        if not inputs:
-            parts.append(Globally(o_eq))
-        else:
-            parts.append(Release(i_neq, o_eq))
-    return conj(parts)
+    return conj([
+        _agree_until_differ(
+            inputs, outputs, lambda s: TraceAtom(s, ev), lambda s: TraceAtom(s, universal_var)
+        )
+        for ev in existential_vars
+    ])
 
 
 def consistency_anchor(core: Formula, existential_vars) -> str:
@@ -349,16 +352,16 @@ def encode_qptl_no_universal(
 
     new_body = rewrite(body)
 
-    pairs: list[Formula] = []
-    for ti in trace_vars:
-        for tj in trace_vars:
-            i_neq = disj(
-                [Not(Iff(PropAtom(prop_name[(a, ti)]), PropAtom(prop_name[(a, tj)]))) for a in inputs]
-            )
-            o_eq = conj(
-                [Iff(PropAtom(prop_name[(o, ti)]), PropAtom(prop_name[(o, tj)])) for o in outputs]
-            )
-            pairs.append(Release(i_neq, o_eq) if inputs else Globally(o_eq))
+    pairs = [
+        _agree_until_differ(
+            inputs,
+            outputs,
+            lambda s: PropAtom(prop_name[(s, ti)]),
+            lambda s: PropAtom(prop_name[(s, tj)]),
+        )
+        for ti in trace_vars
+        for tj in trace_vars
+    ]
     full_body = And(new_body, conj(pairs)) if pairs else new_body
 
     entries: list[PrefixEntry] = []

@@ -9,7 +9,6 @@ from typing import Mapping, Optional
 
 from .formula import (
     And,
-    Binary,
     BoolConst,
     Eventually,
     Formula,
@@ -87,64 +86,6 @@ class TraceSet:
 
 
 TraceAssignment = Mapping[str, LassoTrace]
-
-
-# ---------------------------------------------------------------------------
-# text serialization: one trace per line, "prefix | loop", valuations in braces
-
-
-def _val_to_text(v: frozenset[str]) -> str:
-    return "{" + ",".join(sorted(v)) + "}"
-
-
-def trace_to_text(t: LassoTrace) -> str:
-    pre = " ".join(_val_to_text(v) for v in t.prefix)
-    loop = " ".join(_val_to_text(v) for v in t.loop)
-    return f"{pre} | {loop}".strip()
-
-
-def trace_set_to_text(ts: TraceSet) -> str:
-    lines = ["signals: " + ", ".join(sorted(ts.signals))]
-    lines += [trace_to_text(t) for t in ts.sorted_traces()]
-    return "\n".join(lines) + "\n"
-
-
-def _parse_vals(text: str, signals: frozenset[str], lineno: int) -> tuple[frozenset[str], ...]:
-    vals = []
-    for chunk in text.split():
-        if not (chunk.startswith("{") and chunk.endswith("}")):
-            raise ValueError(f"line {lineno}: bad valuation {chunk!r}")
-        inner = chunk[1:-1].strip()
-        names = frozenset(s.strip() for s in inner.split(",") if s.strip())
-        if not names <= signals:
-            raise ValueError(f"line {lineno}: unknown signal in {chunk!r}")
-        vals.append(names)
-    return tuple(vals)
-
-
-def trace_set_from_text(text: str) -> TraceSet:
-    lines = [l for l in text.split("\n")]
-    signals: Optional[frozenset[str]] = None
-    traces: list[LassoTrace] = []
-    for idx, raw in enumerate(lines):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("signals:"):
-            names = [s.strip() for s in line[len("signals:"):].split(",") if s.strip()]
-            signals = frozenset(names)
-            continue
-        if signals is None:
-            raise ValueError("missing signals header")
-        if "|" not in line:
-            raise ValueError(f"line {idx + 1}: missing '|' separator")
-        pre_text, loop_text = line.split("|", 1)
-        prefix = _parse_vals(pre_text, signals, idx + 1)
-        loop = _parse_vals(loop_text, signals, idx + 1)
-        traces.append(LassoTrace(signals, prefix, loop))
-    if signals is None:
-        raise ValueError("missing signals header")
-    return TraceSet(signals, frozenset(traces))
 
 
 # ---------------------------------------------------------------------------
@@ -425,85 +366,3 @@ def _run_lasso(
         pos = (pos + 1) % len(loop_word)
     start = seen[(s, pos)]
     return LassoTrace(signals, tuple(out_vals[:start]), tuple(out_vals[start:]))
-
-
-# ---------------------------------------------------------------------------
-# vectorized bulk evaluation
-#
-# Evaluates one quantifier-free formula on many aligned lassos at once. Rows are
-# independent lassos sharing one shape (pre, period); atoms are provided as
-# boolean arrays. This is the fast path behind the large oracle cross-checks;
-# it is property-tested against the scalar evaluator above.
-
-
-def eval_bulk(f: Formula, atoms: Mapping[tuple, np.ndarray], pre: int, period: int,
-              rows: Optional[int] = None) -> np.ndarray:
-    """Return a bool array of shape (rows, pre + period) of per-position verdicts.
-
-    Atom keys are ("trace", prop, traceVar) and ("prop", var); each maps to a
-    (rows, pre + period) bool array. numpy is imported here, not at module
-    level, because only the test oracles use this path.
-    """
-    import numpy as np
-
-    n = pre + period
-
-    def rec(g: Formula) -> np.ndarray:
-        if isinstance(g, BoolConst):
-            r = rows if rows is not None else next(iter(atoms.values())).shape[0]
-            return np.full((r, n), g.value, dtype=bool)
-        if isinstance(g, TraceAtom):
-            return atoms[("trace", g.prop, g.trace_var)]
-        if isinstance(g, PropAtom):
-            return atoms[("prop", g.var)]
-        if isinstance(g, Not):
-            return ~rec(g.child)
-        if isinstance(g, And):
-            return rec(g.left) & rec(g.right)
-        if isinstance(g, Or):
-            return rec(g.left) | rec(g.right)
-        if isinstance(g, Implies):
-            return ~rec(g.left) | rec(g.right)
-        if isinstance(g, Iff):
-            return rec(g.left) == rec(g.right)
-        if isinstance(g, Next):
-            a = rec(g.child)
-            res = np.empty_like(a)
-            res[:, : n - 1] = a[:, 1:]
-            res[:, n - 1] = a[:, pre]
-            return res
-        if isinstance(g, Eventually):
-            # every loop position reaches the whole cycle, so the loop verdict is uniform
-            a = rec(g.child)
-            res = np.empty_like(a)
-            res[:, pre:] = a[:, pre:].any(axis=1)[:, None]
-            for j in range(pre - 1, -1, -1):
-                res[:, j] = a[:, j] | res[:, j + 1]
-            return res
-        if isinstance(g, Globally):
-            a = rec(g.child)
-            res = np.empty_like(a)
-            res[:, pre:] = a[:, pre:].all(axis=1)[:, None]
-            for j in range(pre - 1, -1, -1):
-                res[:, j] = a[:, j] & res[:, j + 1]
-            return res
-        if isinstance(g, (Until, WeakUntil, Release)):
-            a = rec(g.left)
-            b = rec(g.right)
-            if isinstance(g, WeakUntil):
-                a, b = b, a | b
-                is_release = True
-            else:
-                is_release = isinstance(g, Release)
-            res = np.full(a.shape, is_release)
-            for _ in range(2):
-                for j in range(n - 1, -1, -1):
-                    nxt = res[:, j + 1] if j + 1 < n else res[:, pre]
-                    if is_release:
-                        res[:, j] = b[:, j] & (a[:, j] | nxt)
-                    else:
-                        res[:, j] = b[:, j] | (a[:, j] & nxt)
-            return res
-        raise TypeError(f"cannot bulk-evaluate node {type(g).__name__}")
-
-    return rec(f)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .automata import NBA, ltl_to_nba
+from .automata import NBA, flatten_atom, ltl_to_nba, split_atom
 from .formula import (
     And,
     Formula,
@@ -211,13 +211,6 @@ class ConstraintProblem:
         return "\n".join(lines) + "\n"
 
 
-def _parse_guard_atom(sig: str):
-    if "@" not in sig:
-        raise SpecError(f"atom {sig!r} lacks a trace index")
-    a, var = sig.split("@", 1)
-    return a, var
-
-
 def _scc_bounds(instance: SynthesisInstance, n: int, m: int) -> list:
     """Sufficient counter bound of each automaton SCC: one step per rejecting
     product node whose automaton state lies in it, n^k * m * |F & C|."""
@@ -259,7 +252,7 @@ def encode(
 
     in_vals = all_valuations(inputs)
     V = len(in_vals)
-    gen_signals = tuple(f"{a}@{j}" for j in evars for a in tuple(inputs) + tuple(outputs))
+    gen_signals = tuple(flatten_atom(a, j) for j in evars for a in tuple(inputs) + tuple(outputs))
 
     scc_of, _ = nba.sccs
     scc_lam = _scc_bounds(instance, n, m)
@@ -389,7 +382,7 @@ def encode(
                         residual = set()
                         feasible = True
                         for sig, val in g:
-                            a, var = _parse_guard_atom(sig)
+                            a, var = split_atom(sig)
                             if var in upos:
                                 u = upos[var]
                                 if a in input_index:

@@ -44,13 +44,14 @@ from hypersynth.reductions import eliminate_knowledge
 from hypersynth.semantics import (
     LassoTrace,
     TraceSet,
-    eval_bulk,
     eval_formula,
     eval_knowledge,
     replace_set,
     system_traces,
 )
 from hypersynth.synth import prepare, search, solve_at_bounds
+
+from _bulk import eval_bulk
 
 
 def _report(num, detail):
@@ -241,7 +242,7 @@ def test_criterion_4_automata_match_oracle_exhaustively():
     agreements = 0
     samples = 0
     for fi, f in enumerate(formulas):
-        nba = ltl_to_nba(f, signals=_SIG_AT)
+        nba = ltl_to_nba(f)
         reach, accs = _word_tables(nba)
         for p, l in _SHAPES:
             pr = [reach[w] for w in itertools.product(range(4), repeat=p)]
@@ -327,7 +328,7 @@ def _c5_eval_rows(M, body, pi_var, qpre, qloop, p, l, idx):
     rows = idx.shape[0]
     arrs = {}
     for sig in (*M.inputs, *M.outputs):
-        arrs[("trace", sig, pi_var)] = np.empty((rows, npos), dtype=bool)
+        arrs[("trace", sig, pi_var)] = np.empty((rows, npos), dtype=bool, order="F")
     states = np.full(rows, M.initial, dtype=np.int64)
     for j in range(npos):
         wj = j if j < p else p + (j - p) % l

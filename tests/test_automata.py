@@ -9,14 +9,15 @@ from hypersynth.automata import (
     accepting_sccs,
     accepts_lasso,
     flatten,
+    flatten_atom,
     guard_satisfied,
-    guard_text,
     live_states,
     loop_acceptance_states,
     ltl_to_nba,
     merge_guards,
     run_prefix,
     simplify_nba,
+    split_atom,
     tarjan_sccs,
 )
 from hypersynth.formula import SpecError, TraceForall, parse_formula
@@ -69,11 +70,6 @@ def test_merge_guards():
     assert merge_guards(frozenset(), frozenset()) == frozenset()
 
 
-def test_guard_text_sorted():
-    assert guard_text(frozenset()) == "t"
-    assert guard_text(frozenset({("b", False), ("a", True)})) == "a & !b"
-
-
 # ---------------------------------------------------------------------------
 # flattening
 
@@ -90,11 +86,10 @@ def test_flatten_rejects_quantifier():
         flatten(f)
 
 
-def test_signal_superset_allowed_missing_rejected():
-    nba = ltl_to_nba(body("a[pi]"), signals=("a@pi", "b@pi"))
-    assert nba.signals == ("a@pi", "b@pi")
+def test_split_atom_inverts_flatten_atom():
+    assert split_atom(flatten_atom("g", "pi")) == ("g", "pi")
     with pytest.raises(SpecError):
-        ltl_to_nba(body("a[pi] & b[pi]"), signals=("a@pi",))
+        split_atom("g")
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +179,7 @@ def test_membership_matches_evaluator_randomized():
     for _ in range(120):
         text = _random_body(rng, 3)
         f = body(text)
-        nba = ltl_to_nba(f, signals=("a@pi", "b@pi"))
+        nba = ltl_to_nba(f)
         for _ in range(6):
             t = _random_lasso(rng)
             pre, loop = as_word(t)
@@ -199,7 +194,6 @@ def test_membership_matches_evaluator_randomized():
 def test_simplify_drops_unreachable_and_dead():
     t = frozenset()
     raw = NBA(
-        ("a",),
         4,
         frozenset([0]),
         frozenset([1]),
@@ -216,7 +210,7 @@ def test_simplify_drops_unreachable_and_dead():
 def test_simplify_subsumes_weaker_edges():
     t = frozenset()
     strong = frozenset({("a", True)})
-    raw = NBA(("a",), 2, frozenset([0]), frozenset([1]), ((0, t, 1), (0, strong, 1), (1, t, 1)))
+    raw = NBA(2, frozenset([0]), frozenset([1]), ((0, t, 1), (0, strong, 1), (1, t, 1)))
     slim = simplify_nba(raw)
     assert all(g == t for _, g, _ in slim.transitions)
 
@@ -224,7 +218,7 @@ def test_simplify_subsumes_weaker_edges():
 def test_simplify_merges_bisimilar_states():
     t = frozenset()
     # two interchangeable accepting sinks
-    raw = NBA(("a",), 3, frozenset([0]), frozenset([1, 2]), ((0, t, 1), (0, t, 2), (1, t, 1), (2, t, 2)))
+    raw = NBA(3, frozenset([0]), frozenset([1, 2]), ((0, t, 1), (0, t, 2), (1, t, 1), (2, t, 2)))
     slim = simplify_nba(raw)
     assert slim.n_states == 2
 
@@ -242,10 +236,9 @@ def test_simplify_idempotent_and_deterministic():
 
 def test_equal_formulas_share_one_automaton():
     ltl_to_nba.cache_clear()
-    nba = ltl_to_nba(body("G (F a[pi])"), signals=["a@pi", "b@pi"])
-    assert ltl_to_nba(body("G (F a[pi])"), signals=("a@pi", "b@pi")) is nba
-    assert ltl_to_nba(body("G (F a[pi])")) is not nba
-    assert ltl_to_nba.cache_info().misses == 2
+    nba = ltl_to_nba(body("G (F a[pi])"))
+    assert ltl_to_nba(body("G (F a[pi])")) is nba
+    assert ltl_to_nba.cache_info().misses == 1
 
 
 def test_empty_language_nba():
@@ -259,9 +252,9 @@ def test_empty_language_nba():
 
 def test_nba_validates_state_indices():
     with pytest.raises(AssertionError):
-        NBA(("a",), 1, frozenset([0]), frozenset([5]), tuple())
+        NBA(1, frozenset([0]), frozenset([5]), tuple())
     with pytest.raises(AssertionError):
-        NBA(("a",), 1, frozenset(), frozenset(), tuple())
+        NBA(1, frozenset(), frozenset(), tuple())
 
 
 def test_tarjan_reverse_topological():
@@ -299,33 +292,8 @@ def test_nba_edges_and_sccs():
     # states: 0 initial; 1 accepting with a self-loop; 2 accepting on no cycle
     t = frozenset()
     a = frozenset({("a", True)})
-    nba = NBA(("a",), 4, frozenset([0]), frozenset([1, 2]),
+    nba = NBA(4, frozenset([0]), frozenset([1, 2]),
               ((0, a, 1), (1, t, 1), (0, t, 2), (2, t, 3), (3, t, 3)))
     assert nba.edges == (((a, 1), (t, 2)), ((t, 1),), ((t, 3),), ((t, 3),))
     scc_of, weight = nba.sccs
     assert scc_of == (-1, 0, -1, -1) and weight == (1,)
-
-
-def test_hoa_emission():
-    nba = ltl_to_nba(body("G a[pi]"))
-    hoa = nba.to_hoa()
-    lines = hoa.splitlines()
-    assert lines[0] == "HOA: v1"
-    assert f"States: {nba.n_states}" in lines
-    assert 'AP: 1 "a@pi"' in lines
-    assert "Acceptance: 1 Inf(0)" in lines
-    assert "--BODY--" in lines and lines[-1] == "--END--"
-    assert sum(1 for l in lines if l.startswith("State:")) == nba.n_states
-    for s in nba.initial:
-        assert f"Start: {s}" in lines
-
-
-def test_hoa_edge_labels():
-    nba = ltl_to_nba(body("a[pi] U b[pi]"), signals=("a@pi", "b@pi"))
-    hoa = nba.to_hoa()
-    # guards print as numeric ap indices with ! for negative literals
-    assert "[1] " in hoa or "[0&!1] " in hoa or "[!1&0] " in hoa
-    for line in hoa.splitlines():
-        if line.startswith("["):
-            label = line[1 : line.index("]")]
-            assert label == "t" or all(part.lstrip("!").isdigit() for part in label.split("&"))

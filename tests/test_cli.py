@@ -200,6 +200,59 @@ def test_verify_rejects_junk_document(specfile, tmp_path, capsys):
     assert main(["verify", str(doc), specfile(ALWAYS)]) == EXIT_INPUT
 
 
+# the echo machine's document: it satisfies DELAYED
+ECHO = json.loads(
+    MooreSystem(("i",), ("o",), (frozenset(), frozenset({"o"})), ((0, 1), (0, 1)), 0).to_json()
+)
+ECHO_STEPS = ECHO["transitions"]
+
+
+def _echo_with(**edits):
+    return {"system": {**ECHO, **edits}}
+
+
+def _generator(**edits):
+    g = {"kind": "generator", "signals": ["i@e"], "states": 1, "initial": 0,
+         "labels": [["i@e"]], "next": [0]}
+    return {"system": ECHO, "generator": {**g, **edits}}
+
+
+def test_verify_echo_machine(specfile, tmp_path):
+    doc = tmp_path / "echo.json"
+    doc.write_text(json.dumps(_echo_with()))
+    assert main(["verify", str(doc), specfile(DELAYED)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        # a source state out of range
+        _echo_with(transitions=[{**ECHO_STEPS[0], "from": 5}] + ECHO_STEPS[1:]),
+        # a negative source would overwrite the last state's row
+        _echo_with(transitions=ECHO_STEPS + [{"from": -1, "input": ["i"], "to": 0}]),
+        # a repeated (from, input) pair
+        _echo_with(transitions=ECHO_STEPS + [{"from": 1, "input": ["i"], "to": 0}]),
+        # a successor that is not an integer
+        _echo_with(transitions=[{**ECHO_STEPS[0], "to": "0"}] + ECHO_STEPS[1:]),
+        # a label naming an undeclared output
+        _echo_with(labels=[[], ["o", "z"]]),
+        # an input valuation naming an undeclared signal
+        _echo_with(transitions=[{**ECHO_STEPS[0], "input": ["x"]}] + ECHO_STEPS[1:]),
+        # a generator label outside its signals
+        _generator(labels=[["o@e"]]),
+        # a generator successor that is not an integer
+        _generator(next=["0"]),
+    ],
+    ids=["from-out-of-range", "from-negative", "repeated-pair", "to-string",
+         "undeclared-output", "undeclared-input", "generator-label", "generator-next"],
+)
+def test_verify_rejects_malformed_machine(document, specfile, tmp_path, capsys):
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(document))
+    assert main(["verify", str(doc), specfile(DELAYED)]) == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bench_single_instance_json(specfile, capsys):
     rc = main(["bench", "--instance", "arbiter-2-prompt", "--json"])
     assert rc == EXIT_OK

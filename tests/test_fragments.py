@@ -149,14 +149,6 @@ def test_architecture_validation():
         Architecture(("env", "p"), "missing", {"env": frozenset(), "p": frozenset()}, {})
 
 
-def test_edges():
-    a = parse_architecture(FORKED)
-    e = a.edges()
-    assert e[("env", "p")] == frozenset({"i"})
-    assert e[("env", "pp")] == frozenset({"ip"})
-    assert ("p", "pp") not in e
-
-
 # brute force straight from the definition: enumerate every candidate tuple
 
 def _rooted(a, pset, vset):

@@ -1,22 +1,21 @@
 """Reference evaluator over lasso traces: the oracle everything else is checked against."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hypersynth.formula import parse_formula
 from hypersynth.machines import MooreSystem
 from hypersynth.semantics import (
     LassoTrace,
     TraceSet,
-    eval_bulk,
     eval_formula,
     prop_witnesses,
     replace,
     system_traces,
-    trace_set_from_text,
-    trace_set_to_text,
 )
+
+# the vectorized oracle's property test lives in _bulk next to the oracle;
+# importing it here keeps it collected, as pytest reads only test_*.py files
+from _bulk import test_eval_bulk_matches_scalar  # noqa: F401
 
 SIG = frozenset({"a", "b"})
 
@@ -58,12 +57,6 @@ def test_canonical_shrinks_loop_and_prefix():
     pre, loop = t.key()
     assert loop == (frozenset({"a"}),)
     assert pre == (frozenset(),)
-
-
-def test_trace_text_round_trip():
-    T = ts(lasso([["a"]], [["a", "b"], []]), lasso([], [[]]))
-    again = trace_set_from_text(trace_set_to_text(T))
-    assert again == T
 
 
 def test_atom_and_boolean_connectives():
@@ -173,43 +166,3 @@ def test_system_traces_follow_delta():
     for t in T.sorted_traces():
         assert eval_formula(f, TraceSet(T.signals, frozenset({t})), {"pi": t})
 
-
-# bulk evaluator agrees with the scalar one
-
-
-@st.composite
-def _bodies(draw):
-    ops = ["atom", "!", "&", "|", "X", "F", "G", "U", "W", "R"]
-    def build(depth):
-        op = draw(st.sampled_from(ops if depth > 0 else ["atom"]))
-        if op == "atom":
-            return draw(st.sampled_from(["a[pi]", "b[pi]", "true"]))
-        if op == "!":
-            return f"!({build(depth - 1)})"
-        if op in ("X", "F", "G"):
-            return f"{op} ({build(depth - 1)})"
-        return f"({build(depth - 1)}) {op} ({build(depth - 1)})"
-    return build(3)
-
-
-@given(_bodies(), st.data())
-@settings(max_examples=150, deadline=None)
-def test_eval_bulk_matches_scalar(text, data):
-    f = parse_formula(text, {"a", "b"}, trace_vars={"pi"})
-    pre = data.draw(st.integers(0, 2))
-    period = data.draw(st.integers(1, 3))
-    n = pre + period
-    rows = 8
-    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
-    arr_a = rng.random((rows, n)) < 0.5
-    arr_b = rng.random((rows, n)) < 0.5
-    out = eval_bulk(f, {("trace", "a", "pi"): arr_a, ("trace", "b", "pi"): arr_b}, pre, period)
-    for r in range(rows):
-        vals = [
-            (frozenset({"a"}) if arr_a[r, i] else frozenset())
-            | (frozenset({"b"}) if arr_b[r, i] else frozenset())
-            for i in range(n)
-        ]
-        t = LassoTrace(SIG, tuple(vals[:pre]), tuple(vals[pre:]))
-        want = eval_formula(f, ts(t), {"pi": t})
-        assert out[r, 0] == want, f"{text} pre={pre} period={period} row={r}"
