@@ -19,6 +19,19 @@ def _is_index(x, n: int) -> bool:
     return type(x) is int and 0 <= x < n
 
 
+def _names(x, what: str) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; a string alone would load as its characters."""
+    if type(x) is not list or not all(type(s) is str for s in x):
+        raise ValueError(f"{what} {x!r} is not a list of names")
+    return tuple(x)
+
+
+def _label_list(x) -> tuple[frozenset[str], ...]:
+    if type(x) is not list:
+        raise ValueError(f"labels {x!r} is not a list")
+    return tuple(frozenset(_names(l, "label")) for l in x)
+
+
 def valuation_index(val: frozenset[str], signals: tuple[str, ...]) -> int:
     mask = 0
     for i, s in enumerate(signals):
@@ -89,14 +102,14 @@ class MooreSystem:
         d = json.loads(text)
         if d.get("kind") != "moore":
             raise ValueError("not a moore machine document")
-        inputs = tuple(d["inputs"])
+        inputs = _names(d["inputs"], "inputs")
         n = d["states"]
         if type(n) is not int:
             raise ValueError(f"state count {n!r} is not an integer")
         width = 1 << len(inputs)
         delta = [[None] * width for _ in range(n)]
         for tr in d["transitions"]:
-            src, val = tr["from"], frozenset(tr["input"])
+            src, val = tr["from"], frozenset(_names(tr["input"], "transition input"))
             if not _is_index(src, n):
                 raise ValueError(f"transition source {src!r} out of range")
             if not val <= set(inputs):
@@ -109,8 +122,8 @@ class MooreSystem:
             raise ValueError("incomplete transition function")
         return MooreSystem(
             inputs=inputs,
-            outputs=tuple(d["outputs"]),
-            labels=tuple(frozenset(l) for l in d["labels"]),
+            outputs=_names(d["outputs"], "outputs"),
+            labels=_label_list(d["labels"]),
             delta=tuple(tuple(row) for row in delta),
             initial=d["initial"],
         )
@@ -197,8 +210,8 @@ class ExistGenerator:
         if d.get("kind") != "generator":
             raise ValueError("not a generator document")
         return ExistGenerator(
-            signals=tuple(d["signals"]),
-            labels=tuple(frozenset(l) for l in d["labels"]),
+            signals=_names(d["signals"], "signals"),
+            labels=_label_list(d["labels"]),
             next_state=tuple(d["next"]),
             initial=d["initial"],
         )

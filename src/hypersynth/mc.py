@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import NBA, accepting_sccs, flatten_atom, guard_satisfied, ltl_to_nba, split_atom
+from .automata import NBA, flatten_atom, ltl_to_nba, split_atom
 from .formula import And, Formula, Not, SpecError, TraceAtom, Quantifier, walk
 from .machines import ExistGenerator, MooreSystem, all_valuations
 from .reductions import build_consistency, consistency_anchor
@@ -25,22 +26,40 @@ def body_trace_vars(f: Formula) -> list:
 
 @dataclass
 class ProductGraph:
-    """Reachable product of system copies, an optional generator, and an automaton."""
+    """The explored part of the product of system copies, an optional generator
+    and an automaton, with a lasso of joint-input labels through an accepting
+    node, or None when no run is accepted."""
 
     nodes: list
     edges: dict
     initial: list
-    accepting: set
+    lasso: Optional[tuple]
 
 
-def _letter(M: MooreSystem, trace_vars, state_vec, input_vecs, gen_val: frozenset) -> frozenset:
-    parts = set(gen_val)
-    for var, s, iv in zip(trace_vars, state_vec, input_vecs):
-        for o in M.labels[s]:
-            parts.add(flatten_atom(o, var))
-        for i in iv:
-            parts.add(flatten_atom(i, var))
-    return frozenset(parts)
+def _guard_masks(nba: NBA, bit: dict) -> list:
+    """Each state's edges as (pos, neg, target) masks over the letter bits.
+
+    A positive literal on a signal outside the letter space never holds, so
+    its edge is dropped; a negative one always holds.
+    """
+    out = []
+    for es in nba.edges:
+        masks = []
+        for guard, d in es:
+            pos = neg = 0
+            for sig, val in guard:
+                b = bit.get(sig)
+                if b is None:
+                    if val:
+                        break
+                elif val:
+                    pos |= b
+                else:
+                    neg |= b
+            else:
+                masks.append((pos, neg, d))
+        out.append(masks)
+    return out
 
 
 def build_product(
@@ -49,21 +68,54 @@ def build_product(
     nba: NBA,
     E: Optional[ExistGenerator] = None,
 ) -> ProductGraph:
+    """The product explored depth first from its initial nodes, up to the
+    first cycle through an accepting node."""
     k = len(trace_vars)
-    in_vals = all_valuations(M.inputs)
-    val_bits = []
-    for val in in_vals:
-        bit = 0
-        for b, i in enumerate(M.inputs):
-            if i in val:
-                bit |= 1 << b
-        val_bits.append(bit)
-    joint_inputs = list(itertools.product(range(len(in_vals)), repeat=k))
+    # one bit per letter signal: the generator's, then each copy's outputs and inputs
+    bit: dict = {}
+    for sig in E.signals if E is not None else ():
+        bit.setdefault(sig, 1 << len(bit))
+    for var in trace_vars:
+        for sig in M.outputs + M.inputs:
+            bit.setdefault(flatten_atom(sig, var), 1 << len(bit))
 
-    e_init = E.initial if E is not None else -1
-    init_nodes = [((0,) * k, e_init, q) for q in sorted(nba.initial)]
-    index = {}
-    nodes = []
+    def mask(sigs) -> int:
+        return sum(bit[s] for s in sigs)
+
+    out_masks = [[mask(flatten_atom(o, var) for o in lab) for lab in M.labels] for var in trace_vars]
+    in_masks = [[mask(flatten_atom(i, var) for i in val) for val in all_valuations(M.inputs)]
+                for var in trace_vars]
+    joint_inputs = [
+        (joint, sum(in_masks[j][x] for j, x in enumerate(joint)))
+        for joint in itertools.product(range(1 << len(M.inputs)), repeat=k)
+    ]
+    gen_masks = [mask(lab) for lab in E.labels] if E is not None else [0]
+    guards = _guard_masks(nba, bit)
+
+    moves: dict = {}    # (system vector, generator state) -> [(joint, letter, successor vector)]
+    targets: dict = {}  # (automaton state, letter) -> sorted successor states
+
+    def step(vec, e):
+        got = moves.get((vec, e))
+        if got is None:
+            base = gen_masks[e] | sum(out_masks[j][s] for j, s in enumerate(vec))
+            got = moves[vec, e] = [
+                (joint, base | jm, tuple(M.delta[s][x] for s, x in zip(vec, joint)))
+                for joint, jm in joint_inputs
+            ]
+        return got
+
+    def succ(q, letter):
+        got = targets.get((q, letter))
+        if got is None:
+            got = targets[q, letter] = sorted(
+                {d for pos, neg, d in guards[q] if letter & pos == pos and not letter & neg}
+            )
+        return got
+
+    e_next = E.next_state if E is not None else [0]
+    index: dict = {}
+    nodes: list = []
     edges: dict = {}
 
     def nid(node):
@@ -72,86 +124,90 @@ def build_product(
             nodes.append(node)
         return index[node]
 
-    todo = [nid(n) for n in init_nodes]
-    seen = set(todo)
-    while todo:
-        u = todo.pop()
+    def expand(u):
         vec, e, q = nodes[u]
-        gen_val = E.labels[e] if E is not None else frozenset()
-        e_next = E.next_state[e] if E is not None else -1
-        out_edges = []
-        for joint in joint_inputs:
-            ivs = [in_vals[j] for j in joint]
-            letter = _letter(M, trace_vars, vec, ivs, gen_val)
-            succ_vec = tuple(M.delta[s][val_bits[j]] for s, j in zip(vec, joint))
-            targets = {d for g, d in nba.edges[q] if guard_satisfied(g, letter)}
-            for d in sorted(targets):
-                v = nid((succ_vec, e_next, d))
-                out_edges.append((joint, v))
-                if v not in seen:
-                    seen.add(v)
-                    todo.append(v)
-        edges[u] = out_edges
+        out = edges[u] = [
+            (joint, nid((succ_vec, e_next[e], d)))
+            for joint, letter, succ_vec in step(vec, e)
+            for d in succ(q, letter)
+        ]
+        return iter(out)
 
-    accepting = {i for i, (_, _, q) in enumerate(nodes) if q in nba.accepting}
-    return ProductGraph(nodes, edges, [index[n] for n in init_nodes], accepting)
+    # Couvreur's on-the-fly emptiness check: a depth-first search that keeps
+    # a stack of SCC roots, each with an accepting node merged into it (or
+    # -1), and stops when a back edge closes a cycle through one.
+    e_init = E.initial if E is not None else 0
+    initial = [nid(((M.initial,) * k, e_init, q)) for q in sorted(nba.initial)]
+    num: dict = {}   # depth-first number of each visited node
+    dead = set()     # nodes of finished SCCs
+    active = []      # visited nodes not yet dead, in visiting order
+    roots = []       # (depth-first number, accepting node or -1)
+    stack = []       # (node, iterator over its remaining edges)
 
+    def visit(u):
+        num[u] = len(num)
+        active.append(u)
+        roots.append((num[u], u if nodes[u][2] in nba.accepting else -1))
+        stack.append((u, expand(u)))
 
-def _find_accepting_lasso(pg: ProductGraph):
-    """Path and cycle through an accepting node inside a cyclic component, or None."""
-    succ = {u: sorted({v for _, v in es}) for u, es in pg.edges.items()}
-    sccs = accepting_sccs(len(pg.nodes), succ, pg.accepting)
-    if not sccs:
-        return None
-    # the last such SCC in reverse topological order, at its smallest accepting node
-    comp = sccs[-1]
-    v = min(comp & pg.accepting)
-
-    def bfs_labeled(starts, goal, allowed=None):
-        prev: dict = {}
-        queue = []
-        for s in starts:
-            prev[s] = None
-            queue.append(s)
-        found = None
-        while queue:
-            u = queue.pop(0)
-            if u == goal:
-                found = u
-                break
-            for lbl, w in pg.edges.get(u, ()):
-                if allowed is not None and w not in allowed:
+    for s0 in initial:
+        if s0 in num:
+            continue
+        visit(s0)
+        while stack:
+            u, it = stack[-1]
+            for _, v in it:
+                if v not in num:
+                    visit(v)
+                    break
+                if v in dead:
                     continue
-                if w not in prev:
-                    prev[w] = (u, lbl)
-                    queue.append(w)
-        if found is None:
-            return None
-        labels = []
-        u = found
-        while prev[u] is not None:
-            p, lbl = prev[u]
-            labels.append(lbl)
-            u = p
-        return list(reversed(labels))
+                hit = -1
+                while True:
+                    r, a = roots.pop()
+                    hit = max(hit, a)
+                    if r <= num[v]:
+                        break
+                roots.append((r, hit))
+                if hit >= 0:
+                    comp = {w for w in active if num[w] >= r}
+                    lasso = (_labels_to(edges, initial, hit), _labels_to(edges, [hit], hit, comp))
+                    return ProductGraph(nodes, edges, initial, lasso)
+            else:
+                stack.pop()
+                if roots[-1][0] == num[u]:
+                    roots.pop()
+                    while True:
+                        w = active.pop()
+                        dead.add(w)
+                        if w == u:
+                            break
+    return ProductGraph(nodes, edges, initial, None)
 
-    prefix_labels = bfs_labeled(pg.initial, v)
-    if prefix_labels is None:
-        return None
-    # one step out of v staying in the component, then back to v
-    loop_labels = None
-    for lbl, w in pg.edges.get(v, ()):
-        if w == v:
-            loop_labels = [lbl]
-            break
-        if w in comp:
-            back = bfs_labeled([w], v, allowed=comp)
-            if back is not None:
-                loop_labels = [lbl] + back
-                break
-    if loop_labels is None:
-        return None
-    return prefix_labels, loop_labels
+
+def _labels_to(edges: dict, starts: list, goal: int, inside=None) -> list:
+    """Edge labels of a shortest path from one of starts to goal over the
+    explored edges, staying inside the given nodes if any; the path is empty
+    only when goal is a start and no inside set is given."""
+    if inside is None and goal in starts:
+        return []
+    prev = dict.fromkeys(starts)
+    queue = deque(starts)
+    while queue:
+        u = queue.popleft()
+        for lbl, w in edges.get(u, ()):
+            if inside is not None and w not in inside:
+                continue
+            if w == goal:
+                labels = [lbl]
+                while prev[u] is not None:
+                    u, lbl = prev[u]
+                    labels.append(lbl)
+                return labels[::-1]
+            if w not in prev:
+                prev[w] = (u, lbl)
+                queue.append(w)
+    raise AssertionError("goal not reachable over the explored edges")
 
 
 def _labels_to_input_lassos(
@@ -171,10 +227,9 @@ def _check(M: MooreSystem, trace_vars: list, formula: Formula, E=None):
     """(True, None) when no run of the product violates formula, else (False,
     one counterexample input lasso per trace variable)."""
     pg = build_product(M, trace_vars, ltl_to_nba(Not(formula)), E)
-    lasso = _find_accepting_lasso(pg)
-    if lasso is None:
+    if pg.lasso is None:
         return True, None
-    return False, _labels_to_input_lassos(M, trace_vars, *lasso)
+    return False, _labels_to_input_lassos(M, trace_vars, *pg.lasso)
 
 
 def mc_universal(M: MooreSystem, body: Formula, trace_vars: Optional[list] = None):

@@ -253,6 +253,26 @@ def test_verify_rejects_malformed_machine(document, specfile, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# a JSON string where a list of names belongs would load as its characters
+@pytest.mark.parametrize(
+    "document",
+    [
+        _echo_with(inputs="i"),
+        _echo_with(outputs="o"),
+        _echo_with(labels=[[], "o"]),
+        _echo_with(transitions=[{**t, "input": "i" if t["input"] else ""} for t in ECHO_STEPS]),
+        _generator(signals=""),
+        _generator(labels=[""]),
+    ],
+    ids=["inputs", "outputs", "label", "transition-input", "generator-signals", "generator-label"],
+)
+def test_verify_rejects_string_for_name_list(document, specfile, tmp_path, capsys):
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(document))
+    assert main(["verify", str(doc), specfile(DELAYED)]) == EXIT_INPUT
+    assert "is not a list" in capsys.readouterr().err
+
+
 def test_bench_single_instance_json(specfile, capsys):
     rc = main(["bench", "--instance", "arbiter-2-prompt", "--json"])
     assert rc == EXIT_OK

@@ -1,17 +1,21 @@
 """Product-graph model checking replayed against the reference evaluator."""
 
+import itertools
 import random
 
 import pytest
 
-from hypersynth.formula import SpecError, TraceForall, parse_formula
-from hypersynth.machines import ExistGenerator, MooreSystem, machine_from_json
+from hypersynth.automata import accepting_sccs, flatten_atom, guard_satisfied, ltl_to_nba, split_atom
+from hypersynth.formula import And, Not, SpecError, TraceForall, parse_formula
+from hypersynth.machines import ExistGenerator, MooreSystem, all_valuations, machine_from_json
 from hypersynth.mc import (
     body_trace_vars,
+    build_product,
     generator_vars,
     mc_exists_forall,
     mc_universal,
 )
+from hypersynth.reductions import build_consistency, consistency_anchor
 from hypersynth.semantics import LassoTrace, TraceSet, eval_formula
 
 ECHO = MooreSystem(
@@ -57,10 +61,37 @@ def drive(M, ilasso):
     return LassoTrace(sig, tuple(vals) + tuple(tail[:cut]), tuple(tail[cut:]))
 
 
-def replay(M, f, tvars, lassos):
+def replay(M, f, tvars, lassos, fixed=None):
+    """The body's value on M's traces under the input lassos, plus any fixed traces."""
     traces = [drive(M, l) for l in lassos]
-    T = TraceSet(traces[0].signals, frozenset(traces))
-    return eval_formula(f, T, dict(zip(tvars, traces)))
+    assignment = {**dict(zip(tvars, traces)), **(fixed or {})}
+    T = TraceSet(traces[0].signals, frozenset(assignment.values()))
+    return eval_formula(f, T, assignment)
+
+
+def reference_holds(M, trace_vars, nba, E=None):
+    """(no accepting run, node count) of the whole product, built over frozenset
+    letters and checked for accepting SCCs: the plain algorithm mc must agree with."""
+    vals = all_valuations(M.inputs)
+    start = [((M.initial,) * len(trace_vars), E.initial if E else 0, q) for q in nba.initial]
+    index = {n: i for i, n in enumerate(start)}
+    nodes, succ = list(start), {}
+    for u, (vec, e, q) in enumerate(nodes):  # nodes grows while it is walked
+        succ[u] = []
+        for joint in itertools.product(range(len(vals)), repeat=len(trace_vars)):
+            letter = set(E.labels[e]) if E else set()
+            for var, s, x in zip(trace_vars, vec, joint):
+                letter |= {flatten_atom(sig, var) for sig in M.labels[s] | vals[x]}
+            vec2 = tuple(M.delta[s][x] for s, x in zip(vec, joint))
+            for g, d in nba.edges[q]:
+                if guard_satisfied(g, frozenset(letter)):
+                    node = (vec2, E.next_state[e] if E else 0, d)
+                    if node not in index:
+                        index[node] = len(nodes)
+                        nodes.append(node)
+                    succ[u].append(index[node])
+    accepting = {i for i, n in enumerate(nodes) if n[2] in nba.accepting}
+    return not accepting_sccs(len(nodes), succ, accepting), len(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +169,8 @@ BODY_POOL = [
 ]
 
 
-def _random_system(rng):
-    n = rng.randrange(1, 4)
+def _random_system(rng, max_states=3):
+    n = rng.randrange(1, max_states + 1)
     labels = tuple(frozenset({"g"}) if rng.random() < 0.5 else frozenset() for _ in range(n))
     delta = tuple(tuple(rng.randrange(n) for _ in range(2)) for _ in range(n))
     return MooreSystem(("r",), ("g",), labels, delta, rng.randrange(n))
@@ -167,6 +198,44 @@ def test_universal_verdicts_randomized():
             for _ in range(5):
                 sample = [_random_input_lasso(rng) for _ in tvars]
                 assert replay(M, f, body_trace_vars(f), sample) is True
+
+
+def test_universal_verdicts_match_full_product():
+    rng = random.Random(11)
+    for text, tvars in BODY_POOL:
+        f = body(text, *tvars)
+        for _ in range(12):
+            M = _random_system(rng, 4)
+            ok, cex = mc_universal(M, f)
+            assert ok == reference_holds(M, body_trace_vars(f), ltl_to_nba(Not(f)))[0]
+            if not ok:
+                assert replay(M, f, body_trace_vars(f), cex) is False
+
+
+def test_search_stops_at_first_accepting_cycle():
+    # a 40-state ring that advances on r; its initial state already grants
+    n = 40
+    ring = MooreSystem(("r",), ("g",), (frozenset({"g"}),) + (frozenset(),) * (n - 1),
+                       tuple((s, (s + 1) % n) for s in range(n)), 0)
+    f = body("G !g[pi]")
+    nba = ltl_to_nba(Not(f))
+    holds, full = reference_holds(ring, ["pi"], nba)
+    assert not holds
+    pg = build_product(ring, ["pi"], nba)
+    assert pg.lasso is not None and len(pg.nodes) < full / 10
+    ok, cex = mc_universal(ring, f)
+    assert not ok and replay(ring, f, ["pi"], cex) is False
+
+
+def test_edge_into_finished_component_closes_no_cycle():
+    # s0 -> s1 -> s3 and s0 -> s2 -> s1: the search finishes s1 and s3 first,
+    # then reaches s1 again from s2; that edge must not merge s0 and s2 into
+    # one component with s1, or a run that always grants at s3 looks like a violation
+    M = MooreSystem(("r",), ("g",), (frozenset(),) * 3 + (frozenset({"g"}),),
+                    ((1, 2), (3, 3), (1, 1), (3, 3)), 0)
+    f = body("F g[pi]")
+    assert reference_holds(M, ["pi"], ltl_to_nba(Not(f)))[0]
+    assert mc_universal(M, f) == (True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +294,50 @@ def test_exists_forall_without_generator_is_universal():
     f = body("G (r[pi] -> X g[pi])")
     ok, cex = mc_exists_forall(ECHO, None, f)
     assert ok and cex is None
+
+
+E_BODIES = [
+    "F g[e]",
+    "G (r[e] -> X g[e])",
+    "G (g[p1] <-> g[e])",
+    "G (g[p1] -> g[e])",
+    "G ((r[p1] <-> r[e]) -> X (g[p1] <-> g[e]))",
+    "F (g[p1] & !g[e])",
+    "(r[p1] <-> r[e]) R (g[p1] <-> g[e])",
+]
+
+
+def _random_generator(rng, signals):
+    m = rng.randrange(1, 4)
+    labels = [{s for s in signals if rng.random() < 0.5} for _ in range(m)]
+    return egen(labels, [rng.randrange(m) for _ in range(m)], signals)
+
+
+def generator_trace(M, E):
+    """The generator's word as a trace of M's signals, one copy's atoms unflattened."""
+    un = lambda vals: tuple(frozenset(split_atom(s)[0] for s in v) for v in vals)
+    pre, loop = E.output_lasso()
+    return LassoTrace(frozenset(M.inputs) | frozenset(M.outputs), un(pre), un(loop))
+
+
+def test_exists_forall_verdicts_match_full_product():
+    rng = random.Random(5)
+    # the last generator declares r@e but not the g@e the bodies read: an edge
+    # that needs g@e is dropped, and !g[e] always holds
+    for signals in [("r@e", "g@e")] * 4 + [("r@e",)]:
+        for text in E_BODIES:
+            f = parse_formula(text, {"r", "g"}, trace_vars={"e", "p1"})
+            for _ in range(2):
+                M, E = _random_system(rng, 4), _random_generator(rng, signals)
+                # the universal copies and formula that mc_exists_forall checks
+                anchor = consistency_anchor(f, ["e"])
+                uvars = [v for v in body_trace_vars(f) if v != "e"] or [anchor]
+                checked = And(f, build_consistency(["e"], anchor, M.inputs, M.outputs))
+                ok, cex = mc_exists_forall(M, E, f)
+                assert ok == reference_holds(M, uvars, ltl_to_nba(Not(checked)), E)[0]
+                if not ok:
+                    fixed = {"e": generator_trace(M, E)}
+                    assert replay(M, checked, uvars, cex, fixed) is False
 
 
 # ---------------------------------------------------------------------------
