@@ -37,7 +37,7 @@ from .reductions import (
     to_hyperltl,
 )
 from .automata import NBA, accepts_lasso, ltl_to_nba
-from .machines import ExistGenerator, MooreSystem, machine_from_json
+from .machines import ExistGenerator, MooreSystem
 from .mc import mc_exists_forall, mc_universal
 from .synth import (
     ConstraintProblem,
@@ -85,7 +85,6 @@ __all__ = [
     "gen_arbiter",
     "has_info_fork",
     "ltl_to_nba",
-    "machine_from_json",
     "mc_exists_forall",
     "mc_universal",
     "parse",

@@ -6,11 +6,12 @@ import argparse
 import json
 import sys
 
+from .automata import flatten_atom
 from .bench import DEFAULT_SELECTION, TABLE_INSTANCES, run_suite
 from .formula import SpecError, parse, print_formula
 from .fragments import classify_formula
 from .machines import ExistGenerator, MooreSystem
-from .mc import mc_exists_forall
+from .mc import generator_vars, mc_exists_forall
 from .sat import emit_dimacs
 from .synth import (
     EncoderSoundnessError,
@@ -132,6 +133,28 @@ def _load_machines(path: str):
     raise SpecError(f"{path}: expected a system document or a moore machine")
 
 
+def _check_generator(generator, inst) -> None:
+    """The generator must fix exactly the specification's existential copies."""
+    if generator is None:
+        if inst.exist_vars:
+            raise SpecError(
+                f"the specification has existential copies ({', '.join(inst.exist_vars)}) "
+                "but the document has no generator"
+            )
+        return
+    if not inst.exist_vars:
+        raise SpecError("the document has a generator but the specification has no existential copy")
+    if set(generator_vars(generator)) != set(inst.exist_vars):
+        raise SpecError(
+            f"generator copies ({', '.join(generator_vars(generator))}) are not the "
+            f"specification's existential copies ({', '.join(inst.exist_vars)})"
+        )
+    declared = {flatten_atom(a, e) for e in inst.exist_vars for a in inst.inputs + inst.outputs}
+    stray = [s for s in generator.signals if s not in declared]
+    if stray:
+        raise SpecError(f"generator signals {', '.join(stray)} name no declared input or output")
+
+
 def cmd_verify(args) -> int:
     system, generator = _load_machines(args.machine)
     doc = _load_spec(args.spec)
@@ -143,6 +166,7 @@ def cmd_verify(args) -> int:
     )
     if tuple(system.inputs) != tuple(inst.inputs) or tuple(system.outputs) != tuple(inst.outputs):
         raise SpecError("machine signals do not match the specification header")
+    _check_generator(generator, inst)
     ok, cex = mc_exists_forall(system, generator, inst.core)
     if ok:
         print("verified: the machine satisfies the specification")

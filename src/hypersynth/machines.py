@@ -227,12 +227,3 @@ class ExistGenerator:
         lines.append("}")
         return "\n".join(lines)
 
-
-def machine_from_json(text: str):
-    """Load either machine kind from its JSON document."""
-    kind = json.loads(text).get("kind")
-    if kind == "moore":
-        return MooreSystem.from_json(text)
-    if kind == "generator":
-        return ExistGenerator.from_json(text)
-    raise ValueError(f"unknown machine kind {kind!r}")

@@ -30,6 +30,7 @@ class Solver:
         self.learnts: set = set()        # indices into clauses that were learned
         self.cl_activity: dict = {}
         self.watches: list = [[], []]    # per encoded literal
+        self.lits: list = [0, 1]         # one shared int per encoded literal
         self.assign: list = [-1]         # per var: -1 free, 0 false, 1 true
         self.level: list = [0]
         self.reason: list = [-1]         # clause index or -1
@@ -55,6 +56,7 @@ class Solver:
         self.phase.append(0)
         self.watches.append([])
         self.watches.append([])
+        self.lits += (2 * self.nvars, 2 * self.nvars + 1)
         heapq.heappush(self.heap, (0.0, self.nvars))
         return self.nvars
 
@@ -65,7 +67,7 @@ class Solver:
     def _lit(self, signed: int) -> int:
         v = abs(signed)
         self.ensure_vars(v)
-        return 2 * v + (1 if signed < 0 else 0)
+        return self.lits[2 * v + (signed < 0)]
 
     def _value(self, lit: int) -> int:
         a = self.assign[lit >> 1]

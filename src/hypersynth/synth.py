@@ -219,21 +219,7 @@ def _scc_bounds(instance: SynthesisInstance, n: int, m: int) -> list:
     return [(n**instance.k) * m_eff * w for w in weight]
 
 
-def _lambda_bound(instance: SynthesisInstance, n: int, m: int) -> int:
-    """Sufficient annotation bound: the largest per-SCC counter bound.
-
-    Every product cycle projects onto a cycle of the automaton, so it stays
-    inside one SCC; a counter only has to count the rejecting nodes there.
-    """
-    return max(_scc_bounds(instance, n, m), default=0)
-
-
-def encode(
-    instance: SynthesisInstance,
-    n: int,
-    m: int,
-    lambda_max: Optional[int] = None,
-) -> ConstraintProblem:
+def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     """Constraint system for an n-state system and m-state generator."""
     if n < 1 or m < 1:
         raise SpecError("bounds must be at least 1")
@@ -256,8 +242,6 @@ def encode(
 
     scc_of, _ = nba.sccs
     scc_lam = _scc_bounds(instance, n, m)
-    if lambda_max is not None:
-        scc_lam = [min(lambda_max, b) for b in scc_lam]
     lam = max(scc_lam, default=0)
     lam_of = [scc_lam[c] if c >= 0 else 0 for c in scc_of]
 
@@ -546,31 +530,20 @@ def solve(problem: ConstraintProblem, timeout=None) -> SynthesisResult:
     )
 
 
-QUICK_LAMBDA_SLACK = 2
-
-
 def solve_at_bounds(
     instance: SynthesisInstance,
     n: int,
     m: int,
     timeout=None,
 ) -> SynthesisResult:
-    """Verdict at one bound point; a small annotation bound is tried first.
+    """Verdict at one bound point: one encode, one solve.
 
-    The sufficient bound is the largest per-SCC counter bound (_lambda_bound).
-    When the quick bound |F| + QUICK_LAMBDA_SLACK, with |F| the accepting
-    states of the instance's cached automaton, lies below it, every SCC's
-    counter is first capped at the quick bound. A model found under a smaller
-    bound is still a proof, so the quick pass is sound for SAT. Only when it
-    comes back UNSAT is the sufficient bound encoded and solved, which makes
-    the verdict bound-independent; no caller can cap that second bound, since
-    an UNSAT answer under a capped bound would prove nothing.
+    Every SCC's counter runs to its sufficient bound (_scc_bounds). A product
+    cycle projects onto a cycle of the automaton, so it stays inside one SCC
+    and the counter there only has to count the rejecting nodes it meets.
+    The verdict is therefore exact at (n, m): UNSAT proves that no n-state
+    system with an m-state generator exists.
     """
-    quick_bound = len(instance.nba.accepting) + QUICK_LAMBDA_SLACK
-    if quick_bound < _lambda_bound(instance, n, m):
-        res = solve(encode(instance, n, m, quick_bound), timeout)
-        if res.status == "sat":
-            return res
     return solve(encode(instance, n, m), timeout)
 
 

@@ -273,6 +273,50 @@ def test_verify_rejects_string_for_name_list(document, specfile, tmp_path, capsy
     assert "is not a list" in capsys.readouterr().err
 
 
+# an always-granting system; the witness e must be one of its branches
+ON = json.loads(MooreSystem(("i",), ("o",), (frozenset({"o"}),), ((0, 0),), 0).to_json())
+WITNESS_HOLDS = "inputs: i\noutputs: o\nexists e : trace . forall pi : trace . G (o[e] & o[pi])\n"
+# false on every machine: no input lasso makes pi read i eventually
+WITNESS_FAILS = "inputs: i\noutputs: o\nexists e : trace . forall pi : trace . G o[e] & F i[pi]\n"
+TWO_WITNESSES = (
+    "inputs: i\noutputs: o\nexists e : trace . exists f : trace . forall pi : trace . G (o[e] & o[f] & o[pi])\n"
+)
+
+
+def _on_with(signals, label):
+    g = {"kind": "generator", "signals": signals, "states": 1, "initial": 0,
+         "labels": [label], "next": [0]}
+    return {"system": ON, "generator": g}
+
+
+def test_verify_generator_for_existential_copy(specfile, tmp_path, capsys):
+    doc = tmp_path / "on.json"
+    doc.write_text(json.dumps(_on_with(["i@e", "o@e"], ["o@e"])))
+    assert main(["verify", str(doc), specfile(WITNESS_HOLDS)]) == EXIT_OK
+    assert "verified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "spec, document, message",
+    [
+        (WITNESS_FAILS, {"system": ON}, "no generator"),
+        (ALWAYS, _on_with(["i@e", "o@e"], ["o@e"]), "no existential copy"),
+        # a generator over the universal copy would be read as the witness
+        (WITNESS_FAILS, _on_with(["i@pi", "o@pi"], ["i@pi", "o@pi"]), "existential copies"),
+        (TWO_WITNESSES, _on_with(["i@e", "o@e"], ["o@e"]), "existential copies"),
+        (WITNESS_HOLDS, _on_with(["i@e", "o@e", "z@e"], ["o@e"]), "z@e"),
+    ],
+    ids=["missing-generator", "stray-generator", "universal-copy", "missing-copy",
+         "undeclared-signal"],
+)
+def test_verify_rejects_generator_not_matching_spec(spec, document, message, specfile, tmp_path, capsys):
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(document))
+    assert main(["verify", str(doc), specfile(spec)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+
+
 def test_bench_single_instance_json(specfile, capsys):
     rc = main(["bench", "--instance", "arbiter-2-prompt", "--json"])
     assert rc == EXIT_OK

@@ -7,7 +7,7 @@ import pytest
 
 from hypersynth.automata import accepting_sccs, flatten_atom, guard_satisfied, ltl_to_nba, split_atom
 from hypersynth.formula import And, Not, SpecError, TraceForall, parse_formula
-from hypersynth.machines import ExistGenerator, MooreSystem, all_valuations, machine_from_json
+from hypersynth.machines import ExistGenerator, MooreSystem, all_valuations
 from hypersynth.mc import (
     body_trace_vars,
     build_product,
@@ -346,19 +346,12 @@ def test_exists_forall_verdicts_match_full_product():
 def test_moore_json_round_trip():
     again = MooreSystem.from_json(ECHO.to_json())
     assert again == ECHO
-    assert isinstance(machine_from_json(ECHO.to_json()), MooreSystem)
 
 
 def test_generator_json_round_trip():
     E = egen([{"r@e"}, {"r@e", "g@e"}], [1, 1])
     again = ExistGenerator.from_json(E.to_json())
     assert again == E
-    assert isinstance(machine_from_json(E.to_json()), ExistGenerator)
-
-
-def test_machine_from_json_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        machine_from_json('{"kind": "mealy"}')
 
 
 def test_moore_validation():

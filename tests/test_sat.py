@@ -129,6 +129,17 @@ def test_new_var_numbering():
     assert s.nvars == 7
 
 
+def test_clauses_share_one_int_per_literal():
+    # encoded literals above 256 lie outside CPython's small-int cache, so a
+    # fresh int per occurrence would hold its own object
+    s = Solver()
+    s.add_clause([200, -201, 202])
+    s.add_clause([-203, 200, -201])
+    first, second = s.clauses
+    assert first[0] == second[1] == 400 and first[0] is second[1]
+    assert first[1] == second[2] == 403 and first[1] is second[2]
+
+
 # ---------------------------------------------------------------------------
 # DIMACS
 

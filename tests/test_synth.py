@@ -125,17 +125,13 @@ def test_classification_recorded():
 
 
 def test_lambda_override_caps_encoding():
-    inst = prepare(spec(ALWAYS))
-    low = encode(inst, 2, 1, 1)
-    assert low.lambda_max == 1
-    full = encode(inst, 2, 1)
-    assert full.lambda_max >= low.lambda_max
-    # the override caps the counter bound of every automaton SCC
+    # every automaton state's counter runs to the bound of its SCC
     arb = prepare(gen_arbiter(3, {1}))
     full = encode(arb, 2, 1).var_maps["lam_of"]
-    capped = encode(arb, 2, 1, lambda_max=1).var_maps["lam_of"]
+    scc_of, _ = arb.nba.sccs
+    bounds = synth._scc_bounds(arb, 2, 1)
+    assert full == [bounds[c] if c >= 0 else 0 for c in scc_of]
     assert max(full) == 2
-    assert capped == [min(1, b) for b in full]
 
 
 def _accepting_sccs(nba) -> list:
@@ -214,16 +210,6 @@ def _count_encodes(monkeypatch) -> list:
     return calls
 
 
-def test_scc_bound_row_encodes_once(monkeypatch):
-    # the per-SCC bound 2 * 2 * 1 lies below the quick bound, so no ladder
-    calls = _count_encodes(monkeypatch)
-    inst = prepare(gen_arbiter(2, {1}))
-    res = solve_at_bounds(inst, 2, 2)
-    assert res.status == "sat"
-    assert res.lambda_max == 4 < len(inst.nba.accepting) + synth.QUICK_LAMBDA_SLACK
-    assert len(calls) == 1
-
-
 ARBITER_K2 = """
 forall p1 : trace . forall p2 : trace .
   G !(g1[p1] & g2[p1])
@@ -233,16 +219,22 @@ forall p1 : trace . forall p2 : trace .
 """
 
 
-def test_quick_sat_row_encodes_once(monkeypatch):
-    # two universal copies: the per-SCC bound 4^2 exceeds the quick bound
+@pytest.mark.parametrize(
+    "doc, n, m, status, lam",
+    [
+        (spec(ARBITER_K2, inputs="r1, r2", outputs="g1, g2"), 3, 1, "unsat", 9),
+        (spec(ARBITER_K2, inputs="r1, r2", outputs="g1, g2"), 4, 1, "sat", 16),
+        (gen_arbiter(2, {1}), 2, 2, "sat", 4),
+    ],
+    ids=["arbiter-k2-3-1", "arbiter-k2-4-1", "arbiter-2-prompt-2-2"],
+)
+def test_bound_point_encodes_once_at_sufficient_lambda(monkeypatch, doc, n, m, status, lam):
     calls = _count_encodes(monkeypatch)
-    inst = prepare(spec(ARBITER_K2, inputs="r1, r2", outputs="g1, g2"))
-    quick = len(inst.nba.accepting) + synth.QUICK_LAMBDA_SLACK
-    assert quick < synth._lambda_bound(inst, 4, 1)
-    res = solve_at_bounds(inst, 4, 1)
-    assert res.status == "sat"
-    assert res.lambda_max == quick
-    assert len(calls) == 1
+    inst = prepare(doc)
+    res = solve_at_bounds(inst, n, m)
+    assert res.status == status
+    assert res.lambda_max == max(synth._scc_bounds(inst, n, m)) == lam
+    assert calls == [(n, m)]
 
 
 # tiny one-input, one-output specs for the brute-force realizability oracle
