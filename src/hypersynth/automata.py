@@ -12,6 +12,7 @@ from .formula import (
     Eventually,
     Formula,
     Globally,
+    Knowledge,
     Next,
     Not,
     Or,
@@ -22,6 +23,7 @@ from .formula import (
     TraceAtom,
     Until,
     WeakUntil,
+    map_children,
     print_formula,
     to_nnf,
     walk,
@@ -107,14 +109,11 @@ def flatten(f: Formula) -> Formula:
     """Turn every trace-indexed atom into a plain proposition named prop@var."""
     if isinstance(f, TraceAtom):
         return PropAtom(flatten_atom(f.prop, f.trace_var))
-    kids = f.children()
-    if not kids:
-        return f
     if isinstance(f, Quantifier):
         raise SpecError("cannot flatten under a quantifier")
-    if len(kids) == 1:
-        return type(f)(flatten(kids[0]))
-    return type(f)(flatten(kids[0]), flatten(kids[1]))
+    if isinstance(f, Knowledge):
+        raise SpecError("cannot flatten a knowledge operator; eliminate it first")
+    return map_children(f, flatten)
 
 
 # ---------------------------------------------------------------------------

@@ -278,26 +278,25 @@ def walk(f: Formula) -> Iterator[Formula]:
         yield from walk(c)
 
 
+def map_children(f: Formula, fn) -> Formula:
+    """f with fn applied to each child; every other field, pos included, is kept."""
+    if isinstance(f, Binary):
+        return dc_replace(f, left=fn(f.left), right=fn(f.right))
+    if f.children():
+        return dc_replace(f, child=fn(f.child))
+    return f
+
+
 def substitute_trace_var(f: Formula, old: str, new: str) -> Formula:
     """Rename a free trace variable in atoms and knowledge nodes."""
     if isinstance(f, TraceAtom):
-        return TraceAtom(f.prop, new) if f.trace_var == old else f
-    if isinstance(f, Knowledge):
-        tv = new if f.trace_var == old else f.trace_var
-        return Knowledge(f.agents, tv, substitute_trace_var(f.child, old, new), f.polarity)
-    if isinstance(f, Quantifier):
-        if f.kind.is_trace and f.var == old:
-            return f  # shadowed
-        return dc_replace(f, child=substitute_trace_var(f.child, old, new))
-    if isinstance(f, Unary):
-        return dc_replace(f, child=substitute_trace_var(f.child, old, new))
-    if isinstance(f, Binary):
-        return dc_replace(
-            f,
-            left=substitute_trace_var(f.left, old, new),
-            right=substitute_trace_var(f.right, old, new),
-        )
-    return f
+        return dc_replace(f, trace_var=new) if f.trace_var == old else f
+    if isinstance(f, Quantifier) and f.kind.is_trace and f.var == old:
+        return f  # shadowed
+    g = map_children(f, lambda c: substitute_trace_var(c, old, new))
+    if isinstance(g, Knowledge) and g.trace_var == old:
+        return dc_replace(g, trace_var=new)
+    return g
 
 
 # ---------------------------------------------------------------------------

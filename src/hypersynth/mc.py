@@ -62,6 +62,10 @@ def _guard_masks(nba: NBA, bit: dict) -> list:
     return out
 
 
+# stands in for the generator when the body has no existential copies
+_NO_GENERATOR = ExistGenerator((), (frozenset(),), (0,))
+
+
 def build_product(
     M: MooreSystem,
     trace_vars: list,
@@ -70,10 +74,12 @@ def build_product(
 ) -> ProductGraph:
     """The product explored depth first from its initial nodes, up to the
     first cycle through an accepting node."""
+    if E is None:
+        E = _NO_GENERATOR
     k = len(trace_vars)
     # one bit per letter signal: the generator's, then each copy's outputs and inputs
     bit: dict = {}
-    for sig in E.signals if E is not None else ():
+    for sig in E.signals:
         bit.setdefault(sig, 1 << len(bit))
     for var in trace_vars:
         for sig in M.outputs + M.inputs:
@@ -89,7 +95,7 @@ def build_product(
         (joint, sum(in_masks[j][x] for j, x in enumerate(joint)))
         for joint in itertools.product(range(1 << len(M.inputs)), repeat=k)
     ]
-    gen_masks = [mask(lab) for lab in E.labels] if E is not None else [0]
+    gen_masks = [mask(lab) for lab in E.labels]
     guards = _guard_masks(nba, bit)
 
     moves: dict = {}    # (system vector, generator state) -> [(joint, letter, successor vector)]
@@ -113,7 +119,7 @@ def build_product(
             )
         return got
 
-    e_next = E.next_state if E is not None else [0]
+    e_next = E.next_state
     index: dict = {}
     nodes: list = []
     edges: dict = {}
@@ -136,8 +142,7 @@ def build_product(
     # Couvreur's on-the-fly emptiness check: a depth-first search that keeps
     # a stack of SCC roots, each with an accepting node merged into it (or
     # -1), and stops when a back edge closes a cycle through one.
-    e_init = E.initial if E is not None else 0
-    initial = [nid(((M.initial,) * k, e_init, q)) for q in sorted(nba.initial)]
+    initial = [nid(((M.initial,) * k, E.initial, q)) for q in sorted(nba.initial)]
     num: dict = {}   # depth-first number of each visited node
     dead = set()     # nodes of finished SCCs
     active = []      # visited nodes not yet dead, in visiting order

@@ -29,6 +29,7 @@ from .formula import (
     disj,
     extract_prefix,
     fresh_name,
+    map_children,
     print_formula,
     substitute_trace_var,
     walk,
@@ -92,25 +93,16 @@ def prop_to_trace(f: Formula, J: set[str], designated_input: str) -> Formula:
     mapping: dict[str, str] = {}
 
     def rec(g: Formula) -> Formula:
-        if isinstance(g, Quantifier):
-            if not g.kind.is_trace and g.var in J:
-                tv = fresh_name(g.var, used)
-                mapping[g.var] = tv
-                cls = TraceExists if g.kind == QuantKind.PROP_EXISTS else TraceForall
-                out = cls(var=tv, child=rec(g.child))
-                del mapping[g.var]
-                return out
-            return QUANT_CLASS[g.kind](var=g.var, child=rec(g.child))
+        if isinstance(g, Quantifier) and not g.kind.is_trace and g.var in J:
+            tv = fresh_name(g.var, used)
+            mapping[g.var] = tv
+            cls = TraceExists if g.kind == QuantKind.PROP_EXISTS else TraceForall
+            out = cls(var=tv, child=rec(g.child))
+            del mapping[g.var]
+            return out
         if isinstance(g, PropAtom) and g.var in mapping:
             return TraceAtom(designated_input, mapping[g.var])
-        if isinstance(g, Knowledge):
-            return Knowledge(g.agents, g.trace_var, rec(g.child), g.polarity)
-        kids = g.children()
-        if not kids:
-            return g
-        if len(kids) == 1:
-            return type(g)(rec(kids[0]))
-        return type(g)(rec(kids[0]), rec(kids[1]))
+        return map_children(g, rec)
 
     return rec(f)
 
@@ -341,14 +333,11 @@ def encode_qptl_no_universal(
     def rewrite(g: Formula) -> Formula:
         if isinstance(g, TraceAtom):
             return PropAtom(prop_name[(g.prop, g.trace_var)])
-        kids = g.children()
-        if not kids:
-            return g
         if isinstance(g, Quantifier):
             raise SpecError("unexpected quantifier inside the body")
-        if len(kids) == 1:
-            return type(g)(rewrite(kids[0]))
-        return type(g)(rewrite(kids[0]), rewrite(kids[1]))
+        if isinstance(g, Knowledge):
+            raise SpecError("knowledge operator inside the body; eliminate it first")
+        return map_children(g, rewrite)
 
     new_body = rewrite(body)
 

@@ -183,7 +183,12 @@ class Solver:
             for u in range(1, self.nvars + 1):
                 self.activity[u] *= 1e-100
             self.var_inc *= 1e-100
-        if self.assign[v] < 0:
+            # every key changed: rekey the free variables, v among them
+            self.heap = [
+                (-self.activity[u], u) for u in range(1, self.nvars + 1) if self.assign[u] < 0
+            ]
+            heapq.heapify(self.heap)
+        elif self.assign[v] < 0:
             heapq.heappush(self.heap, (-self.activity[v], v))
 
     def _bump_clause(self, ci: int):
@@ -270,14 +275,11 @@ class Solver:
         self.qhead = min(self.qhead, len(self.trail))
 
     def _decide(self) -> bool:
+        # every free variable has an entry keyed on its current activity;
+        # entries of assigned variables and older keys are skipped
         while self.heap:
             negact, v = heapq.heappop(self.heap)
             if self.assign[v] < 0 and -negact == self.activity[v]:
-                self.lim.append(len(self.trail))
-                self._enqueue(2 * v + (1 - self.phase[v]), -1)
-                return True
-        for v in range(1, self.nvars + 1):
-            if self.assign[v] < 0:
                 self.lim.append(len(self.trail))
                 self._enqueue(2 * v + (1 - self.phase[v]), -1)
                 return True

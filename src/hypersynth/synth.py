@@ -229,8 +229,7 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     evars = list(instance.exist_vars)
     k = len(uvars)
     upos = {v: i for i, v in enumerate(uvars)}
-    has_gen = bool(evars)
-    m_eff = m if has_gen else 1
+    m_eff = m if evars else 1
 
     nba = instance.nba
     Q = nba.n_states
@@ -253,8 +252,12 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
 
     d_var = [[[new_var() for _ in range(n)] for _ in range(V)] for _ in range(n)]
     out_var = [{o: new_var() for o in outputs} for _ in range(n)]
-    tau_var = [[new_var() for _ in range(m_eff)] for _ in range(m_eff)] if has_gen else []
-    gen_var = [{sig: new_var() for sig in gen_signals} for _ in range(m_eff)] if has_gen else []
+    # the generator is a lasso: 0 -> 1 -> ... -> m-1, then back to the one j
+    # whose back[j] holds; without existential copies it is one silent state
+    back_var = [new_var() for _ in range(m_eff)] if m_eff > 1 else []
+    gen_var = [{sig: new_var() for sig in gen_signals} for _ in range(m_eff)]
+    gen_succ = [[(e + 1, None)] for e in range(m_eff - 1)]
+    gen_succ.append(list(enumerate(back_var)) or [(0, None)])
 
     svecs = list(itertools.product(range(n), repeat=k))
     svec_id = {s: i for i, s in enumerate(svecs)}
@@ -284,21 +287,18 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     clauses: list = []
     add = clauses.append
 
-    # deterministic totality of the system and the generator
+    def exactly_one(row: list):
+        add(list(row))
+        for a in range(len(row)):
+            for b in range(a + 1, len(row)):
+                add([-row[a], -row[b]])
+
+    # deterministic totality of the system, and one loop-back of the generator
     for s in range(n):
         for iv in range(V):
-            row = d_var[s][iv]
-            add(list(row))
-            for a in range(n):
-                for b in range(a + 1, n):
-                    add([-row[a], -row[b]])
-    if has_gen:
-        for e in range(m_eff):
-            row = [tau_var[e][e2] for e2 in range(m_eff)]
-            add(row)
-            for a in range(m_eff):
-                for b in range(a + 1, m_eff):
-                    add([-row[a], -row[b]])
+            exactly_one(d_var[s][iv])
+    if back_var:
+        exactly_one(back_var)
 
     # annotation order chains
     for node in range(n_nodes):
@@ -390,12 +390,11 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
                             d_lits = [
                                 d_var[svec[u]][iv_vec[u]][svec2[u]] for u in range(k)
                             ]
-                            e2_range = range(m_eff) if has_gen else (0,)
-                            for e2 in e2_range:
+                            for e2, back in gen_succ[e]:
                                 node2 = node_id(svec_id[svec2], e2, q2)
                                 ante = [-x for x in d_lits]
-                                if has_gen:
-                                    ante.append(-tau_var[e][e2])
+                                if back is not None:
+                                    ante.append(-back)
                                 if ok_lit is not None:
                                     ante.append(-ok_lit)
                                 if counted:
@@ -406,14 +405,13 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     var_maps = {
         "d": d_var,
         "out": out_var,
-        "tau": tau_var,
         "gen": gen_var,
+        "gen_succ": gen_succ,
         "gen_signals": gen_signals,
         "l_start": l_start,
         "lam_of": lam_of,
         "counter_vars": counter_vars,
         "m_eff": m_eff,
-        "has_gen": has_gen,
     }
     comments = [
         f"bounded synthesis: n={n} m={m} k={k} nba={Q} lambda={lam}",
@@ -463,20 +461,17 @@ def decode(problem: ConstraintProblem, model: set):
     system = MooreSystem(tuple(inputs), tuple(outputs), labels, tuple(delta), 0)
 
     generator = None
-    if vm["has_gen"]:
+    if inst.exist_vars:
         m_eff = vm["m_eff"]
-        nxt_states = []
-        for e in range(m_eff):
-            hits = [e2 for e2 in range(m_eff) if true(vm["tau"][e][e2])]
-            if len(hits) != 1:
-                raise EncoderSoundnessError(f"generator step {e} decoded to {hits}")
-            nxt_states.append(hits[0])
+        hits = [j for j, back in vm["gen_succ"][-1] if back is None or true(back)]
+        if len(hits) != 1:
+            raise EncoderSoundnessError(f"generator loop-back decoded to {hits}")
         glabels = tuple(
             frozenset(sig for sig in vm["gen_signals"] if true(vm["gen"][e][sig]))
             for e in range(m_eff)
         )
         generator = ExistGenerator(
-            tuple(vm["gen_signals"]), glabels, tuple(nxt_states), 0
+            tuple(vm["gen_signals"]), glabels, tuple(range(1, m_eff)) + (hits[0],), 0
         )
 
     return system, generator

@@ -20,7 +20,7 @@ from hypersynth.automata import (
     split_atom,
     tarjan_sccs,
 )
-from hypersynth.formula import SpecError, TraceForall, parse_formula
+from hypersynth.formula import Knowledge, SpecError, TraceAtom, TraceForall, parse_formula
 from hypersynth.semantics import LassoTrace, TraceSet, eval_formula
 
 SIG = frozenset({"a", "b"})
@@ -84,6 +84,11 @@ def test_flatten_rejects_quantifier():
     f = TraceForall("pi", body("a[pi]"))
     with pytest.raises(SpecError):
         flatten(f)
+
+
+def test_flatten_rejects_knowledge():
+    with pytest.raises(SpecError, match="knowledge"):
+        flatten(Knowledge(frozenset({"a"}), "pi", TraceAtom("b", "pi")))
 
 
 def test_split_atom_inverts_flatten_atom():

@@ -28,6 +28,7 @@ from hypersynth.formula import (
     check_well_formed,
     extract_prefix,
     fresh_name,
+    map_children,
     parse,
     parse_formula,
     print_document,
@@ -251,3 +252,18 @@ def test_substitute_trace_var():
     f = pf("a[pi] U b[pi2]")
     g = substitute_trace_var(f, "pi", "tau")
     assert g == Until(TraceAtom("a", "tau"), TraceAtom("b", "pi2"))
+
+
+def test_map_children_keeps_every_other_field():
+    k = Knowledge(frozenset({"a"}), "pi", TraceAtom("b", "pi"), "neg", pos=(2, 5))
+    g = map_children(k, Not)
+    assert (g.agents, g.trace_var, g.polarity, g.pos) == (k.agents, "pi", "neg", (2, 5))
+    assert g.child == Not(TraceAtom("b", "pi"))
+    q = TraceExists("pi", Until(TraceAtom("a", "pi"), TraceAtom("b", "pi")), pos=(1, 1))
+    r = map_children(q, lambda c: map_children(c, Next))
+    assert r == TraceExists("pi", Until(Next(TraceAtom("a", "pi")), Next(TraceAtom("b", "pi"))))
+    assert r.kind == QuantKind.TRACE_EXISTS and r.pos == (1, 1)
+    assert map_children(TraceAtom("a", "pi"), Not) == TraceAtom("a", "pi")
+    # renaming inside a knowledge node keeps its polarity tag
+    s = substitute_trace_var(k, "pi", "tau")
+    assert (s.trace_var, s.polarity, s.child) == ("tau", "neg", TraceAtom("b", "tau"))

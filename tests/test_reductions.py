@@ -335,6 +335,12 @@ def test_encode_rejects_universal_trace():
         encode_qptl_no_universal(f, ("i",), ("g",))
 
 
+def test_encode_rejects_knowledge():
+    f = parse("exists pi : trace . K {i} [pi] (g[pi])")
+    with pytest.raises(SpecError, match="knowledge"):
+        encode_qptl_no_universal(f, ("i",), ("g",))
+
+
 def test_encode_no_inputs_uses_globally():
     from hypersynth.formula import Globally
 

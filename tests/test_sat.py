@@ -140,6 +140,21 @@ def test_clauses_share_one_int_per_literal():
     assert first[1] == second[2] == 403 and first[1] is second[2]
 
 
+def test_decisions_follow_activity_after_rescale():
+    s = Solver()
+    s.ensure_vars(10)
+    s.var_inc = 5e99
+    s._bump_var(3)
+    s.var_inc = 6e100
+    s._bump_var(7)  # past 1e100: every activity is scaled down
+    assert s.activity[3] == 0.5 and s.activity[7] == 6.0
+    picked = []
+    for _ in range(3):
+        assert s._decide()
+        picked.append(s.trail[-1] >> 1)
+    assert picked == [7, 3, 1]
+
+
 # ---------------------------------------------------------------------------
 # DIMACS
 

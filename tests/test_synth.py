@@ -314,6 +314,23 @@ def test_verdicts_agree_with_brute_force_generators():
     assert solve_at_bounds(inst, 1, 4).status == "sat"
 
 
+def test_generator_is_a_lasso():
+    # states run 0 -> 1 -> ... -> m-1 and only the last one jumps back; the
+    # second spec at (1, 3) and LATE_I at (1, 4) also have models off this
+    # shape, such as the successor tables (2, 2, 2) and (3, 3, 1, 2)
+    points = [(body, n, m) for body, sat in GENERATOR_ORACLE_SPECS for n, m in sorted(sat)]
+    insts = [
+        (prepare(spec(f"exists e : trace . forall pi : trace . {body}")), n, m)
+        for body, n, m in points + [(LATE_I, 1, 4)]
+    ]
+    insts.append((prepare(gen_arbiter(2, {1})), 2, 2))
+    for inst, n, m in insts:
+        res = solve_at_bounds(inst, n, m)
+        assert res.status == "sat", (n, m)
+        assert res.generator.state_count == m
+        assert res.generator.next_state[: m - 1] == tuple(range(1, m)), (n, m)
+
+
 def test_consistency_names_one_universal_copy():
     # two universal copies: the encoder and the verifier conjoin consistency
     # with the same one, so they check one formula and build one automaton
