@@ -75,10 +75,7 @@ def cmd_synth(args) -> int:
     )
     if args.backend:
         problem = encode(inst, args.max_system, args.max_exists)
-        if args.backend == "dimacs":
-            text = emit_dimacs(problem.nvars, problem.clauses, problem.comments)
-        else:
-            text = problem.to_smtlib()
+        text = emit_dimacs(problem.nvars, problem.clauses, problem.comments)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -228,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("spec")
     sp.add_argument("--max-system", type=int, required=True, metavar="N")
     sp.add_argument("--max-exists", type=int, required=True, metavar="M")
-    sp.add_argument("--backend", choices=("dimacs", "smtlib"), default=None,
+    sp.add_argument("--backend", choices=("dimacs",), default=None,
                     help="emit constraints at the maximal bounds instead of solving")
     sp.add_argument("--timeout", type=float, default=None, metavar="SEC")
     sp.add_argument("--out", default=None, metavar="FILE")

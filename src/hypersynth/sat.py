@@ -6,7 +6,10 @@ import heapq
 import time
 from typing import Iterable, Optional
 
-# literals are encoded as 2*var for positive, 2*var+1 for negative (vars 1-based)
+# literals are encoded as 2*var for positive, 2*var+1 for negative (vars 1-based);
+# value[lit] is 1 when lit is true, 0 when it is false, 2 when its variable is free
+
+COUNTERS = ("conflicts", "decisions", "propagations", "restarts")
 
 
 def _luby(x: int) -> int:
@@ -31,11 +34,12 @@ class Solver:
         self.cl_activity: dict = {}
         self.watches: list = [[], []]    # per encoded literal
         self.lits: list = [0, 1]         # one shared int per encoded literal
-        self.assign: list = [-1]         # per var: -1 free, 0 false, 1 true
+        self.value: list = [2, 2]        # per encoded literal
         self.level: list = [0]
         self.reason: list = [-1]         # clause index or -1
         self.activity: list = [0.0]
-        self.phase: list = [0]
+        self.phase: list = [1]           # per var: low bit of its last literal (1 at first)
+        self.queued: list = [False]      # per var: a heap entry holds its activity
         self.trail: list = []
         self.lim: list = []              # trail length at each decision level
         self.qhead = 0
@@ -44,66 +48,77 @@ class Solver:
         self.cla_inc = 1.0
         self.ok = True
         self.conflicts = 0
+        self.decisions = 0
+        self.propagations = 0            # literals implied by unit clauses
+        self.restarts = 0
 
     # ------------------------------------------------------------------ setup
 
     def new_var(self) -> int:
-        self.nvars += 1
-        self.assign.append(-1)
-        self.level.append(0)
-        self.reason.append(-1)
-        self.activity.append(0.0)
-        self.phase.append(0)
-        self.watches.append([])
-        self.watches.append([])
-        self.lits += (2 * self.nvars, 2 * self.nvars + 1)
-        heapq.heappush(self.heap, (0.0, self.nvars))
+        self.ensure_vars(self.nvars + 1)
         return self.nvars
 
     def ensure_vars(self, n: int):
-        while self.nvars < n:
-            self.new_var()
-
-    def _lit(self, signed: int) -> int:
-        v = abs(signed)
-        self.ensure_vars(v)
-        return self.lits[2 * v + (signed < 0)]
-
-    def _value(self, lit: int) -> int:
-        a = self.assign[lit >> 1]
-        if a < 0:
-            return -1
-        return a ^ (lit & 1)
+        old = self.nvars
+        if n <= old:
+            return
+        k = n - old
+        self.nvars = n
+        self.value += [2] * (2 * k)
+        self.level += [0] * k
+        self.reason += [-1] * k
+        self.activity += [0.0] * k
+        self.phase += [1] * k
+        self.queued += [True] * k
+        self.watches += [[] for _ in range(2 * k)]
+        self.lits += range(2 * old + 2, 2 * n + 2)
+        for v in range(old + 1, n + 1):
+            heapq.heappush(self.heap, (0.0, v))
 
     def add_clause(self, signed_lits: Iterable) -> None:
-        if not self.ok:
-            return
-        lits = []
-        seen = set()
-        for s in signed_lits:
-            lit = self._lit(s)
-            if lit ^ 1 in seen:
-                return  # tautology
-            if lit not in seen:
-                seen.add(lit)
-                lits.append(lit)
-        # at level 0 drop falsified literals and detect satisfied clauses
-        live = []
-        for lit in lits:
-            v = self._value(lit)
-            if v == 1:
+        self.add_clauses((signed_lits,))
+
+    def add_clauses(self, clauses: Iterable) -> None:
+        """Load clauses of signed DIMACS literals at decision level 0.
+
+        The solver grows to every variable a read clause names. A repeated
+        literal, a literal false at level 0, a tautology and a clause true at
+        level 0 are dropped; a unit clause is propagated at once. An empty
+        clause or a conflicting unit sets `ok` to False, and later clauses are
+        ignored.
+        """
+        self._backtrack(0)  # a satisfiable solve leaves its decisions on the trail
+        lits = self.lits
+        value = self.value
+        for c in clauses:
+            if not self.ok:
                 return
-            if v == -1:
-                live.append(lit)
-        if not live:
-            self.ok = False
-            return
-        if len(live) == 1:
-            self._enqueue(live[0], -1)
-            if self._propagate() is not None:
-                self.ok = False
-            return
-        self._attach(live)
+            live = []
+            for s in c:
+                try:
+                    lit = lits[s + s if s > 0 else 1 - s - s]
+                except IndexError:
+                    self.ensure_vars(abs(s))
+                    lit = lits[s + s if s > 0 else 1 - s - s]
+                val = value[lit]
+                if val == 2:
+                    if lit not in live:
+                        if lit ^ 1 in live:
+                            break  # tautology
+                        live.append(lit)
+                elif val:
+                    break  # true at level 0
+            else:
+                if len(live) > 1:
+                    self._attach(live)
+                elif live:
+                    self._enqueue(live[0], -1)
+                    if self._propagate() is not None:
+                        self.ok = False
+                else:
+                    self.ok = False
+                continue
+            self.ensure_vars(max(map(abs, c), default=0))
 
     def _attach(self, lits: list) -> int:
         ci = len(self.clauses)
@@ -114,65 +129,75 @@ class Solver:
 
     # ------------------------------------------------------------ assignments
 
-    def _enqueue(self, lit: int, reason: int) -> bool:
+    def _enqueue(self, lit: int, reason: int):
+        """Make the free literal `lit` true at the current decision level."""
         v = lit >> 1
-        val = self.assign[v]
-        if val >= 0:
-            return (val ^ (lit & 1)) == 1
-        self.assign[v] = 1 - (lit & 1)
+        self.value[lit] = 1
+        self.value[lit ^ 1] = 0
         self.level[v] = len(self.lim)
         self.reason[v] = reason
         self.trail.append(lit)
-        return True
 
     def _propagate(self) -> Optional[int]:
+        """Unit propagation from qhead; the index of a conflicting clause or None.
+
+        Each watch list is compacted in place: ws[:j] holds the clauses that
+        keep their watch on the falsified literal.
+        """
         clauses = self.clauses
         watches = self.watches
-        assign = self.assign
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            falsified = lit ^ 1
+        value = self.value
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        lvl = len(self.lim)
+        start = len(trail)
+        qhead = self.qhead
+        confl = None
+        while qhead < len(trail):
+            falsified = trail[qhead] ^ 1
+            qhead += 1
             ws = watches[falsified]
-            i = 0
-            end = len(ws)
-            keep = []
-            confl = None
-            while i < end:
-                ci = ws[i]
-                i += 1
+            j = 0
+            it = iter(ws)
+            for ci in it:
                 cl = clauses[ci]
-                if cl[0] == falsified:
-                    cl[0], cl[1] = cl[1], falsified
                 first = cl[0]
-                a = assign[first >> 1]
-                if a >= 0 and (a ^ (first & 1)) == 1:
-                    keep.append(ci)
+                if first == falsified:
+                    first = cl[1]
+                    cl[0] = first
+                    cl[1] = falsified
+                vf = value[first]
+                if vf == 1:
+                    ws[j] = ci
+                    j += 1
                     continue
-                moved = False
                 for k in range(2, len(cl)):
                     lk = cl[k]
-                    ak = assign[lk >> 1]
-                    if ak < 0 or (ak ^ (lk & 1)) == 1:
-                        cl[1], cl[k] = lk, falsified
+                    if value[lk]:  # true or free: watch it instead
+                        cl[1] = lk
+                        cl[k] = falsified
                         watches[lk].append(ci)
-                        moved = True
                         break
-                if moved:
-                    continue
-                keep.append(ci)
-                if a >= 0:  # first is false: conflict
-                    keep.extend(ws[i:end])
-                    confl = ci
-                    break
-                if not self._enqueue(first, ci):
-                    keep.extend(ws[i:end])
-                    confl = ci
-                    break
-            watches[falsified] = keep + ws[end:]
+                else:
+                    ws[j] = ci
+                    j += 1
+                    if vf == 0:  # every literal is false
+                        confl = ci
+                        break
+                    value[first] = 1  # _enqueue(first, ci), inlined
+                    value[first ^ 1] = 0
+                    v = first >> 1
+                    level[v] = lvl
+                    reason[v] = ci
+                    trail.append(first)
             if confl is not None:
-                return confl
-        return None
+                ws[j:] = list(it)
+                break
+            del ws[j:]
+        self.qhead = qhead
+        self.propagations += len(trail) - start
+        return confl
 
     # -------------------------------------------------------------- analysis
 
@@ -184,12 +209,17 @@ class Solver:
                 self.activity[u] *= 1e-100
             self.var_inc *= 1e-100
             # every key changed: rekey the free variables, v among them
+            value = self.value
+            self.queued = [False] + [value[u + u] == 2 for u in range(1, self.nvars + 1)]
             self.heap = [
-                (-self.activity[u], u) for u in range(1, self.nvars + 1) if self.assign[u] < 0
+                (-self.activity[u], u) for u in range(1, self.nvars + 1) if self.queued[u]
             ]
             heapq.heapify(self.heap)
-        elif self.assign[v] < 0:
-            heapq.heappush(self.heap, (-self.activity[v], v))
+        elif self.value[v + v] == 2:
+            heapq.heappush(self.heap, (-act, v))
+            self.queued[v] = True
+        else:
+            self.queued[v] = False
 
     def _bump_clause(self, ci: int):
         if ci in self.learnts:
@@ -201,48 +231,52 @@ class Solver:
                 self.cla_inc *= 1e-100
 
     def _analyze(self, confl: int):
+        clauses = self.clauses
+        level = self.level
+        reason = self.reason
+        trail = self.trail
         seen = bytearray(self.nvars + 1)
         learnt = [0]
         counter = 0
         lit = -1
-        ind = len(self.trail) - 1
+        ind = len(trail) - 1
         cur_level = len(self.lim)
         first = True
         while True:
             self._bump_clause(confl)
-            cl = self.clauses[confl]
+            cl = clauses[confl]
             start = 0 if first else 1
             for q in cl[start:]:
                 v = q >> 1
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = 1
                     self._bump_var(v)
-                    if self.level[v] >= cur_level:
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[self.trail[ind] >> 1]:
+            while not seen[trail[ind] >> 1]:
                 ind -= 1
-            lit = self.trail[ind]
+            lit = trail[ind]
             ind -= 1
             v = lit >> 1
             seen[v] = 0
             counter -= 1
             if counter == 0:
                 break
-            confl = self.reason[v]
+            confl = reason[v]
             first = False
         learnt[0] = lit ^ 1
 
         # cheap self-subsumption: drop literals implied by the rest
         def redundant(q: int) -> bool:
-            r = self.reason[q >> 1]
+            r = reason[q >> 1]
             if r < 0:
                 return False
-            for p in self.clauses[r]:
+            for p in clauses[r]:
                 if p == (q ^ 1):
                     continue
-                if not seen[p >> 1] and self.level[p >> 1] > 0:
+                if not seen[p >> 1] and level[p >> 1] > 0:
                     return False
             return True
 
@@ -252,10 +286,10 @@ class Solver:
 
         if len(kept) == 1:
             return kept, 0
-        blevel = max(self.level[q >> 1] for q in kept[1:])
+        blevel = max(level[q >> 1] for q in kept[1:])
         # watch a literal from the backtrack level in slot 1
         for k in range(1, len(kept)):
-            if self.level[kept[k] >> 1] == blevel:
+            if level[kept[k] >> 1] == blevel:
                 kept[1], kept[k] = kept[k], kept[1]
                 break
         return kept, blevel
@@ -264,25 +298,40 @@ class Solver:
         if len(self.lim) <= blevel:
             return
         bound = self.lim[blevel]
-        for lit in reversed(self.trail[bound:]):
+        trail = self.trail
+        value = self.value
+        phase = self.phase
+        reason = self.reason
+        queued = self.queued
+        activity = self.activity
+        heap = self.heap
+        for i in range(len(trail) - 1, bound - 1, -1):
+            lit = trail[i]
             v = lit >> 1
-            self.phase[v] = self.assign[v]
-            self.assign[v] = -1
-            self.reason[v] = -1
-            heapq.heappush(self.heap, (-self.activity[v], v))
-        del self.trail[bound:]
+            phase[v] = lit & 1
+            value[lit] = value[lit ^ 1] = 2
+            reason[v] = -1
+            if not queued[v]:
+                heapq.heappush(heap, (-activity[v], v))
+                queued[v] = True
+        del trail[bound:]
         del self.lim[blevel:]
-        self.qhead = min(self.qhead, len(self.trail))
+        self.qhead = min(self.qhead, len(trail))
 
     def _decide(self) -> bool:
         # every free variable has an entry keyed on its current activity;
         # entries of assigned variables and older keys are skipped
-        while self.heap:
-            negact, v = heapq.heappop(self.heap)
-            if self.assign[v] < 0 and -negact == self.activity[v]:
-                self.lim.append(len(self.trail))
-                self._enqueue(2 * v + (1 - self.phase[v]), -1)
-                return True
+        heap = self.heap
+        while heap:
+            negact, v = heapq.heappop(heap)
+            if -negact == self.activity[v]:
+                self.queued[v] = False
+                lit = v + v + self.phase[v]
+                if self.value[lit] == 2:
+                    self.decisions += 1
+                    self.lim.append(len(self.trail))
+                    self._enqueue(lit, -1)
+                    return True
         return False
 
     def _reduce_db(self):
@@ -352,6 +401,7 @@ class Solver:
             else:
                 if since_restart >= limit:
                     restart_round += 1
+                    self.restarts += 1
                     limit = 64 * _luby(restart_round)
                     since_restart = 0
                     self._backtrack(0)
@@ -361,10 +411,8 @@ class Solver:
 
     def model(self) -> list:
         """Signed DIMACS literals for all variables after a satisfiable solve."""
-        out = []
-        for v in range(1, self.nvars + 1):
-            out.append(v if self.assign[v] == 1 else -v)
-        return out
+        value = self.value
+        return [v if value[v + v] == 1 else -v for v in range(1, self.nvars + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +430,13 @@ def emit_dimacs(nvars: int, clauses: list, comments: Optional[list] = None) -> s
 def solve_clauses(nvars: int, clauses: list, deadline: Optional[float] = None):
     """Load a CNF into a fresh solver and solve it.
 
-    Returns (status, model): status is True, False, or None when the deadline
-    passed; model holds signed literals for every variable when status is True,
-    else None.
+    Returns (status, model, counts): status is True, False, or None when the
+    deadline passed; model holds signed literals for every variable when status
+    is True, else None; counts maps each name in COUNTERS to the solver's count.
     """
     s = Solver()
     s.ensure_vars(nvars)
-    for cl in clauses:
-        s.add_clause(cl)
+    s.add_clauses(clauses)
     status = s.solve(deadline=deadline)
-    return status, (s.model() if status else None)
+    counts = {name: getattr(s, name) for name in COUNTERS}
+    return status, (s.model() if status else None), counts

@@ -197,19 +197,6 @@ class ConstraintProblem:
     var_maps: dict
     comments: list = field(default_factory=list)
 
-    def to_smtlib(self) -> str:
-        lines = ["(set-logic QF_UF)"]
-        for c in self.comments:
-            lines.append(f"; {c}")
-        for v in range(1, self.nvars + 1):
-            lines.append(f"(declare-const v{v} Bool)")
-        for cl in self.clauses:
-            parts = " ".join(f"(not v{-l})" if l < 0 else f"v{l}" for l in cl)
-            lines.append(f"(assert (or {parts}))")
-        lines.append("(check-sat)")
-        lines.append("(get-model)")
-        return "\n".join(lines) + "\n"
-
 
 def _scc_bounds(instance: SynthesisInstance, n: int, m: int) -> list:
     """Sufficient counter bound of each automaton SCC: one step per rejecting
@@ -494,7 +481,7 @@ def solve(problem: ConstraintProblem, timeout=None) -> SynthesisResult:
     Raises SolverFailure when the solver runs past `timeout` seconds.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
-    status, model = solve_clauses(problem.nvars, problem.clauses, deadline)
+    status, model, counts = solve_clauses(problem.nvars, problem.clauses, deadline)
     if status is None:
         raise SolverFailure(f"solver timed out after {timeout}s")
     stats = {
@@ -502,6 +489,7 @@ def solve(problem: ConstraintProblem, timeout=None) -> SynthesisResult:
         "clauses": len(problem.clauses),
         "lambda": problem.lambda_max,
         "counter_vars": problem.var_maps["counter_vars"],
+        **counts,
     }
     if not status:
         return SynthesisResult(

@@ -148,6 +148,8 @@ def test_suite_report_render_and_json():
     stats = {(row["n"], row["m"]): row["stats"] for row in data[0]["bounds"]}
     assert {p: s["lambda"] for p, s in stats.items()} == {(2, 1): 2, (2, 2): 4}
     assert all(s["counter_vars"] > 0 and s["clauses"] > 0 for s in stats.values())
+    assert {p: s["conflicts"] for p, s in stats.items()} == {(2, 1): 7, (2, 2): 22}
+    assert all(s["decisions"] > 0 and s["propagations"] > 0 and "restarts" in s for s in stats.values())
     assert suite.exit_code == 0
 
 

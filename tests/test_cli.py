@@ -142,17 +142,6 @@ def test_synth_backend_dimacs(specfile, tmp_path, capsys):
     assert all(l.endswith(" 0") for l in body[1:])
 
 
-def test_synth_backend_smtlib_stdout(specfile, capsys):
-    rc = main([
-        "synth", specfile(ALWAYS), "--max-system", "1", "--max-exists", "1",
-        "--backend", "smtlib",
-    ])
-    assert rc == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.startswith("(set-logic QF_UF)")
-    assert "(check-sat)" in out
-
-
 def test_synth_solver_failure(specfile, capsys):
     # the deadline is checked at conflicts; the two-client arbiter's (1,1)
     # point takes at least one
@@ -168,11 +157,15 @@ def test_no_external_solver_flag(specfile, capsys):
     for argv in (
         ["synth", specfile(ALWAYS), "--max-system", "1", "--max-exists", "1", "--solver", "X"],
         ["bench", "--solver", "X"],
+        # DIMACS is the one emitter
+        ["synth", specfile(ALWAYS), "--max-system", "1", "--max-exists", "1", "--backend", "smtlib"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_INPUT
-    assert "--solver" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--solver" in err
+    assert "invalid choice: 'smtlib'" in err
 
 
 def test_verify_violation(specfile, tmp_path, capsys):

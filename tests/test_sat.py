@@ -1,10 +1,13 @@
 """The bundled CDCL solver against brute force, and DIMACS emission."""
 
+import hashlib
 import itertools
 import random
 import time
 
-from hypersynth.sat import Solver, _luby, emit_dimacs, solve_clauses
+from hypersynth.bench import gen_arbiter
+from hypersynth.sat import COUNTERS, Solver, _luby, emit_dimacs, solve_clauses
+from hypersynth.synth import encode, prepare
 
 
 def brute_sat(nvars, clauses):
@@ -76,7 +79,7 @@ def test_unit_propagation_chain():
 
 
 def test_model_covers_all_vars():
-    status, model = solve_clauses(5, [[1, 2], [-3]])
+    status, model, _ = solve_clauses(5, [[1, 2], [-3]])
     assert status is True
     assert sorted(abs(l) for l in model) == [1, 2, 3, 4, 5]
     assert -3 in model
@@ -85,7 +88,19 @@ def test_model_covers_all_vars():
 def test_pigeonhole_unsat():
     for holes in (2, 3):
         nvars, clauses = php(holes)
-        assert solve_clauses(nvars, clauses) == (False, None)
+        assert solve_clauses(nvars, clauses)[:2] == (False, None)
+
+
+def test_search_counters():
+    # decide 1 false (the initial phase), which implies 2; then decide 3 false
+    status, model, counts = solve_clauses(3, [[1, 2], [-1, 3]])
+    assert (status, model) == (True, [-1, 2, -3])
+    assert counts == {"conflicts": 0, "decisions": 2, "propagations": 1, "restarts": 0}
+    # restarts follow the Luby sequence: after 64, then 64 more conflicts
+    nvars, clauses = php(5)
+    status, _, counts = solve_clauses(nvars, clauses)
+    assert status is False and tuple(counts) == COUNTERS
+    assert counts == {"conflicts": 159, "decisions": 217, "propagations": 1890, "restarts": 2}
 
 
 def test_deadline_returns_unknown():
@@ -96,7 +111,7 @@ def test_deadline_returns_unknown():
         s.add_clause(cl)
     assert s.solve(deadline=time.monotonic()) is None
     assert s.conflicts == 1
-    assert solve_clauses(nvars, clauses, deadline=time.monotonic()) == (None, None)
+    assert solve_clauses(nvars, clauses, deadline=time.monotonic())[:2] == (None, None)
 
 
 def test_random_instances_match_brute_force():
@@ -109,11 +124,50 @@ def test_random_instances_match_brute_force():
             width = rng.randrange(1, 4)
             cl = [rng.choice([-1, 1]) * rng.randrange(1, nvars + 1) for _ in range(width)]
             clauses.append(cl)
-        status, model = solve_clauses(nvars, clauses)
+        status, model, _ = solve_clauses(nvars, clauses)
         want = brute_sat(nvars, clauses)
         assert status == want, clauses
         if status:
             assert satisfies(model, clauses)
+
+
+def test_add_clauses_edge_cases():
+    batch = [
+        [1, 2, 1, 3],    # duplicate literal: kept once
+        [4, -4, 5],      # tautology: dropped
+        [6],             # unit: propagated at once
+        [6, 11],         # true at level 0: dropped, but variable 11 exists
+        [-6, 8, 9],      # -6 is false at level 0: dropped from the clause
+        [12, -13],       # past nvars: the solver grows
+        [-9, 14],
+        [-9, -14],
+        [9, 10],
+        [-8],            # unit: implies 9 and 14, then [-9, -14] conflicts
+        [9],             # ignored once ok is False
+        [20, 21],        # ignored: no growth
+    ]
+    batched = Solver()
+    batched.ensure_vars(10)
+    batched.add_clauses(batch)
+    one_by_one = Solver()
+    one_by_one.ensure_vars(10)
+    for cl in batch:
+        one_by_one.add_clause(cl)
+    for s in (batched, one_by_one):
+        # propagation swapped the watched literals of the clauses it visited
+        assert s.clauses == [[2, 4, 6], [18, 16], [24, 27], [28, 19], [29, 19], [18, 20]]
+        assert s.trail == [12, 17, 18, 28]
+        assert s.ok is False
+        assert s.nvars == 14
+
+
+def test_clause_added_after_a_satisfiable_solve():
+    # the model of the first solve is not a level-0 fact for the next clause
+    s = Solver()
+    s.add_clause([1, 2])
+    assert s.solve() is True and s.model() == [-1, 2]
+    s.add_clause([1])
+    assert s.solve() is True and s.model()[0] == 1
 
 
 def test_luby_sequence():
@@ -153,6 +207,36 @@ def test_decisions_follow_activity_after_rescale():
         assert s._decide()
         picked.append(s.trail[-1] >> 1)
     assert picked == [7, 3, 1]
+
+
+# the arbiter table's solve points: ((k, full), (n, m), status, conflicts,
+# SHA-1 of the model's signed literals joined by spaces, or None if unsat)
+TABLE_SOLVES = (
+    ((2, False), (2, 1), False, 7, None),
+    ((2, False), (2, 2), True, 22, "07b512f519b78badb14d93945369e77c975cb466"),
+    ((2, True), (3, 1), False, 71, None),
+    ((2, True), (3, 2), False, 302, None),
+    ((2, True), (4, 2), True, 261, "ae68e24d4d1fb93cfcf8fd5469d790c773fa377a"),
+    ((3, False), (3, 1), False, 49, None),
+    ((3, False), (3, 2), False, 634, None),
+    ((3, False), (4, 2), True, 640, "fb09ce7954be786ebb10fcf11fe37bbd29726381"),
+)
+
+
+def test_table_solves_keep_their_search():
+    # a speed-up of the solver must not change which literal it decides or
+    # learns: same verdict, same conflict count, same model at every point
+    got = []
+    for (k, full), (n, m), *_ in TABLE_SOLVES:
+        problem = encode(prepare(gen_arbiter(k, {1}, full)), n, m)
+        s = Solver()
+        s.ensure_vars(problem.nvars)
+        for cl in problem.clauses:
+            s.add_clause(cl)
+        status = s.solve()
+        digest = hashlib.sha1(" ".join(map(str, s.model())).encode()).hexdigest() if status else None
+        got.append(((k, full), (n, m), status, s.conflicts, digest))
+    assert got == list(TABLE_SOLVES)
 
 
 # ---------------------------------------------------------------------------

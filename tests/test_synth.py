@@ -173,14 +173,6 @@ def test_dimacs_emission_parses_back():
     assert [[int(x) for x in l.split()[:-1]] for l in body[1:]] == problem.clauses
 
 
-def test_smtlib_emission_shape():
-    problem = encode(prepare(spec(ALWAYS)), 1, 1)
-    text = problem.to_smtlib()
-    assert text.startswith("(set-logic QF_UF)")
-    assert text.count("declare-const") == problem.nvars
-    assert text.rstrip().endswith("(get-model)")
-
-
 def test_timeout_is_solver_failure():
     # the (2,1) row of the two-client arbiter is unsat only after conflicts
     problem = encode(prepare(gen_arbiter(2, {1})), 2, 1)
