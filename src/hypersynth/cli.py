@@ -185,11 +185,7 @@ def cmd_bench(args) -> int:
         selection = sorted(known)
     else:
         selection = DEFAULT_SELECTION
-    report = run_suite(
-        selection,
-        timeout=args.timeout,
-        include_optional=args.full_table,
-    )
+    report = run_suite(selection, timeout=args.timeout)
     if args.json:
         print(report.to_json())
     else:
@@ -242,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="run the arbiter regression suite")
     sp.add_argument("--instance", action="append", default=None, metavar="NAME")
     sp.add_argument("--full-table", action="store_true",
-                    help="include the slow instance and its optional rows")
+                    help="also run the slow arbiter-4 instance")
     sp.add_argument("--timeout", type=float, default=None, metavar="SEC")
     sp.add_argument("--json", action="store_true", help="machine-readable report")
     sp.set_defaults(func=cmd_bench)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .formula import (
@@ -13,9 +13,6 @@ from .formula import (
     SpecError,
     extract_prefix,
 )
-from .machines import MooreSystem
-from .reductions import build_dep, collapse
-from .semantics import eval_formula, system_traces
 
 NO_UNIVERSAL = "NoUniversalTrace"
 SINGLE_UNIVERSAL = "SingleUniversalDecidable"
@@ -266,86 +263,3 @@ def has_info_fork(a: Architecture):
             if q_hit is not None and q2_hit is not None:
                 return True, (frozenset(region), frozenset(vprime), p, p2)
     return False, None
-
-
-# ---------------------------------------------------------------------------
-# per-system linearity check
-
-
-@dataclass
-class LinearityVerdict:
-    equivalent: bool
-    left: bool
-    right: bool
-    exact: bool
-    details: list = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.equivalent
-
-
-def _prefix_shape(f: Formula):
-    prefix, body = extract_prefix(f)
-    entries = list(prefix.entries)
-    k = 0
-    while k < len(entries) and entries[k].kind == QuantKind.TRACE_FORALL:
-        k += 1
-    for e in entries[k:]:
-        if e.kind.is_trace:
-            raise SpecError("the formula must have a (forall pi)* (Q q)* prefix")
-    return entries, k, body
-
-
-def _holds_on(M: MooreSystem, f: Formula, bounds, prop_bound: int):
-    from .mc import mc_universal
-
-    entries, k, body = _prefix_shape(f)
-    if k == len(entries):
-        ok, _ = mc_universal(M, body, [e.var for e in entries])
-        return ok, True
-    T = system_traces(M, bounds[0], bounds[1])
-    return eval_formula(f, T, prop_bound=prop_bound), False
-
-
-def check_linear_on_system(
-    f: Formula,
-    J: Mapping[str, frozenset],
-    M: MooreSystem,
-    bounds=(2, 2),
-    prop_bound: int = 3,
-) -> LinearityVerdict:
-    """Test the defining equivalence of linearity on one concrete system.
-
-    Passing is necessary for M to witness linearity, never sufficient. J maps
-    every output to the inputs it may depend on and must form a chain.
-    """
-    if set(J) != set(M.outputs):
-        raise SpecError("J must map exactly the outputs of the system")
-    chain = sorted(M.outputs, key=lambda o: (len(J[o]), sorted(J[o])))
-    for a, b in zip(chain, chain[1:]):
-        if not frozenset(J[a]) <= frozenset(J[b]):
-            raise SpecError(f"J sets do not form a chain: J[{a}] and J[{b}] are incomparable")
-    entries, k, _ = _prefix_shape(f)
-    if k == 0:
-        raise SpecError("the formula needs at least one universal trace quantifier")
-
-    I = set(M.inputs)
-    O = set(M.outputs)
-    details = []
-    left_parts = [f, build_dep(I, O)]
-    right_parts = [collapse(f)] + [build_dep(set(J[o]), {o}) for o in chain]
-
-    exact = True
-    left = True
-    for part in left_parts:
-        ok, was_exact = _holds_on(M, part, bounds, prop_bound)
-        exact = exact and was_exact
-        details.append(("left", ok, was_exact))
-        left = left and ok
-    right = True
-    for part in right_parts:
-        ok, was_exact = _holds_on(M, part, bounds, prop_bound)
-        exact = exact and was_exact
-        details.append(("right", ok, was_exact))
-        right = right and ok
-    return LinearityVerdict(left == right, left, right, exact, details)

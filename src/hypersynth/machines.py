@@ -215,15 +215,3 @@ class ExistGenerator:
             next_state=tuple(d["next"]),
             initial=d["initial"],
         )
-
-    def to_dot(self) -> str:
-        lines = ["digraph generator {", "  rankdir=LR;", '  hidden [shape=point, label=""];']
-        for s in range(self.state_count):
-            label = "{" + ",".join(sorted(self.labels[s])) + "}"
-            lines.append(f'  e{s} [shape=circle, label="e{s}\\n{label}"];')
-        lines.append(f"  hidden -> e{self.initial};")
-        for s in range(self.state_count):
-            lines.append(f"  e{s} -> e{self.next_state[s]};")
-        lines.append("}")
-        return "\n".join(lines)
-

@@ -237,16 +237,6 @@ def _check(M: MooreSystem, trace_vars: list, formula: Formula, E=None):
     return False, _labels_to_input_lassos(M, trace_vars, *pg.lasso)
 
 
-def mc_universal(M: MooreSystem, body: Formula, trace_vars: Optional[list] = None):
-    """Does M satisfy the body for all assignments of its traces to the variables?
-
-    Returns (True, None) or (False, counterexample input lassos, one per variable).
-    """
-    if trace_vars is None:
-        trace_vars = body_trace_vars(body)
-    return _check(M, trace_vars or ["pi"], body)
-
-
 def generator_vars(E: ExistGenerator) -> list:
     seen = []
     for s in E.signals:

@@ -81,19 +81,18 @@ def _all_names(f: Formula) -> set[str]:
 # propositional quantifiers to trace quantifiers
 
 
-def prop_to_trace(f: Formula, J: set[str], designated_input: str) -> Formula:
-    """Replace quantified propositions in J by trace quantifiers reading the designated input."""
+def to_hyperltl(f: Formula, designated_input: str) -> Formula:
+    """Replace every propositional quantifier by a trace quantifier reading the
+    designated input; sound for realizability."""
+    if not any(isinstance(g, Quantifier) and not g.kind.is_trace for g in walk(f)):
+        return f
     if not designated_input:
         raise SpecError("a designated input is required (the input set must be nonempty)")
-    quantified = {g.var for g in walk(f) if isinstance(g, Quantifier) and not g.kind.is_trace}
-    missing = set(J) - quantified
-    if missing:
-        raise SpecError(f"not propositionally quantified in the formula: {sorted(missing)}")
     used = _all_names(f)
     mapping: dict[str, str] = {}
 
     def rec(g: Formula) -> Formula:
-        if isinstance(g, Quantifier) and not g.kind.is_trace and g.var in J:
+        if isinstance(g, Quantifier) and not g.kind.is_trace:
             tv = fresh_name(g.var, used)
             mapping[g.var] = tv
             cls = TraceExists if g.kind == QuantKind.PROP_EXISTS else TraceForall
@@ -105,14 +104,6 @@ def prop_to_trace(f: Formula, J: set[str], designated_input: str) -> Formula:
         return map_children(g, rec)
 
     return rec(f)
-
-
-def to_hyperltl(f: Formula, designated_input: str) -> Formula:
-    """Drop all propositional quantifiers via the trace-quantifier replacement; sound for realizability."""
-    J = {g.var for g in walk(f) if isinstance(g, Quantifier) and not g.kind.is_trace}
-    if not J:
-        return f
-    return prop_to_trace(f, J, designated_input)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +134,7 @@ def collapse(f: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# dependency formula
+# consistency conjunct: existential witnesses must be strategy-tree branches
 
 
 def _agree_until_differ(inputs, outputs, left, right) -> Formula:
@@ -153,18 +144,6 @@ def _agree_until_differ(inputs, outputs, left, right) -> Formula:
     if not inputs:
         return Globally(o_eq)
     return Release(disj([Not(Iff(left(i), right(i))) for i in inputs]), o_eq)
-
-
-def build_dep(A: set[str], C: set[str], var1: str = "pi", var2: str = "pi2") -> Formula:
-    """Outputs C depend only on inputs A, phrased over all trace pairs."""
-    body = _agree_until_differ(
-        sorted(A), sorted(C), lambda s: TraceAtom(s, var1), lambda s: TraceAtom(s, var2)
-    )
-    return TraceForall(var=var1, child=TraceForall(var=var2, child=body))
-
-
-# ---------------------------------------------------------------------------
-# consistency conjunct: existential witnesses must be strategy-tree branches
 
 
 def build_consistency(
@@ -303,60 +282,3 @@ def _eliminate_one(f: Formula, k: Knowledge) -> Formula:
 
     new_body = And(matrix, template)
     return QuantifierPrefix(tuple(prefix_entries + quant_block)).attach(new_body)
-
-
-# ---------------------------------------------------------------------------
-# trace quantifiers to propositional quantifiers (no universal traces)
-
-
-def encode_qptl_no_universal(
-    f: Formula, inputs: tuple[str, ...], outputs: tuple[str, ...]
-) -> Formula:
-    """Rewrite an existential-trace formula into pure propositional quantification."""
-    prefix, body = extract_prefix(f)
-    trace_vars: list[str] = []
-    for e in prefix:
-        if e.kind == QuantKind.TRACE_FORALL:
-            raise SpecError("universal trace quantifier present; only existential traces can be encoded")
-        if e.kind == QuantKind.TRACE_EXISTS:
-            trace_vars.append(e.var)
-
-    signals = tuple(inputs) + tuple(outputs)
-    used = _all_names(f)
-    prop_name: dict[tuple[str, str], str] = {}
-    for tv in trace_vars:
-        for s in signals:
-            base = f"{s}_{tv}"
-            prop_name[(s, tv)] = base if base not in used else fresh_name(base, used)
-            used.add(prop_name[(s, tv)])
-
-    def rewrite(g: Formula) -> Formula:
-        if isinstance(g, TraceAtom):
-            return PropAtom(prop_name[(g.prop, g.trace_var)])
-        if isinstance(g, Quantifier):
-            raise SpecError("unexpected quantifier inside the body")
-        if isinstance(g, Knowledge):
-            raise SpecError("knowledge operator inside the body; eliminate it first")
-        return map_children(g, rewrite)
-
-    new_body = rewrite(body)
-
-    pairs = [
-        _agree_until_differ(
-            inputs,
-            outputs,
-            lambda s: PropAtom(prop_name[(s, ti)]),
-            lambda s: PropAtom(prop_name[(s, tj)]),
-        )
-        for ti in trace_vars
-        for tj in trace_vars
-    ]
-    full_body = And(new_body, conj(pairs)) if pairs else new_body
-
-    entries: list[PrefixEntry] = []
-    for e in prefix:
-        if e.kind == QuantKind.TRACE_EXISTS:
-            entries += [PrefixEntry(QuantKind.PROP_EXISTS, prop_name[(s, e.var)]) for s in signals]
-        else:
-            entries.append(e)
-    return QuantifierPrefix(tuple(entries)).attach(full_body)

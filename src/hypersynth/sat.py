@@ -54,10 +54,6 @@ class Solver:
 
     # ------------------------------------------------------------------ setup
 
-    def new_var(self) -> int:
-        self.ensure_vars(self.nvars + 1)
-        return self.nvars
-
     def ensure_vars(self, n: int):
         old = self.nvars
         if n <= old:

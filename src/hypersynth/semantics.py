@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 from typing import Mapping, Optional
 
@@ -122,10 +123,13 @@ def replace_set(T: TraceSet, q: str, tq: LassoTrace, align_cap: int = LOOP_ALIGN
 #
 # Witnesses are lassos over {q} with prefix length <= propBound and loop length
 # in 1..propBound. The set grows monotonically with the bound, which gives the
-# witness-persistence property for existential verdicts.
+# witness-persistence property for existential verdicts. The set is pure and
+# the evaluator asks for the same few (q, bound) pairs many times, so it is
+# cached.
 
 
-def prop_witnesses(q: str, prop_bound: int) -> list[LassoTrace]:
+@lru_cache(maxsize=256)
+def prop_witnesses(q: str, prop_bound: int) -> tuple[LassoTrace, ...]:
     out = []
     seen: set[tuple] = set()
     for p in range(prop_bound + 1):
@@ -138,7 +142,7 @@ def prop_witnesses(q: str, prop_bound: int) -> list[LassoTrace]:
                 if k not in seen:
                     seen.add(k)
                     out.append(t)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

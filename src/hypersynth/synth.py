@@ -312,7 +312,8 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
         return v
 
     # per (node, successor) pair inside one counted SCC: an activation
-    # variable and its annotation clauses
+    # variable and its annotation clauses; every counted SCC holds an
+    # accepting state, so its bound lam_c is at least 1
     pair_act: dict = {}
 
     def pair_clauses(node: int, node2: int, q2: int):
@@ -324,13 +325,10 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
             lam_c = lam_of[q2]
             add([-rn, -a, r_var(node2)])
             if q2 in rejecting:
-                if lam_c == 0:
-                    add([-rn, -a])
-                else:
-                    add([-rn, -a, l_var(node2, 1)])
-                    for j in range(1, lam_c):
-                        add([-rn, -a, -l_var(node, j), l_var(node2, j + 1)])
-                    add([-rn, -a, -l_var(node, lam_c)])
+                add([-rn, -a, l_var(node2, 1)])
+                for j in range(1, lam_c):
+                    add([-rn, -a, -l_var(node, j), l_var(node2, j + 1)])
+                add([-rn, -a, -l_var(node, lam_c)])
             else:
                 for j in range(1, lam_c + 1):
                     add([-rn, -a, -l_var(node, j), l_var(node2, j)])
@@ -347,9 +345,7 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
                     for g, q2 in nba.edges[q]:
                         # a step that leaves its accepting SCC closes no counted
                         # cycle: reachability only
-                        counted = scc_of[q] == scc_of[q2] >= 0 and (
-                            lam_of[q2] > 0 or q2 in rejecting
-                        )
+                        counted = scc_of[q] == scc_of[q2] >= 0
                         residual = set()
                         feasible = True
                         for sig, val in g:

@@ -17,7 +17,7 @@ from hypersynth.bench import (
 )
 from hypersynth.formula import PropExists, TraceForall, WeakUntil, walk
 from hypersynth.fragments import SINGLE_UNIVERSAL, classify_formula
-from hypersynth.mc import mc_universal
+from hypersynth.mc import mc_exists_forall
 from hypersynth.machines import MooreSystem
 from hypersynth.synth import prepare, solve_at_bounds
 
@@ -63,7 +63,7 @@ def test_promptless_single_client_served_by_always_grant():
     doc = gen_arbiter(1, frozenset())
     inst = prepare(doc)
     always = MooreSystem(("r1",), ("g1",), (frozenset({"g1"}),), ((0, 0),), 0)
-    ok, _ = mc_universal(always, inst.body, list(inst.universal_vars))
+    ok, _ = mc_exists_forall(always, None, inst.body)
     assert ok
     res = solve_at_bounds(inst, 1, 1)
     assert res.status == "sat"
@@ -86,26 +86,17 @@ def test_table_names_are_unique_and_resolvable():
     assert set(DEFAULT_SELECTION) <= set(names)
 
 
-def test_optional_rows_skipped_by_default():
+def test_optional_rows_match_any_verdict():
     inst = instance_by_name("arbiter-4-prompt")
     assert any(exp == "optional" for _, exp in inst.expected)
-    b = BoundResult(4, 2, "optional", "skipped")
-    assert b.matched
+    assert BoundResult(4, 2, "optional", "sat").matched
+    assert BoundResult(4, 2, "optional", "unsat").matched
 
 
 def test_bound_result_matching():
     assert BoundResult(2, 1, "unsat", "unsat").matched
     assert not BoundResult(2, 1, "unsat", "sat").matched
     assert not BoundResult(2, 2, "sat", "timeout").matched
-
-
-def test_instance_report_flags_unverified_sat():
-    rep = InstanceReport("x", SINGLE_UNIVERSAL, ())
-    rep.bounds.append(BoundResult(2, 2, "sat", "sat", verified=False))
-    assert not rep.ok
-    rep2 = InstanceReport("x", SINGLE_UNIVERSAL, ())
-    rep2.bounds.append(BoundResult(2, 2, "sat", "sat", verified=True))
-    assert rep2.ok
 
 
 def test_instance_report_error_fails():
@@ -167,6 +158,20 @@ def test_internal_exception_is_an_error_not_a_verdict(monkeypatch):
     suite = SuiteReport([rep])
     assert suite.exit_code == 3
     assert "UNVERIFIED" not in suite.render()
+
+
+def test_soundness_failure_is_an_error_not_a_verdict(monkeypatch):
+    from hypersynth import bench
+    from hypersynth.synth import EncoderSoundnessError
+
+    def unsound(*args, **kwargs):
+        raise EncoderSoundnessError("model fails verification")
+
+    monkeypatch.setattr(bench, "solve_at_bounds", unsound)
+    rep = run_instance(instance_by_name("arbiter-2-prompt"))
+    assert [b.verdict for b in rep.bounds] == ["error"]
+    assert "EncoderSoundnessError" in rep.error
+    assert SuiteReport([rep]).exit_code == 3
 
 
 def test_solver_timeout_is_a_timeout_row():

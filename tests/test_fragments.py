@@ -1,4 +1,4 @@
-"""Prefix classification, information forks, and the per-system linearity check."""
+"""Prefix classification and information forks."""
 
 import itertools
 import random
@@ -17,7 +17,6 @@ from hypersynth.fragments import (
     UNDEC_FORALL_EXISTS,
     UNDEC_NONLINEAR,
     UNDEC_PROP_ALTERNATION,
-    check_linear_on_system,
     classify,
     classify_formula,
     has_info_fork,
@@ -25,7 +24,6 @@ from hypersynth.fragments import (
     render_architecture,
 )
 from hypersynth.formula import extract_prefix
-from hypersynth.machines import MooreSystem
 from hypersynth.reductions import collapse
 
 
@@ -243,67 +241,3 @@ def test_chained_inputs_never_fork():
         )
         ok, _ = has_info_fork(a)
         assert not ok
-
-
-# ---------------------------------------------------------------------------
-# the per-system linearity check
-
-CONST = MooreSystem(("i",), ("o",), (frozenset({"o"}),), ((0, 0),), 0)
-ECHO = MooreSystem(("r",), ("g",), (frozenset(), frozenset({"g"})), ((0, 1), (0, 1)), 0)
-
-
-def test_constant_system_linear_with_empty_dependence():
-    f = parse_formula(
-        "forall p1 : trace . forall p2 : trace . G (o[p1] <-> o[p2])", {"i", "o"}
-    )
-    v = check_linear_on_system(f, {"o": frozenset()}, CONST)
-    assert v.equivalent and v.left and v.right and v.exact
-    assert bool(v)
-
-
-def test_identity_collapse_with_full_dependence():
-    f = parse_formula("forall pi : trace . G (g[pi] -> g[pi])", {"r", "g"})
-    v = check_linear_on_system(f, {"g": frozenset({"r"})}, ECHO)
-    assert v.equivalent and v.left and v.right
-
-
-def test_underdeclared_dependence_detected():
-    # the echo output does depend on its input, so dep(none, g) fails on the right
-    f = parse_formula("forall pi : trace . G (g[pi] -> g[pi])", {"r", "g"})
-    v = check_linear_on_system(f, {"g": frozenset()}, ECHO)
-    assert v.left and not v.right and not v.equivalent
-    assert not bool(v)
-
-
-def test_j_must_be_chain():
-    f = parse_formula(
-        "forall pi : trace . G (o1[pi] | !o1[pi])", {"i1", "i2", "o1", "o2"}
-    )
-    M = MooreSystem(
-        ("i1", "i2"),
-        ("o1", "o2"),
-        (frozenset(),),
-        ((0, 0, 0, 0),),
-        0,
-    )
-    with pytest.raises(SpecError):
-        check_linear_on_system(
-            f, {"o1": frozenset({"i1"}), "o2": frozenset({"i2"})}, M
-        )
-    with pytest.raises(SpecError):
-        check_linear_on_system(f, {"o1": frozenset()}, M)
-
-
-def test_prop_quantifier_tail_uses_bounded_oracle():
-    f = parse_formula(
-        "forall pi : trace . exists q : prop . G (q -> g[pi])", {"r", "g"}
-    )
-    v = check_linear_on_system(f, {"g": frozenset({"r"})}, ECHO)
-    assert not v.exact
-    assert v.left and v.right and v.equivalent
-
-
-def test_formula_needs_universal_trace():
-    f = parse_formula("exists q : prop . G (q -> q)", {"r", "g"})
-    with pytest.raises(SpecError):
-        check_linear_on_system(f, {"g": frozenset({"r"})}, ECHO)

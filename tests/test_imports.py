@@ -1,4 +1,5 @@
-"""The installed package carries no dependency that only the tests use."""
+"""The installed package carries no dependency that only the tests use, and
+prefix classification reads only the syntax tree."""
 
 import ast
 from pathlib import Path
@@ -21,3 +22,14 @@ def test_no_module_imports_numpy():
     assert len(modules) >= 10
     offenders = [p.name for p in modules if "numpy" in _top_level_imports(p)]
     assert offenders == []
+
+
+def test_fragments_reads_only_the_formula_module():
+    # classification needs none of the evaluator, the reductions or the model
+    # checker
+    path = SRC / "fragments.py"
+    relative = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            relative.add(node.module)
+    assert relative == {"formula"}

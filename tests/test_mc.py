@@ -13,7 +13,6 @@ from hypersynth.mc import (
     build_product,
     generator_vars,
     mc_exists_forall,
-    mc_universal,
 )
 from hypersynth.reductions import build_consistency, consistency_anchor
 from hypersynth.semantics import LassoTrace, TraceSet, eval_formula
@@ -98,42 +97,42 @@ def reference_holds(M, trace_vars, nba, E=None):
 # fixed systems
 
 def test_toggler_alternates():
-    ok, cex = mc_universal(TOGGLER, body("G (g[pi] -> X !g[pi])"))
+    ok, cex = mc_exists_forall(TOGGLER, None, body("G (g[pi] -> X !g[pi])"))
     assert ok and cex is None
-    ok, cex = mc_universal(TOGGLER, body("G (!g[pi] -> X g[pi])"))
+    ok, cex = mc_exists_forall(TOGGLER, None, body("G (!g[pi] -> X g[pi])"))
     assert ok
 
 
 def test_toggler_counterexample_replays():
     f = body("G g[pi]")
-    ok, cex = mc_universal(TOGGLER, f)
+    ok, cex = mc_exists_forall(TOGGLER, None, f)
     assert not ok and len(cex) == 1
     assert replay(TOGGLER, f, ["pi"], cex) is False
 
 
 def test_echo_grants_after_request():
-    ok, _ = mc_universal(ECHO, body("G (r[pi] -> X g[pi])"))
+    ok, _ = mc_exists_forall(ECHO, None, body("G (r[pi] -> X g[pi])"))
     assert ok
-    ok, _ = mc_universal(ECHO, body("G (!r[pi] -> X !g[pi])"))
+    ok, _ = mc_exists_forall(ECHO, None, body("G (!r[pi] -> X !g[pi])"))
     assert ok
 
 
 def test_echo_does_not_hold_grants():
     f = body("G (g[pi] -> X g[pi])")
-    ok, cex = mc_universal(ECHO, f)
+    ok, cex = mc_exists_forall(ECHO, None, f)
     assert not ok
     assert replay(ECHO, f, ["pi"], cex) is False
 
 
 def test_two_copy_property_holds():
     f = body("G ((r[p1] & r[p2]) -> (X g[p1] & X g[p2]))", "p1", "p2")
-    ok, cex = mc_universal(ECHO, f)
+    ok, cex = mc_exists_forall(ECHO, None, f)
     assert ok and cex is None
 
 
 def test_two_copy_property_fails_with_two_lassos():
     f = body("G (g[p1] <-> g[p2])", "p1", "p2")
-    ok, cex = mc_universal(ECHO, f)
+    ok, cex = mc_exists_forall(ECHO, None, f)
     assert not ok and len(cex) == 2
     assert replay(ECHO, f, ["p1", "p2"], cex) is False
 
@@ -142,7 +141,7 @@ def test_trace_var_order_matches_counterexample_order():
     f = body("F (g[p2] & !g[p1])", "p1", "p2")
     vars_seen = body_trace_vars(f)
     assert vars_seen == ["p2", "p1"]
-    ok, cex = mc_universal(ECHO, f)
+    ok, cex = mc_exists_forall(ECHO, None, f)
     # satisfiable by some pair, so the universal check fails and replays false
     assert not ok
     assert replay(ECHO, f, vars_seen, cex) is False
@@ -189,7 +188,7 @@ def test_universal_verdicts_randomized():
         M = _random_system(rng)
         text, tvars = BODY_POOL[rng.randrange(len(BODY_POOL))]
         f = body(text, *tvars)
-        ok, cex = mc_universal(M, f)
+        ok, cex = mc_exists_forall(M, None, f)
         if not ok:
             # the counterexample must actually violate the body
             assert replay(M, f, body_trace_vars(f), cex) is False
@@ -206,7 +205,7 @@ def test_universal_verdicts_match_full_product():
         f = body(text, *tvars)
         for _ in range(12):
             M = _random_system(rng, 4)
-            ok, cex = mc_universal(M, f)
+            ok, cex = mc_exists_forall(M, None, f)
             assert ok == reference_holds(M, body_trace_vars(f), ltl_to_nba(Not(f)))[0]
             if not ok:
                 assert replay(M, f, body_trace_vars(f), cex) is False
@@ -223,7 +222,7 @@ def test_search_stops_at_first_accepting_cycle():
     assert not holds
     pg = build_product(ring, ["pi"], nba)
     assert pg.lasso is not None and len(pg.nodes) < full / 10
-    ok, cex = mc_universal(ring, f)
+    ok, cex = mc_exists_forall(ring, None, f)
     assert not ok and replay(ring, f, ["pi"], cex) is False
 
 
@@ -235,7 +234,7 @@ def test_edge_into_finished_component_closes_no_cycle():
                     ((1, 2), (3, 3), (1, 1), (3, 3)), 0)
     f = body("F g[pi]")
     assert reference_holds(M, ["pi"], ltl_to_nba(Not(f)))[0]
-    assert mc_universal(M, f) == (True, None)
+    assert mc_exists_forall(M, None, f) == (True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -374,5 +373,3 @@ def test_generator_output_lasso():
 
 def test_dot_outputs_render():
     assert ECHO.to_dot().startswith("digraph moore")
-    E = egen([{"r@e"}], [0])
-    assert E.to_dot().startswith("digraph generator")

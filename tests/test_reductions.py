@@ -23,11 +23,8 @@ from hypersynth.machines import MooreSystem
 from hypersynth.reductions import (
     ReductionTrace,
     build_consistency,
-    build_dep,
     collapse,
     eliminate_knowledge,
-    encode_qptl_no_universal,
-    prop_to_trace,
     to_hyperltl,
 )
 from hypersynth.semantics import (
@@ -52,7 +49,7 @@ def prefix_kinds(f):
 
 def test_prop_to_trace_basic_shape():
     f = parse("exists q : prop . forall pi : trace . (F q) & G (q -> g[pi])")
-    out = prop_to_trace(f, {"q"}, "i")
+    out = to_hyperltl(f, "i")
     kinds = prefix_kinds(out)
     assert kinds[0][0] == QuantKind.TRACE_EXISTS and kinds[0][1].startswith("q")
     assert kinds[1] == (QuantKind.TRACE_FORALL, "pi")
@@ -67,21 +64,14 @@ def test_prop_to_trace_basic_shape():
 
 def test_prop_to_trace_forall_becomes_trace_forall():
     f = parse("forall q : prop . forall pi : trace . G (q -> g[pi])")
-    out = prop_to_trace(f, {"q"}, "i")
+    out = to_hyperltl(f, "i")
     assert prefix_kinds(out)[0][0] == QuantKind.TRACE_FORALL
 
 
-def test_prop_to_trace_empty_j_is_identity():
-    f = parse("exists q : prop . forall pi : trace . G (q -> g[pi])")
-    assert prop_to_trace(f, set(), "i") == f
-
-
 def test_prop_to_trace_errors():
-    f = parse("forall pi : trace . G g[pi]")
+    f = parse("exists q : prop . forall pi : trace . G (q -> g[pi])")
     with pytest.raises(SpecError):
-        prop_to_trace(f, {"q"}, "i")
-    with pytest.raises(SpecError):
-        prop_to_trace(f, set(), "")
+        to_hyperltl(f, "")
 
 
 def test_to_hyperltl_strips_all_prop_quantifiers():
@@ -118,7 +108,7 @@ def test_prop_to_trace_preserves_verdicts_on_closed_sets():
         T = system_traces(M, 2, 2)
         text = SHAPED[rng.randrange(len(SHAPED))]
         f = parse(text)
-        out = prop_to_trace(f, {"q"}, "i")
+        out = to_hyperltl(f, "i")
         assert eval_formula(f, T, prop_bound=2) == eval_formula(out, T, prop_bound=2), text
 
 
@@ -160,42 +150,7 @@ def test_collapse_errors():
 
 
 # ---------------------------------------------------------------------------
-# dep and consistency conjuncts
-
-def two_traces(vals1, vals2, signals=frozenset({"i", "g"})):
-    mk = lambda xs: tuple(frozenset(v) for v in xs)
-    t1 = LassoTrace(signals, (), mk(vals1))
-    t2 = LassoTrace(signals, (), mk(vals2))
-    return TraceSet(signals, frozenset({t1, t2}))
-
-
-def test_dep_structure():
-    f = build_dep({"i"}, {"o"})
-    assert isinstance(f, TraceForall) and isinstance(f.child, TraceForall)
-    body = f.child.child
-    assert isinstance(body, Release)
-
-
-def test_dep_empty_inputs_is_globally():
-    f = build_dep(set(), {"o"})
-    from hypersynth.formula import Globally
-
-    assert isinstance(f.child.child, Globally)
-
-
-def test_dep_empty_outputs_always_true():
-    f = build_dep({"i"}, set())
-    T = two_traces([["i"], []], [["g"], ["i", "g"]])
-    assert eval_formula(f, T) is True
-
-
-def test_dep_detects_dependence():
-    f = build_dep(set(), {"g"})
-    same = two_traces([["g"]], [["g", "i"]])
-    differ = two_traces([["g"]], [[]])
-    assert eval_formula(f, same) is True
-    assert eval_formula(f, differ) is False
-
+# consistency conjunct
 
 def test_consistency_shapes():
     from hypersynth.formula import TRUE, Globally
@@ -298,55 +253,6 @@ def test_elimination_matches_direct_evaluation(polarity):
         want = eval_knowledge(f, T, prop_bound=3)
         got = eval_formula(out, T, prop_bound=3)
         assert got == want, text
-
-
-# ---------------------------------------------------------------------------
-# existential traces to propositional quantifiers
-
-def test_encode_single_exists():
-    f = parse("exists pi : trace . F g[pi]")
-    out = encode_qptl_no_universal(f, ("i",), ("g",))
-    kinds = prefix_kinds(out)
-    assert [k for k, _ in kinds] == [QuantKind.PROP_EXISTS, QuantKind.PROP_EXISTS]
-    assert {v for _, v in kinds} == {"i_pi", "g_pi"}
-    assert not any(isinstance(g, TraceAtom) for g in walk(out))
-    assert sum(1 for g in walk(out) if isinstance(g, Release)) == 1
-
-
-def test_encode_two_exists_pairwise_conjuncts():
-    f = parse("exists p1 : trace . exists p2 : trace . G (g[p1] <-> g[p2])")
-    out = encode_qptl_no_universal(f, ("i",), ("g",))
-    kinds = prefix_kinds(out)
-    assert len(kinds) == 4 and all(k == QuantKind.PROP_EXISTS for k, _ in kinds)
-    assert sum(1 for g in walk(out) if isinstance(g, Release)) == 4
-
-
-def test_encode_keeps_prop_quantifiers_in_place():
-    f = parse("exists q : prop . exists pi : trace . G (q -> g[pi])")
-    out = encode_qptl_no_universal(f, ("i",), ("g",))
-    kinds = prefix_kinds(out)
-    assert kinds[0] == (QuantKind.PROP_EXISTS, "q")
-    assert len(kinds) == 3
-
-
-def test_encode_rejects_universal_trace():
-    f = parse("forall pi : trace . F g[pi]")
-    with pytest.raises(SpecError):
-        encode_qptl_no_universal(f, ("i",), ("g",))
-
-
-def test_encode_rejects_knowledge():
-    f = parse("exists pi : trace . K {i} [pi] (g[pi])")
-    with pytest.raises(SpecError, match="knowledge"):
-        encode_qptl_no_universal(f, ("i",), ("g",))
-
-
-def test_encode_no_inputs_uses_globally():
-    from hypersynth.formula import Globally
-
-    f = parse("exists pi : trace . F g[pi]", signals=("g",))
-    out = encode_qptl_no_universal(f, (), ("g",))
-    assert any(isinstance(g, Globally) for g in walk(out))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypersynth.bench import gen_arbiter
 from hypersynth.formula import SpecError, parse
 from hypersynth.fragments import SINGLE_UNIVERSAL, UNDEC_FORALL_EXISTS
 from hypersynth.machines import ExistGenerator, MooreSystem
-from hypersynth.mc import mc_exists_forall, mc_universal
+from hypersynth.mc import mc_exists_forall
 from hypersynth.sat import emit_dimacs
 from hypersynth.synth import (
     SolverFailure,
@@ -40,7 +40,7 @@ def test_always_grant_sat_at_one_state():
     assert res.status == "sat"
     assert res.system is not None and len(res.system.labels) == 1
     assert res.system.labels[0] == frozenset({"o"})
-    ok, _ = mc_universal(res.system, inst.body, list(inst.universal_vars) + list(inst.exist_vars))
+    ok, _ = mc_exists_forall(res.system, None, inst.body)
     assert ok
 
 
@@ -60,7 +60,7 @@ def test_delayed_echo_realizable():
     inst = prepare(spec("forall pi : trace . G (i[pi] -> (X (o[pi])))"))
     res = solve_at_bounds(inst, 2, 1)
     assert res.status == "sat"
-    ok, _ = mc_universal(res.system, inst.body, list(inst.universal_vars))
+    ok, _ = mc_exists_forall(res.system, None, inst.body)
     assert ok
 
 
