@@ -247,17 +247,12 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     gen_succ.append(list(enumerate(back_var)) or [(0, None)])
 
     svecs = list(itertools.product(range(n), repeat=k))
-    svec_id = {s: i for i, s in enumerate(svecs)}
+    iv_vecs = list(itertools.product(range(V), repeat=k))
     n_nodes = len(svecs) * m_eff * Q
-
-    def node_id(svec_i: int, e: int, q: int) -> int:
-        return (svec_i * m_eff + e) * Q + q
-
-    r_base = nxt[0]
+    # product node (svec_i, e, q) is (svec_i * m_eff + e) * Q + q; its reach
+    # variable is r1 + node, its "annotation >= j" variable l_start[node] + j - 1
+    r1 = nxt[0] + 1
     nxt[0] += n_nodes
-
-    def r_var(node: int) -> int:
-        return r_base + 1 + node
 
     # counters only for nodes whose automaton state lies in an SCC with a bound
     l_base = nxt[0]
@@ -266,10 +261,6 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
         l_start.append(nxt[0] + 1)
         nxt[0] += lam_of[node % Q]
     counter_vars = nxt[0] - l_base
-
-    def l_var(node: int, j: int) -> int:
-        # j in 1..lam_of[q], meaning "annotation >= j"
-        return l_start[node] + (j - 1)
 
     clauses: list = []
     add = clauses.append
@@ -289,13 +280,13 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
 
     # annotation order chains
     for node in range(n_nodes):
+        ls = l_start[node]
         for j in range(2, lam_of[node % Q] + 1):
-            add([-l_var(node, j), l_var(node, j - 1)])
+            add([-(ls + j - 1), ls + j - 2])
 
     # initial nodes: all copies in state 0, generator state 0
-    init_svec = svec_id[(0,) * k]
     for q0 in sorted(nba.initial):
-        add([r_var(node_id(init_svec, 0, q0))])
+        add([r1 + q0])
 
     conj_cache: dict = {}
 
@@ -321,69 +312,107 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
         if a is None:
             a = new_var()
             pair_act[(node, node2)] = a
-            rn = r_var(node)
+            rn = r1 + node
             lam_c = lam_of[q2]
-            add([-rn, -a, r_var(node2)])
+            l1 = l_start[node] - 1
+            l2 = l_start[node2] - 1
+            add([-rn, -a, r1 + node2])
             if q2 in rejecting:
-                add([-rn, -a, l_var(node2, 1)])
+                add([-rn, -a, l2 + 1])
                 for j in range(1, lam_c):
-                    add([-rn, -a, -l_var(node, j), l_var(node2, j + 1)])
-                add([-rn, -a, -l_var(node, lam_c)])
+                    add([-rn, -a, -(l1 + j), l2 + j + 1])
+                add([-rn, -a, -(l1 + lam_c)])
             else:
                 for j in range(1, lam_c + 1):
-                    add([-rn, -a, -l_var(node, j), l_var(node2, j)])
+                    add([-rn, -a, -(l1 + j), l2 + j])
         return a
 
-    input_index = {a: i for i, a in enumerate(inputs)}
+    # each guard compiled once: the joint inputs it admits (by index into
+    # iv_vecs), its system-output atoms (copy, output, value) and its
+    # generator atoms (signal, value)
+    input_set = set(inputs)
     evar_set = set(evars)
+    guards = []
+    feasible_at = []  # per automaton state and joint input: its edge indices
+    for q in range(Q):
+        edges, ins_ok = [], []
+        for g, q2 in nba.edges[q]:
+            ins, outs, gens = [], [], []
+            for sig, val in g:
+                a, var = split_atom(sig)
+                if var in upos:
+                    if a in input_set:
+                        ins.append((upos[var], a, val))
+                    else:
+                        outs.append((upos[var], a, val))
+                elif var in evar_set:
+                    gens.append((sig, val))
+                else:
+                    raise SpecError(f"atom {sig!r} bound to no copy")
+            # a step that leaves its accepting SCC closes no counted cycle:
+            # reachability only
+            edges.append((outs, gens, q2, scc_of[q] == scc_of[q2] >= 0))
+            ins_ok.append(
+                [all((a in in_vals[iv[u]]) == val for u, a, val in ins) for iv in iv_vecs]
+            )
+        guards.append(edges)
+        feasible_at.append(
+            [[x for x, row in enumerate(ins_ok) if row[ivi]] for ivi in range(len(iv_vecs))]
+        )
+
+    # each generator state's successors, as (e2, antecedent literals)
+    gen_tails = [[(e2, [] if back is None else [-back]) for e2, back in succ] for succ in gen_succ]
+    unset = object()
 
     for svec_i, svec in enumerate(svecs):
+        # per joint input: each successor vector's first node index and the
+        # negated transition literals that lead there
+        succ_rows = [
+            [
+                (svec2_i * m_eff, [-d_var[svec[u]][iv_vec[u]][svec2[u]] for u in range(k)])
+                for svec2_i, svec2 in enumerate(svecs)
+            ]
+            for iv_vec in iv_vecs
+        ]
+        out_row = [out_var[s] for s in svec]
         for e in range(m_eff):
+            gen_row = gen_var[e]
+            tails_e = gen_tails[e]
             for q in range(Q):
-                node = node_id(svec_i, e, q)
-                for iv_vec in itertools.product(range(V), repeat=k):
-                    for g, q2 in nba.edges[q]:
-                        # a step that leaves its accepting SCC closes no counted
-                        # cycle: reachability only
-                        counted = scc_of[q] == scc_of[q2] >= 0
-                        residual = set()
-                        feasible = True
-                        for sig, val in g:
-                            a, var = split_atom(sig)
-                            if var in upos:
-                                u = upos[var]
-                                if a in input_index:
-                                    if (a in in_vals[iv_vec[u]]) != val:
-                                        feasible = False
-                                        break
-                                else:
-                                    bit = out_var[svec[u]][a]
-                                    residual.add(bit if val else -bit)
-                            elif var in evar_set:
-                                bit = gen_var[e][sig]
-                                residual.add(bit if val else -bit)
+                node = (svec_i * m_eff + e) * Q + q
+                rn = r1 + node
+                edges = guards[q]
+                # per edge, its successors' antecedent tails (generator
+                # loop-back, then the guard's literal), built at its first
+                # feasible joint input; None when the guard contradicts itself
+                edge_tails = [unset] * len(edges)
+                for ivi, rows in enumerate(succ_rows):
+                    for x in feasible_at[q][ivi]:
+                        outs, gens, q2, counted = edges[x]
+                        tails = edge_tails[x]
+                        if tails is unset:
+                            residual = {
+                                out_row[u][a] if val else -out_row[u][a] for u, a, val in outs
+                            }
+                            residual.update(gen_row[sig] if val else -gen_row[sig] for sig, val in gens)
+                            if any(-b in residual for b in residual):
+                                tails = None
                             else:
-                                raise SpecError(f"atom {sig!r} bound to no copy")
-                        if not feasible:
+                                ok = conj_lit(frozenset(residual))
+                                ok_tail = [] if ok is None else [-ok]
+                                tails = [(e2, back + ok_tail) for e2, back in tails_e]
+                            edge_tails[x] = tails
+                        if tails is None:
                             continue
-                        if any(-x in residual for x in residual):
-                            continue
-                        ok_lit = conj_lit(frozenset(residual))
-                        for svec2 in itertools.product(range(n), repeat=k):
-                            d_lits = [
-                                d_var[svec[u]][iv_vec[u]][svec2[u]] for u in range(k)
-                            ]
-                            for e2, back in gen_succ[e]:
-                                node2 = node_id(svec_id[svec2], e2, q2)
-                                ante = [-x for x in d_lits]
-                                if back is not None:
-                                    ante.append(-back)
-                                if ok_lit is not None:
-                                    ante.append(-ok_lit)
-                                if counted:
-                                    add(ante + [pair_clauses(node, node2, q2)])
-                                else:
-                                    add(ante + [-r_var(node), r_var(node2)])
+                        if counted:
+                            for base2, nd in rows:
+                                for e2, tail in tails:
+                                    node2 = (base2 + e2) * Q + q2
+                                    add([*nd, *tail, pair_clauses(node, node2, q2)])
+                        else:
+                            for base2, nd in rows:
+                                for e2, tail in tails:
+                                    add([*nd, *tail, -rn, r1 + (base2 + e2) * Q + q2])
 
     var_maps = {
         "d": d_var,
@@ -398,7 +427,7 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     }
     comments = [
         f"bounded synthesis: n={n} m={m} k={k} nba={Q} lambda={lam}",
-        f"vars: delta 1..{n*V*n}, outputs, generator, reach at {r_base+1}, "
+        f"vars: delta 1..{n*V*n}, outputs, generator, reach at {r1}, "
         f"{counter_vars} counters at {l_base+1}, local to each automaton SCC",
     ]
     return ConstraintProblem(
@@ -474,18 +503,24 @@ class SynthesisResult:
 def solve(problem: ConstraintProblem, timeout=None) -> SynthesisResult:
     """Run the bundled solver on an encoded problem; decode and verify any model.
 
-    Raises SolverFailure when the solver runs past `timeout` seconds.
+    `stats` gets the seconds of the solve (`solve_s`: clause load and search)
+    and of the verification (`verify_s`: decode and model check, 0.0 when
+    unsat). Raises SolverFailure when the solver runs past `timeout` seconds.
     """
+    t0 = time.perf_counter()
     deadline = None if timeout is None else time.monotonic() + timeout
     status, model, counts = solve_clauses(problem.nvars, problem.clauses, deadline)
     if status is None:
         raise SolverFailure(f"solver timed out after {timeout}s")
+    t1 = time.perf_counter()
     stats = {
         "vars": problem.nvars,
         "clauses": len(problem.clauses),
         "lambda": problem.lambda_max,
         "counter_vars": problem.var_maps["counter_vars"],
         **counts,
+        "solve_s": t1 - t0,
+        "verify_s": 0.0,
     }
     if not status:
         return SynthesisResult(
@@ -493,6 +528,7 @@ def solve(problem: ConstraintProblem, timeout=None) -> SynthesisResult:
         )
     system, generator = decode(problem, set(model))
     ok, cex = mc_exists_forall(system, generator, problem.instance.core)
+    stats["verify_s"] = time.perf_counter() - t1
     if not ok:
         raise EncoderSoundnessError(
             "SAT model fails containment verification; counterexample inputs: "
@@ -521,9 +557,14 @@ def solve_at_bounds(
     cycle projects onto a cycle of the automaton, so it stays inside one SCC
     and the counter there only has to count the rejecting nodes it meets.
     The verdict is therefore exact at (n, m): UNSAT proves that no n-state
-    system with an m-state generator exists.
+    system with an m-state generator exists. `stats` also gets `encode_s`.
     """
-    return solve(encode(instance, n, m), timeout)
+    t0 = time.perf_counter()
+    problem = encode(instance, n, m)
+    encode_s = time.perf_counter() - t0
+    res = solve(problem, timeout)
+    res.stats["encode_s"] = encode_s
+    return res
 
 
 def search(

@@ -141,6 +141,7 @@ def test_suite_report_render_and_json():
     assert all(s["counter_vars"] > 0 and s["clauses"] > 0 for s in stats.values())
     assert {p: s["conflicts"] for p, s in stats.items()} == {(2, 1): 7, (2, 2): 22}
     assert all(s["decisions"] > 0 and s["propagations"] > 0 and "restarts" in s for s in stats.values())
+    assert all(s[key] >= 0.0 for s in stats.values() for key in ("encode_s", "solve_s", "verify_s"))
     assert suite.exit_code == 0
 
 

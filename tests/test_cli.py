@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hypersynth
 from hypersynth.bench import gen_arbiter
 from hypersynth.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_UNREALIZABLE, main
 from hypersynth.formula import print_document
@@ -316,6 +320,19 @@ def test_bench_single_instance_json(specfile, capsys):
     data = json.loads(capsys.readouterr().out)
     assert [row["name"] for row in data] == ["arbiter-2-prompt"]
     assert data[0]["ok"] is True
+
+
+def test_package_runs_as_a_module():
+    src = os.path.dirname(os.path.dirname(hypersynth.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypersynth", "bench", "--instance", "arbiter-2-prompt"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "arbiter-2-prompt" in proc.stdout
 
 
 def test_bench_unknown_instance(capsys):

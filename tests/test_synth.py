@@ -1,5 +1,7 @@
 """End-to-end synthesis: prepare, encode, solve, search."""
 
+import dataclasses
+import hashlib
 import itertools
 import subprocess
 import tempfile
@@ -9,7 +11,7 @@ import pytest
 from hypersynth import synth
 from hypersynth.automata import ltl_to_nba, tarjan_sccs
 from hypersynth.bench import gen_arbiter
-from hypersynth.formula import SpecError, parse
+from hypersynth.formula import And, SpecError, TraceAtom, parse
 from hypersynth.fragments import SINGLE_UNIVERSAL, UNDEC_FORALL_EXISTS
 from hypersynth.machines import ExistGenerator, MooreSystem
 from hypersynth.mc import mc_exists_forall
@@ -22,6 +24,7 @@ from hypersynth.synth import (
     solve,
     solve_at_bounds,
 )
+from test_sat import TABLE_SOLVES
 
 
 def spec(body, inputs="i", outputs="o"):
@@ -371,3 +374,141 @@ def test_sat_monotonic_in_system_size():
     inst = prepare(spec("forall pi : trace . G (i[pi] -> (X (o[pi])))"))
     assert solve_at_bounds(inst, 2, 1).status == "sat"
     assert solve_at_bounds(inst, 3, 1).status == "sat"
+
+
+def test_encoder_rejects_bounds_below_one():
+    inst = prepare(spec(ALWAYS))
+    for n, m in ((0, 1), (1, 0)):
+        with pytest.raises(SpecError, match="at least 1"):
+            encode(inst, n, m)
+
+
+def test_encoder_rejects_atom_bound_to_no_copy():
+    inst = prepare(spec(ALWAYS))
+    # the body reads copy zz, which no quantifier binds; the cached automaton
+    # is built from the replaced body
+    stray = dataclasses.replace(inst, body=And(inst.body, TraceAtom("o", "zz")))
+    with pytest.raises(SpecError, match="bound to no copy"):
+        encode(stray, 1, 1)
+
+
+# README demo: a quantified proposition, so an existential lasso generator
+DEMO = """
+exists q : prop . forall pi : trace .
+  G !(g1[pi] & g2[pi])
+  & (G (r2[pi] -> F g2[pi])
+  & (G F q & (G F !q
+  & G (r1[pi] -> (q -> q U (!q) U g1[pi]) & (!q -> (!q) U q U g1[pi])))))
+"""
+TWO_UNIVERSAL = (
+    "exists e : trace . forall p1 : trace . forall p2 : trace . "
+    "G (o[p1] <-> o[e]) & G (o[p2] <-> o[e])"
+)
+
+
+def _encoding_points():
+    for (k, full), (n, m), *_ in TABLE_SOLVES:
+        yield f"arbiter-{k}{'-full' if full else ''}", gen_arbiter(k, {1}, full), n, m
+    yield "arbiter-4", gen_arbiter(4, {1}), 4, 1
+    demo = spec(DEMO, inputs="r1, r2", outputs="g1, g2")
+    for n, m in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2)):
+        yield "demo", demo, n, m
+    k2 = spec(ARBITER_K2, inputs="r1, r2", outputs="g1, g2")
+    for n in (1, 2, 3, 4):
+        yield "arbiter-k2", k2, n, 1
+    yield "two-universal", spec(TWO_UNIVERSAL), 1, 1
+
+
+# SHA-1 of the DIMACS text and of repr(var_maps) at each point
+ENCODING_DIGESTS = {
+    ('arbiter-2', 2, 1): (
+        "10d233519b1e1de4a0cd1dd0da5174ba7471228e",
+        "d6f9d873ecdb6a43c39f9de9280554a4a5372e11",
+    ),
+    ('arbiter-2', 2, 2): (
+        "d33b01e3082b7654aadc7eafb334fdf5c8e7a6f2",
+        "aba76740ec82a8dce820440ffe1a6f088d4f72b6",
+    ),
+    ('arbiter-2-full', 3, 1): (
+        "492da739b03306d7521e7e01b45952cb9a33fe84",
+        "22db60d8de1fed2b1f7fc2d096b3c7e8731967fe",
+    ),
+    ('arbiter-2-full', 3, 2): (
+        "1e530f1dde1c21cfbc1874a57bbd80f61c5e1c2b",
+        "a38e28fc8ea573f690c6e4a53e96532a18bd4334",
+    ),
+    ('arbiter-2-full', 4, 2): (
+        "7f5c2d9b3d508019e06f0be733616621bc1528b9",
+        "3ed727c7edf0a2cc8d27ebe8c43de5dbcc1b7e9a",
+    ),
+    ('arbiter-3', 3, 1): (
+        "b6259a0b6fde7e8d86de055d5e85e3e2c2ba5563",
+        "aac09b1fbe01044881c2dfc0b5847899799e70d4",
+    ),
+    ('arbiter-3', 3, 2): (
+        "7375d837a631f800bb4feaca94e09ca6c6a6aee8",
+        "c0825cffe9f11ed9a90ac45b1f20eda2e1b91b24",
+    ),
+    ('arbiter-3', 4, 2): (
+        "2d522908a17eaee6b794d53b28565a1e44c22cd4",
+        "3d81eaa8d708fd65fb7591e53f56c1912132bf9a",
+    ),
+    ('arbiter-4', 4, 1): (
+        "c9da6fe4e2f6e638c0ea52f57e07cd0dd8edd4b0",
+        "a59f23e52a0744812b589f788eb532b2908a85b4",
+    ),
+    ('demo', 1, 1): (
+        "7304a26a3eaceed7580ee276b5662abeaeaff2df",
+        "5c8dd98d698afa3076a25d7d794d9764362750ab",
+    ),
+    ('demo', 1, 2): (
+        "e69477c742251c16e948e6e21bf134a94db8a5a4",
+        "243592bfe99032dcb799e2b7d33a250d47833d64",
+    ),
+    ('demo', 2, 1): (
+        "10d233519b1e1de4a0cd1dd0da5174ba7471228e",
+        "d6f9d873ecdb6a43c39f9de9280554a4a5372e11",
+    ),
+    ('demo', 1, 3): (
+        "2c9825d4b7bc3c6485028063e12c04687e49cdaa",
+        "08cba5d9eb3e4e594c2b97151abf0bfa92f71dcd",
+    ),
+    ('demo', 2, 2): (
+        "d33b01e3082b7654aadc7eafb334fdf5c8e7a6f2",
+        "aba76740ec82a8dce820440ffe1a6f088d4f72b6",
+    ),
+    ('arbiter-k2', 1, 1): (
+        "fd270565f27f12c49429d2b8d7c2453716c1e13a",
+        "fc4c9f0e539b45c98221c3af76b2ec7b3cac190b",
+    ),
+    ('arbiter-k2', 2, 1): (
+        "fde46b6d9bfb6bbadcf6559713929bf13be21e11",
+        "8276dab52bd8515a8b259344e193e046b97b1ad7",
+    ),
+    ('arbiter-k2', 3, 1): (
+        "c5128da5ccf15d91cadb0d6748e13dcfcd012cd3",
+        "e8a468c5c69ca78333d60edacc0c555a76988acc",
+    ),
+    ('arbiter-k2', 4, 1): (
+        "b135544172ace933766d0c05da77d72aa5e3886a",
+        "92cd9acb8eb2afb862bf3a8aae7f614dfcf30def",
+    ),
+    ('two-universal', 1, 1): (
+        "abc7c1aade61ebc59e8196404982a1eb3b1eb097",
+        "d64835ec3950f58c6be4b5ba7f07644863520761",
+    ),
+}
+
+
+def test_encodings_keep_their_bytes():
+    # a faster encoder must allocate the same variables and emit the same
+    # clauses in the same order
+    got = {}
+    for name, doc, n, m in _encoding_points():
+        problem = encode(prepare(doc), n, m)
+        cnf = emit_dimacs(problem.nvars, problem.clauses, problem.comments)
+        got[(name, n, m)] = (
+            hashlib.sha1(cnf.encode()).hexdigest(),
+            hashlib.sha1(repr(problem.var_maps).encode()).hexdigest(),
+        )
+    assert got == ENCODING_DIGESTS
