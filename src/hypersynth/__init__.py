@@ -27,10 +27,10 @@ from .fragments import (
     parse_architecture,
 )
 from .reductions import (
-    build_consistency,
     collapse,
     eliminate_knowledge,
     to_hyperltl,
+    with_consistency,
 )
 from .automata import NBA, accepts_lasso, ltl_to_nba
 from .machines import ExistGenerator, MooreSystem
@@ -68,7 +68,6 @@ __all__ = [
     "SynthesisResult",
     "TraceSet",
     "accepts_lasso",
-    "build_consistency",
     "classify",
     "classify_formula",
     "collapse",
@@ -92,4 +91,5 @@ __all__ = [
     "system_traces",
     "to_hyperltl",
     "to_nnf",
+    "with_consistency",
 ]

@@ -60,7 +60,7 @@ def cmd_reduce(args) -> int:
     )
     print(inst.trace.render())
     print(f"existential copies: {', '.join(inst.exist_vars) or 'none'}")
-    print(f"universal copies:   {', '.join(inst.universal_vars)}")
+    print(f"universal copies:   {', '.join(inst.universal_vars) or 'none'}")
     print(f"body: {print_formula(inst.body)}")
     return EXIT_OK
 

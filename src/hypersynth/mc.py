@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import NBA, flatten_atom, ltl_to_nba, split_atom
-from .formula import And, Formula, Not, SpecError, TraceAtom, Quantifier, walk
+from .formula import Formula, Not, SpecError, TraceAtom, Quantifier, walk
 from .machines import ExistGenerator, MooreSystem, all_valuations
-from .reductions import build_consistency, consistency_anchor
+from .reductions import with_consistency
 from .semantics import LassoTrace
 
 
@@ -228,15 +228,6 @@ def _labels_to_input_lassos(
     return out
 
 
-def _check(M: MooreSystem, trace_vars: list, formula: Formula, E=None):
-    """(True, None) when no run of the product violates formula, else (False,
-    one counterexample input lasso per trace variable)."""
-    pg = build_product(M, trace_vars, ltl_to_nba(Not(formula)), E)
-    if pg.lasso is None:
-        return True, None
-    return False, _labels_to_input_lassos(M, trace_vars, *pg.lasso)
-
-
 def generator_vars(E: ExistGenerator) -> list:
     seen = []
     for s in E.signals:
@@ -249,18 +240,15 @@ def generator_vars(E: ExistGenerator) -> list:
 def mc_exists_forall(M: MooreSystem, E: Optional[ExistGenerator], body: Formula):
     """Check the body with existential copies fixed to the generator's word.
 
-    Universal variables range over all branches of M; the consistency
-    requirement that every generated witness is itself a branch of M is
-    conjoined for the universal copy that `consistency_anchor` names, as
-    `prepare` does. Returns (True, None) or (False, input lassos).
+    The checked formula is `with_consistency` of the body, as in `prepare`,
+    and the universal copies are the other copies it reads; each ranges over
+    all branches of M. Returns (True, None), or (False, one counterexample
+    input lasso per universal copy).
     """
-    vars_all = body_trace_vars(body)
     evars = generator_vars(E) if E is not None else []
-    uvars = [v for v in vars_all if v not in evars]
-    anchor = consistency_anchor(body, evars)
-    if not uvars:
-        uvars = [anchor]
-    checked = body
-    if evars:
-        checked = And(body, build_consistency(evars, anchor, M.inputs, M.outputs))
-    return _check(M, uvars, checked, E)
+    checked = with_consistency(body, evars, M.inputs, M.outputs)
+    uvars = [v for v in body_trace_vars(checked) if v not in evars]
+    pg = build_product(M, uvars, ltl_to_nba(Not(checked)), E)
+    if pg.lasso is None:
+        return True, None
+    return False, _labels_to_input_lassos(M, uvars, *pg.lasso)

@@ -15,7 +15,6 @@ from .formula import (
     Not,
     PrefixEntry,
     PropAtom,
-    QUANT_CLASS,
     Quantifier,
     QuantifierPrefix,
     QuantKind,
@@ -164,10 +163,8 @@ def consistency_anchor(core: Formula, existential_vars) -> str:
     """The one universal copy that the consistency conjunct names.
 
     Every universal copy ranges over the same branches of the system, so one
-    conjunct is equivalent to one per copy. The choice reads only the core and
-    the existential copies, so the encoder and the model checker check one
-    formula: the first universal copy that occurs in the core, else a fresh
-    probe name.
+    conjunct is equivalent to one per copy: the first universal copy that
+    occurs in the core, else a fresh probe name.
     """
     names = [g.trace_var for g in walk(core) if isinstance(g, TraceAtom)]
     for v in names:
@@ -176,47 +173,49 @@ def consistency_anchor(core: Formula, existential_vars) -> str:
     return fresh_name("pi", set(names) | set(existential_vars))
 
 
+def with_consistency(
+    core: Formula,
+    existential_vars,
+    inputs: tuple[str, ...],
+    outputs: tuple[str, ...],
+) -> Formula:
+    """The checked body: the core, and with existential copies also the
+    conjunct that makes every witness a branch of the system.
+
+    The encoder and the model checker both check this formula, and both take
+    their universal copies from the copies it reads.
+    """
+    if not existential_vars:
+        return core
+    anchor = consistency_anchor(core, existential_vars)
+    return And(core, build_consistency(existential_vars, anchor, inputs, outputs))
+
+
 # ---------------------------------------------------------------------------
 # knowledge elimination
 
 
-def _replace_knowledge_node(f: Formula, k: Knowledge, repl: Formula) -> tuple[Formula, bool]:
-    """Replace this exact knowledge node (the enclosing Not for negative polarity) by repl."""
+def _replace_knowledge_node(f: Formula, k: Knowledge, repl: Formula) -> Formula:
+    """f with this exact knowledge node (the enclosing Not for negative
+    polarity) replaced by repl."""
 
-    def rec(g: Formula) -> tuple[Formula, bool]:
+    def rec(g: Formula) -> Formula:
         if k.polarity == "neg" and isinstance(g, Not) and g.child is k:
-            return repl, True
+            return repl
         if g is k:
             # a negative node should be reached through its Not wrapper; guard anyway
-            return (repl if k.polarity == "pos" else Not(repl)), True
-        if isinstance(g, Quantifier):
-            sub, hit = rec(g.child)
-            return (QUANT_CLASS[g.kind](var=g.var, child=sub) if hit else g), hit
-        if isinstance(g, Knowledge):
-            sub, hit = rec(g.child)
-            return (Knowledge(g.agents, g.trace_var, sub, g.polarity) if hit else g), hit
-        kids = g.children()
-        if not kids:
-            return g, False
-        if len(kids) == 1:
-            sub, hit = rec(kids[0])
-            return (type(g)(sub) if hit else g), hit
-        left, hit = rec(kids[0])
-        if hit:
-            return type(g)(left, kids[1]), True
-        right, hit = rec(kids[1])
-        return (type(g)(kids[0], right) if hit else g), hit
+            return repl if k.polarity == "pos" else Not(repl)
+        return map_children(g, rec)
 
     return rec(f)
 
 
 def _innermost_knowledge(f: Formula) -> Knowledge | None:
-    found: Knowledge | None = None
     for g in walk(f):
         if isinstance(g, Knowledge):
             inner = _innermost_knowledge(g.child)
             return inner if inner is not None else g
-    return found
+    return None
 
 
 def eliminate_knowledge(f: Formula) -> Formula:
@@ -247,8 +246,8 @@ def _eliminate_one(f: Formula, k: Knowledge) -> Formula:
     r = fresh_name("r", used)
     pi2 = fresh_name(k.trace_var, used)
 
-    matrix, done = _replace_knowledge_node(body, k, PropAtom(u))
-    if not done:
+    matrix = _replace_knowledge_node(body, k, PropAtom(u))
+    if matrix == body:
         raise SpecError("knowledge occurrence not found during elimination")
 
     agree = conj([Iff(TraceAtom(a, k.trace_var), TraceAtom(a, pi2)) for a in sorted(k.agents)])

@@ -10,7 +10,6 @@ from typing import Optional
 
 from .automata import NBA, flatten_atom, ltl_to_nba, split_atom
 from .formula import (
-    And,
     Formula,
     Knowledge,
     Not,
@@ -30,14 +29,13 @@ from .fragments import (
     classify,
 )
 from .machines import ExistGenerator, MooreSystem, all_valuations
-from .mc import mc_exists_forall
+from .mc import body_trace_vars, mc_exists_forall
 from .reductions import (
     ReductionTrace,
-    build_consistency,
     collapse,
-    consistency_anchor,
     eliminate_knowledge,
     to_hyperltl,
+    with_consistency,
 )
 from .sat import solve_clauses
 
@@ -101,15 +99,14 @@ def prepare(
             f"({verdict.justification}); pass force to proceed bound-relative"
         )
 
-    has_prop = any(not e.kind.is_trace for e in prefix)
     designated = designated_input
-    if has_prop:
+    if designated is not None and designated not in doc.inputs:
+        raise SpecError(f"designated input {designated!r} is not a declared input")
+    if any(not e.kind.is_trace for e in prefix):
         if designated is None:
             if not doc.inputs:
                 raise SpecError("propositional quantifiers need a designated input, but no inputs are declared")
             designated = doc.inputs[0]
-        elif designated not in doc.inputs:
-            raise SpecError(f"designated input {designated!r} is not a declared input")
         f2 = to_hyperltl(f, designated)
         tr.record(
             "to_hyperltl",
@@ -126,10 +123,10 @@ def prepare(
 
     prefix, core = extract_prefix(f)
     exist_vars = [e.var for e in prefix if e.kind == QuantKind.TRACE_EXISTS]
-    universal_vars = [e.var for e in prefix if e.kind == QuantKind.TRACE_FORALL]
+    declared_universal = [e.var for e in prefix if e.kind == QuantKind.TRACE_FORALL]
     if any(not e.kind.is_trace for e in prefix):
         raise SpecError("internal: propositional quantifiers survived the reduction")
-    if not exist_vars and not universal_vars:
+    if not exist_vars and not declared_universal:
         raise SpecError("no trace quantifiers: no universal copy to range over the strategy tree")
 
     # existential witnesses are chosen uniformly, before the universal traces;
@@ -147,21 +144,18 @@ def prepare(
             "existential witnesses after the universal block are fixed up front (sound for positives only)",
         )
 
-    body = core
-    if exist_vars:
-        anchor = consistency_anchor(core, exist_vars)
-        if anchor not in universal_vars:
-            # the core reads no universal copy: a fresh one anchors the
-            # witnesses, in place of the first unread copy if there is one
-            universal_vars = [anchor] + universal_vars[1:]
+    # the universal copies are the ones the checked body reads, as in mc
+    body = with_consistency(core, exist_vars, doc.inputs, doc.outputs)
+    universal_vars = [v for v in body_trace_vars(body) if v not in exist_vars]
+    for v in universal_vars:
+        if v not in declared_universal:
             tr.record(
                 "probe",
                 f,
                 f,
-                f"fresh universal copy {anchor!r} added so witnesses are anchored to branches of the system",
+                f"fresh universal copy {v!r} added so witnesses are anchored to branches of the system",
             )
-        cons = build_consistency(exist_vars, anchor, doc.inputs, doc.outputs)
-        body = And(core, cons)
+    if exist_vars:
         tr.record(
             "consistency",
             core,
@@ -503,9 +497,11 @@ class SynthesisResult:
 def solve(problem: ConstraintProblem, timeout=None) -> SynthesisResult:
     """Run the bundled solver on an encoded problem; decode and verify any model.
 
-    `stats` gets the seconds of the solve (`solve_s`: clause load and search)
-    and of the verification (`verify_s`: decode and model check, 0.0 when
-    unsat). Raises SolverFailure when the solver runs past `timeout` seconds.
+    `stats` gets the size of the negated body's automaton (`nba_states`,
+    `nba_accepting`, `nba_edges`), the seconds of the solve (`solve_s`: clause
+    load and search) and of the verification (`verify_s`: decode and model
+    check, 0.0 when unsat). Raises SolverFailure when the solver runs past
+    `timeout` seconds.
     """
     t0 = time.perf_counter()
     deadline = None if timeout is None else time.monotonic() + timeout
@@ -513,7 +509,11 @@ def solve(problem: ConstraintProblem, timeout=None) -> SynthesisResult:
     if status is None:
         raise SolverFailure(f"solver timed out after {timeout}s")
     t1 = time.perf_counter()
+    nba = problem.instance.nba
     stats = {
+        "nba_states": nba.n_states,
+        "nba_accepting": len(nba.accepting),
+        "nba_edges": len(nba.transitions),
         "vars": problem.nvars,
         "clauses": len(problem.clauses),
         "lambda": problem.lambda_max,

@@ -142,7 +142,47 @@ def test_suite_report_render_and_json():
     assert {p: s["conflicts"] for p, s in stats.items()} == {(2, 1): 7, (2, 2): 22}
     assert all(s["decisions"] > 0 and s["propagations"] > 0 and "restarts" in s for s in stats.values())
     assert all(s[key] >= 0.0 for s in stats.values() for key in ("encode_s", "solve_s", "verify_s"))
+    assert all(0 < s["nba_accepting"] <= s["nba_states"] < s["nba_edges"] for s in stats.values())
     assert suite.exit_code == 0
+
+
+def _fake_solves(monkeypatch, sat_points) -> list:
+    """Replace the solver by a table: sat exactly at sat_points; returns the
+    points asked for."""
+    from hypersynth import bench
+    from hypersynth.synth import SynthesisResult
+
+    asked = []
+
+    def table(inst, n, m, timeout=None):
+        asked.append((n, m))
+        return SynthesisResult("sat" if (n, m) in sat_points else "unsat", n, m, 0)
+
+    monkeypatch.setattr(bench, "solve_at_bounds", table)
+    return asked
+
+
+def test_missed_unsat_row_is_a_mismatch(monkeypatch):
+    # sat at the paper's unsat point (2,1) must show, whatever (1,1) says
+    asked = _fake_solves(monkeypatch, {(2, 1), (2, 2)})
+    rep = run_instance(instance_by_name("arbiter-2-prompt"))
+    assert [(b.n, b.m, b.verdict, b.slack) for b in rep.bounds] == [
+        (2, 1, "sat", None), (2, 2, "sat", None),
+    ]
+    assert not rep.ok and "MISMATCH" in SuiteReport([rep]).render()
+    assert asked == [(2, 1), (2, 2)]
+
+
+def test_missed_sat_row_is_retried_with_one_more_state_only(monkeypatch):
+    asked = _fake_solves(monkeypatch, {(2, 3)})
+    rep = run_instance(instance_by_name("arbiter-2-prompt"))
+    assert [(b.n, b.m, b.verdict) for b in rep.bounds] == [(2, 1, "unsat"), (2, 2, "unsat")]
+    assert not rep.ok
+    assert asked == [(2, 1), (2, 2), (3, 2)]
+    asked = _fake_solves(monkeypatch, {(3, 2)})
+    rep = run_instance(instance_by_name("arbiter-2-prompt"))
+    assert rep.ok and rep.bounds[1].slack == (3, 2)
+    assert "(at 3,2)" in SuiteReport([rep]).render()
 
 
 def test_internal_exception_is_an_error_not_a_verdict(monkeypatch):

@@ -66,6 +66,12 @@ def test_reduce_output(specfile, capsys):
     assert "body:" in out
 
 
+def test_reduce_rejects_unknown_designated_input_even_unused(specfile, capsys):
+    # ALWAYS has no propositional quantifier, so the input would go unread
+    assert main(["reduce", "--designated-input", "zz", specfile(ALWAYS)]) == EXIT_INPUT
+    assert "'zz' is not a declared input" in capsys.readouterr().err
+
+
 def test_reduce_undecidable_needs_force(specfile, capsys):
     assert main(["reduce", specfile(FORALL_EXISTS)]) == EXIT_INPUT
     assert "force" in capsys.readouterr().err

@@ -11,7 +11,7 @@ import pytest
 from hypersynth import synth
 from hypersynth.automata import ltl_to_nba, tarjan_sccs
 from hypersynth.bench import gen_arbiter
-from hypersynth.formula import And, SpecError, TraceAtom, parse
+from hypersynth.formula import FALSE, TRUE, And, SpecError, TraceAtom, parse, print_formula
 from hypersynth.fragments import SINGLE_UNIVERSAL, UNDEC_FORALL_EXISTS
 from hypersynth.machines import ExistGenerator, MooreSystem
 from hypersynth.mc import mc_exists_forall
@@ -91,6 +91,9 @@ def test_prepare_rejects_unknown_designated_input():
     text = "exists q : prop . forall pi : trace . G (q -> o[pi])"
     with pytest.raises(SpecError):
         prepare(spec(text), designated_input="zz")
+    # checked even where no propositional quantifier would read it
+    with pytest.raises(SpecError, match="not a declared input"):
+        prepare(spec(ALWAYS), designated_input="zz")
 
 
 def test_prepare_rejects_quantifier_free_body():
@@ -120,6 +123,20 @@ def test_probe_universal_added_for_pure_existential():
     assert inst.universal_vars == ("pi__0",)
     assert "probe" in {s.name for s in inst.trace.steps}
     assert solve_at_bounds(inst, 1, 1).status == "sat"
+
+
+def test_unread_universal_copy_costs_nothing():
+    # the copies are the ones the checked body reads: p2 adds no factor n
+    two = prepare(spec("forall p1 : trace . forall p2 : trace . G (i[p1] -> X o[p1])"))
+    one = prepare(spec("forall p1 : trace . G (i[p1] -> X o[p1])"))
+    assert two.universal_vars == ("p1",)
+    assert len(encode(two, 2, 2).clauses) == len(encode(one, 2, 2).clauses)
+
+
+def test_probe_replaces_every_unread_universal_copy():
+    inst = prepare(spec("exists e : trace . forall p1 : trace . forall p2 : trace . G F i[e]"))
+    assert inst.universal_vars == ("pi__0",)
+    assert "probe" in {s.name for s in inst.trace.steps}
 
 
 def test_classification_recorded():
@@ -512,3 +529,45 @@ def test_encodings_keep_their_bytes():
             hashlib.sha1(repr(problem.var_maps).encode()).hexdigest(),
         )
     assert got == ENCODING_DIGESTS
+
+
+def _specs_in_this_module():
+    bodies = [ALWAYS, CONTRADICTION, INSTANT_ECHO, TWO_UNIVERSAL, *ORACLE_SPECS]
+    bodies += [f"exists e : trace . forall pi : trace . {b}" for b, _ in GENERATOR_ORACLE_SPECS]
+    bodies += [
+        "exists e : trace . forall pi : trace . G (o[pi] <-> o[e])",
+        "exists q : prop . forall pi : trace . G (q -> o[pi])",
+        "exists e : trace . G (o[e])",
+        "forall p1 : trace . forall p2 : trace . G (i[p1] -> X o[p1])",
+        "exists e : trace . forall p1 : trace . forall p2 : trace . G F i[e]",
+    ]
+    docs = [spec(b) for b in bodies]
+    docs += [spec(t, inputs="r1, r2", outputs="g1, g2") for t in (ARBITER_K2, DEMO)]
+    return docs + [gen_arbiter(2, {1}), gen_arbiter(2, {1}, True), gen_arbiter(3, {1})]
+
+
+def test_encoder_and_checker_range_over_the_same_copies(monkeypatch):
+    from hypersynth import mc
+
+    seen = []
+    real = mc.build_product
+
+    def recording(M, trace_vars, nba, E=None):
+        seen.append(list(trace_vars))
+        return real(M, trace_vars, nba, E)
+
+    monkeypatch.setattr(mc, "build_product", recording)
+    for doc in _specs_in_this_module():
+        inst = prepare(doc)
+        M = MooreSystem(inst.inputs, inst.outputs, (frozenset(),), ((0,) * 2 ** len(inst.inputs),), 0)
+        sigs = tuple(f"{a}@{e}" for e in inst.exist_vars for a in inst.inputs + inst.outputs)
+        E = ExistGenerator(sigs, (frozenset(),), (0,), 0) if sigs else None
+        seen.clear()
+        mc_exists_forall(M, E, inst.core)
+        assert seen == [list(inst.universal_vars)], print_formula(doc.formula)
+
+
+def test_body_without_copies_checks_no_copy():
+    M = MooreSystem(("i",), ("o",), (frozenset(),), ((0, 0),), 0)
+    assert mc_exists_forall(M, None, FALSE) == (False, [])
+    assert mc_exists_forall(M, None, TRUE) == (True, None)
