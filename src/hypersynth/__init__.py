@@ -32,9 +32,9 @@ from .reductions import (
     to_hyperltl,
     with_consistency,
 )
-from .automata import NBA, accepts_lasso, ltl_to_nba
+from .automata import NBA, ltl_to_nba
 from .machines import ExistGenerator, MooreSystem
-from .mc import mc_exists_forall
+from .mc import accepts_lasso, mc_exists_forall
 from .synth import (
     ConstraintProblem,
     EncoderSoundnessError,

@@ -34,10 +34,6 @@ Lit = tuple[str, bool]
 Guard = frozenset
 
 
-def guard_satisfied(guard: Guard, valuation: frozenset) -> bool:
-    return all((sig in valuation) == val for sig, val in guard)
-
-
 def merge_guards(g1: Guard, g2: Guard) -> Optional[Guard]:
     merged = g1 | g2
     seen: dict[str, bool] = {}
@@ -414,42 +410,3 @@ def simplify_nba(nba: NBA) -> NBA:
     ]
     return NBA(len(reps), new_initial, new_accept, tuple(_subsume_edges(merged)))
 
-
-# ---------------------------------------------------------------------------
-# acceptance over lasso words
-
-
-def loop_acceptance_states(nba: NBA, loop_vals: list) -> set:
-    """States from which reading loop_vals forever admits an accepting run (phase 0 entry)."""
-    m = len(loop_vals)
-    n = nba.n_states * m
-    # node q * m + i: automaton state q about to read loop position i
-    succ = {
-        q * m + i: {
-            d * m + (i + 1) % m for g, d in nba.edges[q] if guard_satisfied(g, loop_vals[i])
-        }
-        for q in range(nba.n_states)
-        for i in range(m)
-    }
-    accepting = {q * m + i for q in nba.accepting for i in range(m)}
-    live = live_states(n, succ, accepting_sccs(n, succ, accepting))
-    return {q for q in range(nba.n_states) if q * m in live}
-
-
-def run_prefix(nba: NBA, vals: list, from_states: set) -> set:
-    cur = set(from_states)
-    for v in vals:
-        cur = {d for s in cur for g, d in nba.edges[s] if guard_satisfied(g, v)}
-        if not cur:
-            break
-    return cur
-
-
-def accepts_lasso(nba: NBA, prefix_vals: list, loop_vals: list) -> bool:
-    """Membership of the ultimately periodic word prefix . loop^omega."""
-    assert loop_vals, "a lasso needs a nonempty loop"
-    after = run_prefix(nba, prefix_vals, set(nba.initial))
-    if not after:
-        return False
-    good = loop_acceptance_states(nba, loop_vals)
-    return bool(after & good)

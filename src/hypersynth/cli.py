@@ -50,14 +50,18 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def cmd_reduce(args) -> int:
-    doc = _load_spec(args.spec)
-    inst = prepare(
-        doc,
+def _prepare(args):
+    """The specification file reduced under the command's reduction flags."""
+    return prepare(
+        _load_spec(args.spec),
         designated_input=args.designated_input,
         do_collapse=args.collapse,
         force=args.force,
     )
+
+
+def cmd_reduce(args) -> int:
+    inst = _prepare(args)
     print(inst.trace.render())
     print(f"existential copies: {', '.join(inst.exist_vars) or 'none'}")
     print(f"universal copies:   {', '.join(inst.universal_vars) or 'none'}")
@@ -66,13 +70,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    doc = _load_spec(args.spec)
-    inst = prepare(
-        doc,
-        designated_input=args.designated_input,
-        do_collapse=args.collapse,
-        force=args.force,
-    )
+    inst = _prepare(args)
     if args.backend:
         problem = encode(inst, args.max_system, args.max_exists)
         text = emit_dimacs(problem.nvars, problem.clauses, problem.comments)
@@ -154,13 +152,7 @@ def _check_generator(generator, inst) -> None:
 
 def cmd_verify(args) -> int:
     system, generator = _load_machines(args.machine)
-    doc = _load_spec(args.spec)
-    inst = prepare(
-        doc,
-        designated_input=args.designated_input,
-        do_collapse=args.collapse,
-        force=args.force,
-    )
+    inst = _prepare(args)
     if tuple(system.inputs) != tuple(inst.inputs) or tuple(system.outputs) != tuple(inst.outputs):
         raise SpecError("machine signals do not match the specification header")
     _check_generator(generator, inst)

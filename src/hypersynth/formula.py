@@ -693,7 +693,6 @@ def check_well_formed(doc: SpecDocument) -> list[str]:
         if s in seen_signal:
             diags.append(f"signal {s!r} declared more than once")
         seen_signal.add(s)
-    input_set = set(doc.inputs)
 
     seen_vars: set[str] = set()
 
@@ -705,8 +704,8 @@ def check_well_formed(doc: SpecDocument) -> list[str]:
                 diags.append(f"duplicate variable {f.var!r}")
             seen_vars.add(f.var)
             if not f.kind.is_trace:
-                if f.var in input_set:
-                    diags.append(f"quantified proposition {f.var!r} shadows a declared input")
+                if f.var in seen_signal:
+                    diags.append(f"quantified proposition {f.var!r} collides with a declared signal")
                 rec(f.child, trace_scope, prop_scope | {f.var}, in_prefix)
             else:
                 rec(f.child, trace_scope | {f.var}, prop_scope, in_prefix)

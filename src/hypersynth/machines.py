@@ -209,9 +209,13 @@ class ExistGenerator:
         d = json.loads(text)
         if d.get("kind") != "generator":
             raise ValueError("not a generator document")
+        labels = _label_list(d["labels"])
+        n = d["states"]
+        if type(n) is not int or n != len(labels):
+            raise ValueError(f"state count {n!r} does not match {len(labels)} labels")
         return ExistGenerator(
             signals=_names(d["signals"], "signals"),
-            labels=_label_list(d["labels"]),
+            labels=labels,
             next_state=tuple(d["next"]),
             initial=d["initial"],
         )

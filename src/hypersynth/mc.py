@@ -62,8 +62,10 @@ def _guard_masks(nba: NBA, bit: dict) -> list:
     return out
 
 
-# stands in for the generator when the body has no existential copies
+# stand in for the generator when the body has no existential copies, and
+# for the system when only a generator's word is checked
 _NO_GENERATOR = ExistGenerator((), (frozenset(),), (0,))
+_NO_SYSTEM = MooreSystem((), (), (frozenset(),), ((0,),))
 
 
 def build_product(
@@ -188,6 +190,17 @@ def build_product(
                         if w == u:
                             break
     return ProductGraph(nodes, edges, initial, None)
+
+
+def accepts_lasso(nba: NBA, prefix_vals: list, loop_vals: list) -> bool:
+    """Membership of the ultimately periodic word prefix . loop^omega: the
+    emptiness search over the word as a generator, with no system copy."""
+    assert loop_vals, "a lasso needs a nonempty loop"
+    word = list(prefix_vals) + list(loop_vals)
+    p, n = len(prefix_vals), len(word)
+    signals = tuple(sorted(frozenset().union(*word)))
+    E = ExistGenerator(signals, tuple(frozenset(v) for v in word), tuple(range(1, n)) + (p,))
+    return build_product(_NO_SYSTEM, [], nba, E).lasso is not None
 
 
 def _labels_to(edges: dict, starts: list, goal: int, inside=None) -> list:

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from hypersynth.automata import accepts_lasso, guard_satisfied, ltl_to_nba, tarjan_sccs
+from hypersynth.automata import ltl_to_nba, tarjan_sccs
 from hypersynth.bench import gen_arbiter
 from hypersynth.formula import (
     And,
@@ -39,7 +39,7 @@ from hypersynth.fragments import (
     parse_architecture,
     render_architecture,
 )
-from hypersynth.mc import mc_exists_forall
+from hypersynth.mc import accepts_lasso, mc_exists_forall
 from hypersynth.reductions import eliminate_knowledge
 from hypersynth.semantics import (
     LassoTrace,
@@ -161,7 +161,7 @@ def _succ_table(nba):
     succ = [[0] * 4 for _ in range(nba.n_states)]
     for src, guard, dst in nba.transitions:
         for li in range(4):
-            if guard_satisfied(guard, _LETTERS[li]):
+            if all((sig in _LETTERS[li]) == val for sig, val in guard):
                 succ[src][li] |= 1 << dst
     return succ
 

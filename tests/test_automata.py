@@ -7,20 +7,17 @@ import pytest
 from hypersynth.automata import (
     NBA,
     accepting_sccs,
-    accepts_lasso,
     flatten,
     flatten_atom,
-    guard_satisfied,
     live_states,
-    loop_acceptance_states,
     ltl_to_nba,
     merge_guards,
-    run_prefix,
     simplify_nba,
     split_atom,
     tarjan_sccs,
 )
 from hypersynth.formula import Knowledge, SpecError, TraceAtom, TraceForall, parse_formula
+from hypersynth.mc import accepts_lasso
 from hypersynth.semantics import LassoTrace, TraceSet, eval_formula
 
 SIG = frozenset({"a", "b"})
@@ -53,14 +50,6 @@ def member(text, t):
 
 # ---------------------------------------------------------------------------
 # guards
-
-def test_guard_satisfied():
-    g = frozenset({("a", True), ("b", False)})
-    assert guard_satisfied(g, frozenset({"a"}))
-    assert not guard_satisfied(g, frozenset({"a", "b"}))
-    assert not guard_satisfied(g, frozenset())
-    assert guard_satisfied(frozenset(), frozenset({"a"}))
-
 
 def test_merge_guards():
     g1 = frozenset({("a", True)})
@@ -145,19 +134,14 @@ def test_lasso_needs_loop():
         accepts_lasso(nba, [], [])
 
 
-def test_run_prefix_empty_is_initial():
-    nba = ltl_to_nba(body("G a[pi]"))
-    assert run_prefix(nba, [], set(nba.initial)) == set(nba.initial)
-
-
 def test_loop_acceptance_phase_zero():
-    # on the loop (a, !a) the G a automaton accepts from nowhere,
-    # while GF a accepts from every live state
+    # on the loop (a, !a) entered at its first letter, the G a automaton
+    # rejects while the GF a automaton accepts
     hold = ltl_to_nba(body("G a[pi]"))
     vals = [frozenset({"a@pi"}), frozenset()]
-    assert loop_acceptance_states(hold, vals) == set()
+    assert not accepts_lasso(hold, [], vals)
     inf = ltl_to_nba(body("G (F a[pi])"))
-    assert loop_acceptance_states(inf, vals) >= set(inf.initial)
+    assert accepts_lasso(inf, [], vals)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Product-graph model checking replayed against the reference evaluator."""
 
 import itertools
+import json
 import random
 
 import pytest
 
-from hypersynth.automata import accepting_sccs, flatten_atom, guard_satisfied, ltl_to_nba, split_atom
+from hypersynth.automata import accepting_sccs, flatten_atom, ltl_to_nba, split_atom
 from hypersynth.formula import And, Not, SpecError, TraceForall, parse_formula
 from hypersynth.machines import ExistGenerator, MooreSystem, all_valuations
 from hypersynth.mc import (
+    accepts_lasso,
     body_trace_vars,
     build_product,
     generator_vars,
@@ -16,6 +18,7 @@ from hypersynth.mc import (
 )
 from hypersynth.reductions import build_consistency, consistency_anchor
 from hypersynth.semantics import LassoTrace, TraceSet, eval_formula
+from test_acceptance import _depth3_bodies
 
 ECHO = MooreSystem(
     inputs=("r",),
@@ -83,7 +86,7 @@ def reference_holds(M, trace_vars, nba, E=None):
                 letter |= {flatten_atom(sig, var) for sig in M.labels[s] | vals[x]}
             vec2 = tuple(M.delta[s][x] for s, x in zip(vec, joint))
             for g, d in nba.edges[q]:
-                if guard_satisfied(g, frozenset(letter)):
+                if all((sig in letter) == val for sig, val in g):
                     node = (vec2, E.next_state[e] if E else 0, d)
                     if node not in index:
                         index[node] = len(nodes)
@@ -237,6 +240,24 @@ def test_edge_into_finished_component_closes_no_cycle():
     assert mc_exists_forall(M, None, f) == (True, None)
 
 
+def test_lasso_membership_matches_evaluator():
+    # every 20th body of the depth-3 pool, on all 100 words with a prefix of
+    # at most one letter and a loop of one or two
+    plain = ("a", "b")
+    letters = [frozenset(s for b, s in enumerate(plain) if d >> b & 1) for d in range(4)]
+    words = [(pre, loop) for p, l in [(0, 1), (0, 2), (1, 1), (1, 2)]
+             for pre in itertools.product(letters, repeat=p)
+             for loop in itertools.product(letters, repeat=l)]
+    assert len(words) == 100
+    at_pi = lambda vals: [frozenset(flatten_atom(s, "pi") for s in v) for v in vals]
+    for f in _depth3_bodies()[::20]:
+        nba = ltl_to_nba(f)
+        for pre, loop in words:
+            t = LassoTrace(frozenset(plain), pre, loop)
+            want = eval_formula(f, TraceSet(t.signals, frozenset({t})), {"pi": t})
+            assert accepts_lasso(nba, at_pi(pre), at_pi(loop)) == want, (str(f), pre, loop)
+
+
 # ---------------------------------------------------------------------------
 # existential witnesses and consistency
 
@@ -351,6 +372,13 @@ def test_generator_json_round_trip():
     E = egen([{"r@e"}, {"r@e", "g@e"}], [1, 1])
     again = ExistGenerator.from_json(E.to_json())
     assert again == E
+
+
+def test_generator_json_state_count_must_match_labels():
+    doc = json.loads(egen([{"r@e"}, set()], [1, 0]).to_json())
+    for bad in (7, 1, "2", None):
+        with pytest.raises(ValueError):
+            ExistGenerator.from_json(json.dumps({**doc, "states": bad}))
 
 
 def test_moore_validation():

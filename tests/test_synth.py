@@ -11,7 +11,19 @@ import pytest
 from hypersynth import synth
 from hypersynth.automata import ltl_to_nba, tarjan_sccs
 from hypersynth.bench import gen_arbiter
-from hypersynth.formula import FALSE, TRUE, And, SpecError, TraceAtom, parse, print_formula
+from hypersynth.formula import (
+    FALSE,
+    TRUE,
+    And,
+    PropExists,
+    SpecDocument,
+    SpecError,
+    TraceAtom,
+    TraceForall,
+    parse,
+    print_document,
+    print_formula,
+)
 from hypersynth.fragments import SINGLE_UNIVERSAL, UNDEC_FORALL_EXISTS
 from hypersynth.machines import ExistGenerator, MooreSystem
 from hypersynth.mc import mc_exists_forall
@@ -99,6 +111,16 @@ def test_prepare_rejects_unknown_designated_input():
 def test_prepare_rejects_quantifier_free_body():
     with pytest.raises(SpecError, match="no trace quantifiers"):
         prepare(spec("true"))
+
+
+def test_prepare_names_quantified_propositions_as_the_parser_does():
+    # a quantified proposition named like an output is refused by prepare
+    # and by the parser alike, with the same words
+    doc = SpecDocument(("r",), ("g",), PropExists("g", TraceForall("pi", TraceAtom("g", "pi"))))
+    with pytest.raises(SpecError, match="collides with a declared signal"):
+        prepare(doc)
+    with pytest.raises(SpecError, match="collides with a declared signal"):
+        parse(print_document(doc))
 
 
 def test_prepare_rejects_forall_exists_without_force():
