@@ -40,6 +40,10 @@ from .reductions import (
 from .sat import solve_clauses
 
 ALLOWED_CLASSES = (NO_UNIVERSAL, SINGLE_UNIVERSAL, LINEAR_CANDIDATE)
+# encode's clause families in CNF order; "transitions" includes the initial nodes
+CLAUSE_FAMILIES = (
+    "totality", "counter_order", "guard_conjunctions", "step_definitions", "counter_steps", "transitions"
+)
 
 
 class SolverFailure(Exception):
@@ -200,25 +204,58 @@ def _scc_bounds(instance: SynthesisInstance, n: int, m: int) -> list:
     return [(n**instance.k) * m_eff * w for w in weight]
 
 
+def _compile_guards(instance: SynthesisInstance, in_vals: list) -> list:
+    """Each automaton state's edges that admit some input, as (admitted, lits, q2, counted).
+
+    A guard is a cube, so the joint inputs it admits are the product of what
+    it admits on each copy: `admitted` holds one tuple of indices into
+    `in_vals` per universal copy. `lits` are its other atoms as (u, name,
+    value): output `name` of copy u, or generator signal `name` when u = k.
+    `counted` says that the edge stays inside its accepting SCC.
+    """
+    upos = {v: i for i, v in enumerate(instance.universal_vars)}
+    k = len(upos)
+    scc_of, _ = instance.nba.sccs
+    guards = []
+    for q, edges in enumerate(instance.nba.edges):
+        guards.append([])
+        for g, q2 in edges:
+            ins, lits = [[] for _ in upos], []
+            for sig, val in g:
+                a, var = split_atom(sig)
+                if var in upos and a in instance.inputs:
+                    ins[upos[var]].append((a, val))
+                elif var in upos:
+                    lits.append((upos[var], a, val))
+                elif var in instance.exist_vars:
+                    lits.append((k, sig, val))
+                else:
+                    raise SpecError(f"atom {sig!r} bound to no copy")
+            admitted = tuple(
+                tuple(i for i, vals in enumerate(in_vals) if all((a in vals) == val for a, val in c)) for c in ins
+            )
+            if all(admitted):
+                # a step that leaves its accepting SCC closes no counted
+                # cycle: reachability only
+                guards[q].append((admitted, lits, q2, scc_of[q] == scc_of[q2] >= 0))
+    return guards
+
+
 def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     """Constraint system for an n-state system and m-state generator."""
     if n < 1 or m < 1:
         raise SpecError("bounds must be at least 1")
-    inputs = instance.inputs
     outputs = instance.outputs
-    uvars = list(instance.universal_vars)
-    evars = list(instance.exist_vars)
-    k = len(uvars)
-    upos = {v: i for i, v in enumerate(uvars)}
-    m_eff = m if evars else 1
+    k = instance.k
+    m_eff = m if instance.exist_vars else 1
 
     nba = instance.nba
     Q = nba.n_states
-    rejecting = set(nba.accepting)
 
-    in_vals = all_valuations(inputs)
+    in_vals = all_valuations(instance.inputs)
     V = len(in_vals)
-    gen_signals = tuple(flatten_atom(a, j) for j in evars for a in tuple(inputs) + tuple(outputs))
+    gen_signals = tuple(flatten_atom(a, j) for j in instance.exist_vars for a in instance.inputs + outputs)
+    guards = _compile_guards(instance, in_vals)
 
     scc_of, _ = nba.sccs
     scc_lam = _scc_bounds(instance, n, m)
@@ -241,7 +278,6 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     gen_succ.append(list(enumerate(back_var)) or [(0, None)])
 
     svecs = list(itertools.product(range(n), repeat=k))
-    iv_vecs = list(itertools.product(range(V), repeat=k))
     n_nodes = len(svecs) * m_eff * Q
     # product node (svec_i, e, q) is (svec_i * m_eff + e) * Q + q; its reach
     # variable is r1 + node, its "annotation >= j" variable l_start[node] + j - 1
@@ -256,14 +292,12 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
         nxt[0] += lam_of[node % Q]
     counter_vars = nxt[0] - l_base
 
-    clauses: list = []
-    add = clauses.append
+    # clauses by family (CLAUSE_FAMILIES), concatenated in that order
+    totality, order, conj, steps, counter, trans = ([] for _ in CLAUSE_FAMILIES)
 
     def exactly_one(row: list):
-        add(list(row))
-        for a in range(len(row)):
-            for b in range(a + 1, len(row)):
-                add([-row[a], -row[b]])
+        totality.append(list(row))
+        totality.extend([-row[a], -row[b]] for a in range(len(row)) for b in range(a + 1, len(row)))
 
     # deterministic totality of the system, and one loop-back of the generator
     for s in range(n):
@@ -276,8 +310,9 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     for node in range(n_nodes):
         ls = l_start[node]
         for j in range(2, lam_of[node % Q] + 1):
-            add([-(ls + j - 1), ls + j - 2])
+            order.append([-(ls + j - 1), ls + j - 2])
 
+    add = trans.append
     # initial nodes: all copies in state 0, generator state 0
     for q0 in sorted(nba.initial):
         add([r1 + q0])
@@ -288,13 +323,27 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
         """Aux variable forced true when all bit literals hold; None for empty."""
         if not lits:
             return None
-        got = conj_cache.get(lits)
-        if got is not None:
-            return got
-        v = new_var()
-        add([-x for x in sorted(lits)] + [v])
-        conj_cache[lits] = v
+        v = conj_cache.get(lits)
+        if v is None:
+            v = conj_cache[lits] = new_var()
+            conj.append([-x for x in sorted(lits)] + [v])
         return v
+
+    # step(s, F, s2) holds when some input valuation in F moves state s to
+    # s2: d(s, iv, s2) itself when F = {iv}, else a fresh variable implied by
+    # each such d. It occurs only negatively in the transition clauses, so
+    # this one-way definition is equisatisfiable with one transition clause
+    # per admitted joint input
+    step_var: dict = {}
+
+    def step_lit(s: int, F: tuple, s2: int) -> int:
+        if len(F) == 1:
+            return d_var[s][F[0]][s2]
+        y = step_var.get((s, F, s2))
+        if y is None:
+            y = step_var[(s, F, s2)] = new_var()
+            steps.extend([-d_var[s][iv][s2], y] for iv in F)
+        return y
 
     # per (node, successor) pair inside one counted SCC: an activation
     # variable and its annotation clauses; every counted SCC holds an
@@ -304,110 +353,56 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     def pair_clauses(node: int, node2: int, q2: int):
         a = pair_act.get((node, node2))
         if a is None:
-            a = new_var()
-            pair_act[(node, node2)] = a
+            a = pair_act[(node, node2)] = new_var()
+            add_c = counter.append
             rn = r1 + node
             lam_c = lam_of[q2]
             l1 = l_start[node] - 1
             l2 = l_start[node2] - 1
-            add([-rn, -a, r1 + node2])
-            if q2 in rejecting:
-                add([-rn, -a, l2 + 1])
+            add_c([-rn, -a, r1 + node2])
+            if q2 in nba.accepting:
+                add_c([-rn, -a, l2 + 1])
                 for j in range(1, lam_c):
-                    add([-rn, -a, -(l1 + j), l2 + j + 1])
-                add([-rn, -a, -(l1 + lam_c)])
+                    add_c([-rn, -a, -(l1 + j), l2 + j + 1])
+                add_c([-rn, -a, -(l1 + lam_c)])
             else:
                 for j in range(1, lam_c + 1):
-                    add([-rn, -a, -(l1 + j), l2 + j])
+                    add_c([-rn, -a, -(l1 + j), l2 + j])
         return a
-
-    # each guard compiled once: the joint inputs it admits (by index into
-    # iv_vecs), its system-output atoms (copy, output, value) and its
-    # generator atoms (signal, value)
-    input_set = set(inputs)
-    evar_set = set(evars)
-    guards = []
-    feasible_at = []  # per automaton state and joint input: its edge indices
-    for q in range(Q):
-        edges, ins_ok = [], []
-        for g, q2 in nba.edges[q]:
-            ins, outs, gens = [], [], []
-            for sig, val in g:
-                a, var = split_atom(sig)
-                if var in upos:
-                    if a in input_set:
-                        ins.append((upos[var], a, val))
-                    else:
-                        outs.append((upos[var], a, val))
-                elif var in evar_set:
-                    gens.append((sig, val))
-                else:
-                    raise SpecError(f"atom {sig!r} bound to no copy")
-            # a step that leaves its accepting SCC closes no counted cycle:
-            # reachability only
-            edges.append((outs, gens, q2, scc_of[q] == scc_of[q2] >= 0))
-            ins_ok.append(
-                [all((a in in_vals[iv[u]]) == val for u, a, val in ins) for iv in iv_vecs]
-            )
-        guards.append(edges)
-        feasible_at.append(
-            [[x for x, row in enumerate(ins_ok) if row[ivi]] for ivi in range(len(iv_vecs))]
-        )
 
     # each generator state's successors, as (e2, antecedent literals)
     gen_tails = [[(e2, [] if back is None else [-back]) for e2, back in succ] for succ in gen_succ]
-    unset = object()
 
     for svec_i, svec in enumerate(svecs):
-        # per joint input: each successor vector's first node index and the
-        # negated transition literals that lead there
-        succ_rows = [
-            [
-                (svec2_i * m_eff, [-d_var[svec[u]][iv_vec[u]][svec2[u]] for u in range(k)])
-                for svec2_i, svec2 in enumerate(svecs)
-            ]
-            for iv_vec in iv_vecs
-        ]
-        out_row = [out_var[s] for s in svec]
+        # per copy's admitted inputs: each successor vector's first node
+        # index and the negated step literals that lead there
+        succ_rows: dict = {}
         for e in range(m_eff):
-            gen_row = gen_var[e]
+            # the output and generator variables a guard's other atoms read
+            lit_vars = [out_var[s] for s in svec] + [gen_var[e]]
             tails_e = gen_tails[e]
             for q in range(Q):
                 node = (svec_i * m_eff + e) * Q + q
                 rn = r1 + node
-                edges = guards[q]
-                # per edge, its successors' antecedent tails (generator
-                # loop-back, then the guard's literal), built at its first
-                # feasible joint input; None when the guard contradicts itself
-                edge_tails = [unset] * len(edges)
-                for ivi, rows in enumerate(succ_rows):
-                    for x in feasible_at[q][ivi]:
-                        outs, gens, q2, counted = edges[x]
-                        tails = edge_tails[x]
-                        if tails is unset:
-                            residual = {
-                                out_row[u][a] if val else -out_row[u][a] for u, a, val in outs
-                            }
-                            residual.update(gen_row[sig] if val else -gen_row[sig] for sig, val in gens)
-                            if any(-b in residual for b in residual):
-                                tails = None
-                            else:
-                                ok = conj_lit(frozenset(residual))
-                                ok_tail = [] if ok is None else [-ok]
-                                tails = [(e2, back + ok_tail) for e2, back in tails_e]
-                            edge_tails[x] = tails
-                        if tails is None:
-                            continue
-                        if counted:
-                            for base2, nd in rows:
-                                for e2, tail in tails:
-                                    node2 = (base2 + e2) * Q + q2
-                                    add([*nd, *tail, pair_clauses(node, node2, q2)])
-                        else:
-                            for base2, nd in rows:
-                                for e2, tail in tails:
-                                    add([*nd, *tail, -rn, r1 + (base2 + e2) * Q + q2])
+                for admitted, lits, q2, counted in guards[q]:
+                    residual = {lit_vars[u][a] if val else -lit_vars[u][a] for u, a, val in lits}
+                    if any(-b in residual for b in residual):
+                        continue
+                    ok = conj_lit(frozenset(residual))
+                    tails = [(e2, back if ok is None else back + [-ok]) for e2, back in tails_e]
+                    rows = succ_rows.get(admitted)
+                    if rows is None:
+                        rows = succ_rows[admitted] = [
+                            (svec2_i * m_eff, [-step_lit(s, F, s2) for s, F, s2 in zip(svec, admitted, svec2)])
+                            for svec2_i, svec2 in enumerate(svecs)
+                        ]
+                    for base2, nd in rows:
+                        for e2, tail in tails:
+                            node2 = (base2 + e2) * Q + q2
+                            head = [pair_clauses(node, node2, q2)] if counted else [-rn, r1 + node2]
+                            add([*nd, *tail, *head])
 
+    families = (totality, order, conj, steps, counter, trans)
     var_maps = {
         "d": d_var,
         "out": out_var,
@@ -417,16 +412,19 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
         "l_start": l_start,
         "lam_of": lam_of,
         "counter_vars": counter_vars,
+        "step": step_var,
+        "clauses_by_family": {f: len(c) for f, c in zip(CLAUSE_FAMILIES, families)},
         "m_eff": m_eff,
     }
     comments = [
         f"bounded synthesis: n={n} m={m} k={k} nba={Q} lambda={lam}",
         f"vars: delta 1..{n*V*n}, outputs, generator, reach at {r1}, "
-        f"{counter_vars} counters at {l_base+1}, local to each automaton SCC",
+        f"{counter_vars} counters at {l_base+1}, local to each automaton SCC, "
+        f"{len(step_var)} step literals, one per (state, copy's admitted inputs, successor)",
     ]
     return ConstraintProblem(
         nvars=nxt[0],
-        clauses=clauses,
+        clauses=[cl for c in families for cl in c],
         n=n,
         m=m,
         k=k,
@@ -518,6 +516,8 @@ def solve(problem: ConstraintProblem, timeout=None) -> SynthesisResult:
         "clauses": len(problem.clauses),
         "lambda": problem.lambda_max,
         "counter_vars": problem.var_maps["counter_vars"],
+        "step_vars": len(problem.var_maps["step"]),
+        "clauses_by_family": problem.var_maps["clauses_by_family"],
         **counts,
         "solve_s": t1 - t0,
         "verify_s": 0.0,

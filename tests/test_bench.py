@@ -143,6 +143,7 @@ def test_suite_report_render_and_json():
     assert all(s["decisions"] > 0 and s["propagations"] > 0 and "restarts" in s for s in stats.values())
     assert all(s[key] >= 0.0 for s in stats.values() for key in ("encode_s", "solve_s", "verify_s"))
     assert all(0 < s["nba_accepting"] <= s["nba_states"] < s["nba_edges"] for s in stats.values())
+    assert all(sum(s["clauses_by_family"].values()) == s["clauses"] and s["step_vars"] > 0 for s in stats.values())
     assert suite.exit_code == 0
 
 

@@ -211,13 +211,13 @@ def test_decisions_follow_activity_after_rescale():
 # SHA-1 of the model's signed literals joined by spaces, or None if unsat)
 TABLE_SOLVES = (
     ((2, False), (2, 1), False, 7, None),
-    ((2, False), (2, 2), True, 22, "07b512f519b78badb14d93945369e77c975cb466"),
-    ((2, True), (3, 1), False, 71, None),
-    ((2, True), (3, 2), False, 302, None),
-    ((2, True), (4, 2), True, 261, "ae68e24d4d1fb93cfcf8fd5469d790c773fa377a"),
-    ((3, False), (3, 1), False, 49, None),
-    ((3, False), (3, 2), False, 634, None),
-    ((3, False), (4, 2), True, 640, "fb09ce7954be786ebb10fcf11fe37bbd29726381"),
+    ((2, False), (2, 2), True, 22, "7cae4b0e6b3cccbc2bdc01b1a32837ca1e8345dc"),
+    ((2, True), (3, 1), False, 69, None),
+    ((2, True), (3, 2), False, 243, None),
+    ((2, True), (4, 2), True, 421, "37387a972186c09bd3762a059a0c2ceaaa43efd4"),
+    ((3, False), (3, 1), False, 31, None),
+    ((3, False), (3, 2), False, 487, None),
+    ((3, False), (4, 2), True, 363, "209f63ea65dd661a32e22c9b2e87d52de2d90ba6"),
 )
 
 

@@ -7,9 +7,10 @@ import subprocess
 import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypersynth import synth
-from hypersynth.automata import ltl_to_nba, tarjan_sccs
+from hypersynth.automata import flatten_atom, ltl_to_nba, split_atom, tarjan_sccs
 from hypersynth.bench import gen_arbiter
 from hypersynth.formula import (
     FALSE,
@@ -25,10 +26,11 @@ from hypersynth.formula import (
     print_formula,
 )
 from hypersynth.fragments import SINGLE_UNIVERSAL, UNDEC_FORALL_EXISTS
-from hypersynth.machines import ExistGenerator, MooreSystem
+from hypersynth.machines import ExistGenerator, MooreSystem, all_valuations
 from hypersynth.mc import mc_exists_forall
 from hypersynth.sat import emit_dimacs
 from hypersynth.synth import (
+    CLAUSE_FAMILIES,
     SolverFailure,
     encode,
     prepare,
@@ -36,6 +38,7 @@ from hypersynth.synth import (
     solve,
     solve_at_bounds,
 )
+from _reference_encoding import reference_verdict
 from test_sat import TABLE_SOLVES
 
 
@@ -461,80 +464,80 @@ def _encoding_points():
 # SHA-1 of the DIMACS text and of repr(var_maps) at each point
 ENCODING_DIGESTS = {
     ('arbiter-2', 2, 1): (
-        "10d233519b1e1de4a0cd1dd0da5174ba7471228e",
-        "d6f9d873ecdb6a43c39f9de9280554a4a5372e11",
+        "a67a3a62a4f010b167f6039577a8a805518b06ed",
+        "a75b645d98699e578f911550e024162f9d2e7573",
     ),
     ('arbiter-2', 2, 2): (
-        "d33b01e3082b7654aadc7eafb334fdf5c8e7a6f2",
-        "aba76740ec82a8dce820440ffe1a6f088d4f72b6",
+        "7966eaf131ff58cc50345868575c7e5c07401399",
+        "cfaff275792e22656c6badadc3916272b94d6a3e",
     ),
     ('arbiter-2-full', 3, 1): (
-        "492da739b03306d7521e7e01b45952cb9a33fe84",
-        "22db60d8de1fed2b1f7fc2d096b3c7e8731967fe",
+        "e012b2084349488c68b2a5fdc83246d740da3c48",
+        "730b4e345f4ac4d0b73f1440fb6254c2c63c8c4a",
     ),
     ('arbiter-2-full', 3, 2): (
-        "1e530f1dde1c21cfbc1874a57bbd80f61c5e1c2b",
-        "a38e28fc8ea573f690c6e4a53e96532a18bd4334",
+        "00aa7ee6a4b20a9dee9e4875864cf3901d451a2f",
+        "bf8385ab758ecc1a836705a55e44548643f22f81",
     ),
     ('arbiter-2-full', 4, 2): (
-        "7f5c2d9b3d508019e06f0be733616621bc1528b9",
-        "3ed727c7edf0a2cc8d27ebe8c43de5dbcc1b7e9a",
+        "751c8eebb2b37bb4fc0391676afd2dfa2a98b99e",
+        "12f9ebe791968df095ad12eed0a80f1e02832cb3",
     ),
     ('arbiter-3', 3, 1): (
-        "b6259a0b6fde7e8d86de055d5e85e3e2c2ba5563",
-        "aac09b1fbe01044881c2dfc0b5847899799e70d4",
+        "b77529d4b409c6ba7a63e34daa203b40d6383189",
+        "fa9992e897bea88c7be055c3e6a79b15909426e1",
     ),
     ('arbiter-3', 3, 2): (
-        "7375d837a631f800bb4feaca94e09ca6c6a6aee8",
-        "c0825cffe9f11ed9a90ac45b1f20eda2e1b91b24",
+        "c04857b6e959cc7cfaa732a608ddda9ccb33e37d",
+        "6c77bf1420bc15a86581854ca642e4e75473cf25",
     ),
     ('arbiter-3', 4, 2): (
-        "2d522908a17eaee6b794d53b28565a1e44c22cd4",
-        "3d81eaa8d708fd65fb7591e53f56c1912132bf9a",
+        "3981e8d4ae7f9dabe55a7c96ad08377ef1929359",
+        "1d9bbbb932f948d1f50fc20531a32bc004a85b5e",
     ),
     ('arbiter-4', 4, 1): (
-        "c9da6fe4e2f6e638c0ea52f57e07cd0dd8edd4b0",
-        "a59f23e52a0744812b589f788eb532b2908a85b4",
+        "450af37a358df363214ee6e5e168d7578f18089c",
+        "d29033838e4e53624642758e26df6804e267c7a3",
     ),
     ('demo', 1, 1): (
-        "7304a26a3eaceed7580ee276b5662abeaeaff2df",
-        "5c8dd98d698afa3076a25d7d794d9764362750ab",
+        "02444d92c9e1398e44f0bf2fdab0e88ab42b2e4f",
+        "e6b3f56863c996bea40fe2462f3acbc77e3be5a2",
     ),
     ('demo', 1, 2): (
-        "e69477c742251c16e948e6e21bf134a94db8a5a4",
-        "243592bfe99032dcb799e2b7d33a250d47833d64",
+        "dae25671b90d31762b5d86afa682ef53b30c8ef8",
+        "6fa7d3db81ac2710ee5badf66a243fbac4352d00",
     ),
     ('demo', 2, 1): (
-        "10d233519b1e1de4a0cd1dd0da5174ba7471228e",
-        "d6f9d873ecdb6a43c39f9de9280554a4a5372e11",
+        "a67a3a62a4f010b167f6039577a8a805518b06ed",
+        "a75b645d98699e578f911550e024162f9d2e7573",
     ),
     ('demo', 1, 3): (
-        "2c9825d4b7bc3c6485028063e12c04687e49cdaa",
-        "08cba5d9eb3e4e594c2b97151abf0bfa92f71dcd",
+        "05aa469f5889a44da9df50b8bca875564abdb4b3",
+        "1354290f8e2aea96b2c4f6a689321a2311f622e6",
     ),
     ('demo', 2, 2): (
-        "d33b01e3082b7654aadc7eafb334fdf5c8e7a6f2",
-        "aba76740ec82a8dce820440ffe1a6f088d4f72b6",
+        "7966eaf131ff58cc50345868575c7e5c07401399",
+        "cfaff275792e22656c6badadc3916272b94d6a3e",
     ),
     ('arbiter-k2', 1, 1): (
-        "fd270565f27f12c49429d2b8d7c2453716c1e13a",
-        "fc4c9f0e539b45c98221c3af76b2ec7b3cac190b",
+        "7f026747ffc4c3705846c682cfb64f6bc66c9ad0",
+        "df91049a52c86bf42bb50e1fb43a6abfabf9ce60",
     ),
     ('arbiter-k2', 2, 1): (
-        "fde46b6d9bfb6bbadcf6559713929bf13be21e11",
-        "8276dab52bd8515a8b259344e193e046b97b1ad7",
+        "ef5e76ba06a583e05d47e662cac240bf3e5076bc",
+        "eb1fe74550909317f5190ce8a80ac1adbdb3a9bc",
     ),
     ('arbiter-k2', 3, 1): (
-        "c5128da5ccf15d91cadb0d6748e13dcfcd012cd3",
-        "e8a468c5c69ca78333d60edacc0c555a76988acc",
+        "5f6bfd7bd721bb377faf2d716399cee5e8f4cdcd",
+        "38d014af8706a22d5ca00114bf885b03c8c93667",
     ),
     ('arbiter-k2', 4, 1): (
-        "b135544172ace933766d0c05da77d72aa5e3886a",
-        "92cd9acb8eb2afb862bf3a8aae7f614dfcf30def",
+        "dcbe3f98cf93076580ba058eed1150c1ed138f36",
+        "39e67ff18b8a64c4479a4cb9477dc779a3a332f3",
     ),
     ('two-universal', 1, 1): (
-        "abc7c1aade61ebc59e8196404982a1eb3b1eb097",
-        "d64835ec3950f58c6be4b5ba7f07644863520761",
+        "f4e0d85b21181fb21b5e5ebf2c20bf755dbc469f",
+        "e2d03085d246f2900e4b6eed237a5657f4854d98",
     ),
 }
 
@@ -551,6 +554,147 @@ def test_encodings_keep_their_bytes():
             hashlib.sha1(repr(problem.var_maps).encode()).hexdigest(),
         )
     assert got == ENCODING_DIGESTS
+
+
+def test_clause_families_sum_to_the_clauses():
+    for name, doc, n, m in _encoding_points():
+        problem = encode(prepare(doc), n, m)
+        families = problem.var_maps["clauses_by_family"]
+        assert tuple(families) == CLAUSE_FAMILIES
+        assert sum(families.values()) == len(problem.clauses), (name, n, m)
+        step = problem.var_maps["step"]
+        assert families["step_definitions"] == sum(len(F) for _, F, _ in step), (name, n, m)
+    inst = prepare(gen_arbiter(2, {1}))
+    res, problem = solve_at_bounds(inst, 2, 1), encode(inst, 2, 1)
+    assert res.stats["clauses_by_family"] == problem.var_maps["clauses_by_family"]
+    assert res.stats["step_vars"] == len(problem.var_maps["step"]) > 0
+
+
+def _joint_inputs_admitted(inst, guard) -> set:
+    """Joint inputs (one valuation index per universal copy) under which the
+    guard's input atoms hold, evaluated on the whole joint letter."""
+    in_vals = all_valuations(inst.inputs)
+    atoms = [(split_atom(sig), sig, val) for sig, val in guard]
+    read = [(sig, val) for (a, copy), sig, val in atoms if a in inst.inputs and copy in inst.universal_vars]
+    out = set()
+    for ivv in itertools.product(range(len(in_vals)), repeat=inst.k):
+        letter = {flatten_atom(a, v) for v, iv in zip(inst.universal_vars, ivv) for a in in_vals[iv]}
+        if all((sig in letter) == val for sig, val in read):
+            out.add(ivv)
+    return out
+
+
+def test_guards_admit_the_product_of_their_per_copy_inputs():
+    # one step literal per copy replaces a clause per joint input only
+    # because a guard admits exactly the product of its per-copy input sets
+    docs = [gen_arbiter(k, {1}, full) for k, full in ((2, False), (2, True), (3, False), (4, False))]
+    docs += [spec(text, inputs="r1, r2", outputs="g1, g2") for text in (DEMO, ARBITER_K2)]
+    ks = set()
+    for doc in docs:
+        inst = prepare(doc)
+        ks.add(inst.k)
+        guards = synth._compile_guards(inst, all_valuations(inst.inputs))
+        for edges, compiled in zip(inst.nba.edges, guards):
+            joint = [(_joint_inputs_admitted(inst, g), q2) for g, q2 in edges]
+            product = [(set(itertools.product(*a)), q2) for a, _, q2, _ in compiled]
+            assert product == [j for j in joint if j[0]]
+            assert all(len(a) == inst.k for a, *_ in compiled)
+    assert ks == {1, 2}
+
+
+def test_singleton_input_sets_make_no_step_variable():
+    # the guard i[pi] admits one valuation of pi's inputs: its step is d itself
+    inst = prepare(spec("forall pi : trace . G (i[pi] -> X o[pi])"))
+    guards = synth._compile_guards(inst, all_valuations(inst.inputs))
+    assert any(len(F) == 1 for edges in guards for admitted, *_ in edges for F in admitted)
+    problem = encode(inst, 2, 1)
+    vm = problem.var_maps
+    assert all(len(F) > 1 for _, F, _ in vm["step"])
+    d_lits = {-x for plane in vm["d"] for row in plane for x in row}
+    transitions = problem.clauses[-vm["clauses_by_family"]["transitions"]:]
+    assert any(d_lits & set(cl) for cl in transitions)
+    for name, doc, n, m in _encoding_points():
+        assert all(len(F) > 1 for _, F, _ in encode(prepare(doc), n, m).var_maps["step"]), name
+
+
+# ---------------------------------------------------------------------------
+# the textbook encoding (tests/_reference_encoding.py) as a differential oracle
+
+
+def _reference_points():
+    """Default table rows and their (n+1, m) retry points, criterion 9's
+    monotonicity pads of arbiter-2, arbiter-4 (4,1), the points synth-search
+    visits, the brute-force oracles' points (among them LATE_I at (1,4),
+    where the counter bound needs its factor m), two-universal (1,1) and a
+    spec whose generator must loop in its last state.
+
+    The pads of arbiter-2-full, (5,2) and (4,3), and of arbiter-3, (4,3) and
+    (3,4), take the textbook encoding 3.5-7 s each and are left out."""
+    rows = {(2, False): ((2, 1), (2, 2)), (2, True): ((3, 1), (3, 2)), (3, False): ((3, 1), (3, 2))}
+    pads = {(2, False): ((3, 2), (2, 3)), (2, True): (), (3, False): ()}
+    for (k, full), points in rows.items():
+        retries = tuple((n + 1, m) for n, m in points)
+        for n, m in dict.fromkeys(points + retries + pads[(k, full)]):
+            yield f"arbiter-{k}{'-full' if full else ''}", gen_arbiter(k, {1}, full), n, m
+    yield "arbiter-4", gen_arbiter(4, {1}), 4, 1
+    demo = spec(DEMO, inputs="r1, r2", outputs="g1, g2")
+    for n, m in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2)):
+        yield "demo", demo, n, m
+    k2 = spec(ARBITER_K2, inputs="r1, r2", outputs="g1, g2")
+    for n in (1, 2, 3, 4):
+        yield "arbiter-k2", k2, n, 1
+    for body in ORACLE_SPECS:
+        for n in (1, 2, 3):
+            yield body, spec(body), n, 1
+    for body, _ in GENERATOR_ORACLE_SPECS:
+        for n, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)) + ((1, 4),) * (body == LATE_I):
+            yield body, spec(f"exists e : trace . forall pi : trace . {body}"), n, m
+    yield "two-universal", spec(TWO_UNIVERSAL), 1, 1
+    # a two-state generator must stay in its last state: needs the last loop-back
+    for n, m in ((1, 1), (1, 2)):
+        yield "stay-last", spec("exists e : trace . forall pi : trace . !i[e] & X G i[e]"), n, m
+
+
+def test_reference_encoding_agrees_at_table_pads_and_search_points():
+    got, want = {}, {}
+    for name, doc, n, m in _reference_points():
+        inst = prepare(doc)
+        got[(name, n, m)] = solve_at_bounds(inst, n, m).status
+        want[(name, n, m)] = reference_verdict(inst, n, m)
+    assert got == want
+    assert len(got) == 62 and set(got.values()) == {"sat", "unsat"}
+
+
+_DRAWN_PREFIXES = {
+    "forall pi : trace . ": ("pi",),
+    "forall p1 : trace . forall p2 : trace . ": ("p1", "p2"),
+    "exists e : trace . forall pi : trace . ": ("e", "pi"),
+}
+
+
+@st.composite
+def _drawn_specs(draw):
+    prefix = draw(st.sampled_from(sorted(_DRAWN_PREFIXES)))
+    atoms = [f"{a}[{c}]" for c in _DRAWN_PREFIXES[prefix] for a in "io"]
+
+    def build(depth):
+        op = draw(st.sampled_from(["atom", "!", "&", "|", "X", "F", "G", "U"] if depth else ["atom"]))
+        if op == "atom":
+            return draw(st.sampled_from(atoms))
+        if op == "!":
+            return f"!({build(depth - 1)})"
+        if op in ("X", "F", "G"):
+            return f"{op} ({build(depth - 1)})"
+        return f"({build(depth - 1)}) {op} ({build(depth - 1)})"
+
+    return prefix + build(3)
+
+
+@given(_drawn_specs(), st.integers(1, 3), st.integers(1, 2))
+@settings(max_examples=200, deadline=None)
+def test_reference_encoding_agrees_on_drawn_specs(text, n, m):
+    inst = prepare(spec(text))
+    assert solve_at_bounds(inst, n, m).status == reference_verdict(inst, n, m), (text, n, m)
 
 
 def _specs_in_this_module():
