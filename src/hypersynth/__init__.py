@@ -1,9 +1,11 @@
 """Toolkit for trace- and proposition-quantified temporal specifications.
 
-Parsing and normal forms live in formula; semantics holds the reference
-evaluator over lasso traces; fragments classifies quantifier prefixes and
-architectures; reductions implements the quantifier eliminations; automata,
-mc, sat, and synth form the bounded synthesis engine; bench and cli drive it.
+Parsing, well-formedness and normal forms live in formula; machines holds
+Moore systems, witness generators and lasso traces; semantics holds the
+reference evaluator over lasso traces; fragments classifies quantifier
+prefixes and architectures; reductions implements the quantifier
+eliminations; automata, mc, sat, and synth form the bounded synthesis engine;
+bench and cli drive it.
 """
 
 from .formula import (
@@ -17,7 +19,7 @@ from .formula import (
     print_formula,
     to_nnf,
 )
-from .semantics import LassoTrace, TraceSet, eval_formula, system_traces
+from .semantics import TraceSet, eval_formula, system_traces
 from .fragments import (
     Architecture,
     FragmentVerdict,
@@ -33,7 +35,7 @@ from .reductions import (
     with_consistency,
 )
 from .automata import NBA, ltl_to_nba
-from .machines import ExistGenerator, MooreSystem
+from .machines import ExistGenerator, LassoTrace, MooreSystem
 from .mc import accepts_lasso, mc_exists_forall
 from .synth import (
     ConstraintProblem,

@@ -368,13 +368,11 @@ def _tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], signals: set[str]):
+    """Reads syntax only: _binding_errors checks the names and scopes of its tree."""
+
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.signals = signals
-        self.bound_trace: list[str] = []
-        self.bound_prop: list[str] = []
-        self.seen_quant_vars: set[str] = set()
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -463,8 +461,6 @@ class _Parser:
                 nt = self.next()
                 if nt.kind not in ("name", "kw"):
                     raise self.error("expected a signal name in agent set", nt)
-                if nt.text not in self.signals:
-                    raise self.error(f"unknown proposition {nt.text!r} in agent set", nt)
                 agents.append(nt.text)
                 if self.peek().text != ",":
                     break
@@ -474,8 +470,6 @@ class _Parser:
         tv = self.next()
         if tv.kind != "name":
             raise self.error("expected a trace variable", tv)
-        if tv.text not in self.bound_trace:
-            raise self.error(f"unbound trace variable {tv.text!r}", tv)
         self.expect("]")
         child = self.parse_unary()
         return Knowledge(frozenset(agents), tv.text, child, pos=(tok.line, tok.col))
@@ -485,29 +479,20 @@ class _Parser:
         name_tok = self.next()
         if name_tok.kind != "name":
             raise self.error("expected a variable name", name_tok)
-        var = name_tok.text
-        if var in self.seen_quant_vars:
-            raise self.error(f"duplicate variable name {var!r}", name_tok)
         self.expect(":")
         sort_tok = self.next()
         if sort_tok.text not in ("trace", "prop"):
             raise self.error("expected 'trace' or 'prop'", sort_tok)
         self.expect(".")
         is_trace = sort_tok.text == "trace"
-        if not is_trace and var in self.signals:
-            raise self.error(f"quantified proposition {var!r} collides with a declared signal", name_tok)
-        self.seen_quant_vars.add(var)
-        stack = self.bound_trace if is_trace else self.bound_prop
-        stack.append(var)
         child = self.parse_formula()
-        stack.pop()
         kind = {
             ("forall", True): TraceForall,
             ("exists", True): TraceExists,
             ("forall", False): PropForall,
             ("exists", False): PropExists,
         }[(tok.text, is_trace)]
-        return kind(var=var, child=child, pos=(tok.line, tok.col))
+        return kind(var=name_tok.text, child=child, pos=(tok.line, tok.col))
 
     def parse_atom(self) -> Formula:
         t = self.peek()
@@ -531,13 +516,7 @@ class _Parser:
             if tv.kind != "name":
                 raise self.error("expected a trace variable", tv)
             self.expect("]")
-            if t.text not in self.signals:
-                raise self.error(f"unknown proposition {t.text!r}", t)
-            if tv.text not in self.bound_trace:
-                raise self.error(f"unbound trace variable {tv.text!r}", tv)
             return TraceAtom(t.text, tv.text, pos=(t.line, t.col))
-        if t.text not in self.bound_prop:
-            raise self.error(f"unbound propositional variable {t.text!r}", t)
         return PropAtom(t.text, pos=(t.line, t.col))
 
 
@@ -550,7 +529,7 @@ def _parse_header_line(line: str, lineno: int) -> Optional[tuple[str, list[str]]
             rest = stripped[len(key) + 1 :].strip()
             names = [s.strip() for s in rest.split(",")] if rest else []
             for s in names:
-                if not s or not (s[0].isalpha() or s[0] == "_") or not all(c.isalnum() or c == "_" for c in s):
+                if not _is_name(s):
                     raise SpecError(f"bad signal name {s!r} in {key} header", lineno, 1)
             return key, names
     return None
@@ -581,34 +560,28 @@ def parse(text: str) -> SpecDocument:
                 raise SpecError("duplicate outputs header", idx + 1, 1)
             outputs = names
         body_start = idx + 1
-    inputs = inputs or []
-    outputs = outputs or []
-    seen: set[str] = set()
-    for s in inputs + outputs:
-        if s in seen:
-            raise SpecError(f"signal {s!r} declared twice")
-        seen.add(s)
     body_text = "\n".join([""] * body_start + lines[body_start:])
     tokens = _tokenize(body_text)
     if tokens[0].kind == "eof":
         raise SpecError("missing formula", len(lines), 1)
-    parser = _Parser(tokens, seen)
+    parser = _Parser(tokens)
     f = parser.parse_formula()
     t = parser.peek()
     if t.kind != "eof":
         raise parser.error(f"unexpected trailing input {t.text!r}")
-    return SpecDocument(tuple(inputs), tuple(outputs), f)
+    doc = SpecDocument(tuple(inputs or ()), tuple(outputs or ()), f)
+    _raise_first(_binding_errors(doc.signals, f))
+    return doc
 
 
 def parse_formula(text: str, signals: set[str], trace_vars: set[str] = frozenset(),
                   prop_vars: set[str] = frozenset()) -> Formula:
     """Parse a bare formula with the given signals and pre-bound variables in scope."""
-    parser = _Parser(_tokenize(text), set(signals))
-    parser.bound_trace = list(trace_vars)
-    parser.bound_prop = list(prop_vars)
+    parser = _Parser(_tokenize(text))
     f = parser.parse_formula()
     if parser.peek().kind != "eof":
         raise parser.error("unexpected trailing input")
+    _raise_first(_binding_errors(tuple(sorted(signals)), f, trace_vars, prop_vars))
     return f
 
 
@@ -685,53 +658,70 @@ def print_document(doc: SpecDocument) -> str:
 # well-formedness
 
 
-def check_well_formed(doc: SpecDocument) -> list[str]:
-    """Collect diagnostics; an empty list means the document is well-formed."""
-    diags: list[str] = []
-    seen_signal: set[str] = set()
-    for s in doc.inputs + doc.outputs:
-        if s in seen_signal:
-            diags.append(f"signal {s!r} declared more than once")
-        seen_signal.add(s)
+def _is_name(s: str) -> bool:
+    """s reads back as one name token: an identifier that is not a keyword."""
+    return (s[:1].isalpha() or s[:1] == "_") and all(c.isalnum() or c == "_" for c in s) and s not in _KEYWORDS
 
+
+def _binding_errors(signals: tuple[str, ...], f: Formula, trace_vars: set[str] = frozenset(),
+                    prop_vars: set[str] = frozenset()) -> Iterator[tuple[str, Optional[Formula]]]:
+    """Every naming, declaration and binding error as (message, node), in source order.
+
+    node is None for an error in the signals. trace_vars and prop_vars are
+    bound around f; no two quantifiers of f may bind the same name.
+    """
+    declared: set[str] = set()
+    for s in signals:
+        if not _is_name(s):
+            yield f"bad signal name {s!r}", None
+        elif s in declared:
+            yield f"signal {s!r} declared more than once", None
+        declared.add(s)
     seen_vars: set[str] = set()
-
-    def rec(f: Formula, trace_scope: set[str], prop_scope: set[str], in_prefix: bool = False) -> None:
-        if isinstance(f, Quantifier):
-            if not in_prefix:
-                diags.append(f"quantifier for {f.var!r} below an operator: the prefix must be prenex")
-            if f.var in seen_vars:
-                diags.append(f"duplicate variable {f.var!r}")
-            seen_vars.add(f.var)
-            if not f.kind.is_trace:
-                if f.var in seen_signal:
-                    diags.append(f"quantified proposition {f.var!r} collides with a declared signal")
-                rec(f.child, trace_scope, prop_scope | {f.var}, in_prefix)
+    stack = [(f, frozenset(trace_vars), frozenset(prop_vars))]
+    while stack:
+        g, traces, props = stack.pop()
+        if isinstance(g, Quantifier):
+            if not _is_name(g.var):
+                yield f"bad variable name {g.var!r}", g
+            if g.var in seen_vars:
+                yield f"duplicate variable {g.var!r}", g
+            seen_vars.add(g.var)
+            if g.kind.is_trace:
+                traces = traces | {g.var}
             else:
-                rec(f.child, trace_scope | {f.var}, prop_scope, in_prefix)
-            return
-        if isinstance(f, TraceAtom):
-            if f.prop not in seen_signal:
-                diags.append(f"unknown proposition {f.prop!r}")
-            if f.trace_var not in trace_scope:
-                diags.append(f"unbound trace variable {f.trace_var!r}")
-            return
-        if isinstance(f, PropAtom):
-            if f.var not in prop_scope:
-                diags.append(f"unbound propositional variable {f.var!r}")
-            return
-        if isinstance(f, Knowledge):
-            if f.trace_var not in trace_scope:
-                diags.append(f"unbound trace variable {f.trace_var!r} in knowledge operator")
-            for a in f.agents:
-                if a not in seen_signal:
-                    diags.append(f"unknown proposition {a!r} in agent set")
-            rec(f.child, trace_scope, prop_scope)
-            return
-        for c in f.children():
-            rec(c, trace_scope, prop_scope)
+                if g.var in declared:
+                    yield f"quantified proposition {g.var!r} collides with a declared signal", g
+                props = props | {g.var}
+        elif isinstance(g, PropAtom):
+            if g.var not in props:
+                yield f"unbound propositional variable {g.var!r}", g
+        elif isinstance(g, (TraceAtom, Knowledge)):
+            for p in (g.prop,) if isinstance(g, TraceAtom) else sorted(g.agents):
+                if p not in declared:
+                    yield f"unknown proposition {p!r}", g
+            if g.trace_var not in traces:
+                yield f"unbound trace variable {g.trace_var!r}", g
+        for c in reversed(g.children()):
+            stack.append((c, traces, props))
 
-    rec(doc.formula, set(), set(), in_prefix=True)
+
+def _raise_first(errors: Iterator[tuple[str, Optional[Formula]]]) -> None:
+    for message, node in errors:
+        raise SpecError(message, *((node and node.pos) or (0, 0)))
+
+
+def check_well_formed(doc: SpecDocument) -> list[str]:
+    """Collect diagnostics; an empty list means the document is well-formed.
+
+    Beyond the parser's rules, the formula must be prenex.
+    """
+    diags = [message for message, _ in _binding_errors(doc.signals, doc.formula)]
+    f = doc.formula
+    while isinstance(f, Quantifier):
+        f = f.child
+    diags += [f"quantifier for {g.var!r} below an operator: the prefix must be prenex"
+              for g in walk(f) if isinstance(g, Quantifier)]
     return diags
 
 

@@ -1,9 +1,48 @@
-"""Finite-state machines: Moore implementations and autonomous existential-witness generators."""
+"""Finite-state machines (Moore implementations and autonomous existential-witness
+generators) and the ultimately periodic traces they produce."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class LassoTrace:
+    """Ultimately periodic trace: finite prefix followed by a repeated nonempty loop."""
+
+    signals: frozenset[str]
+    prefix: tuple[frozenset[str], ...]
+    loop: tuple[frozenset[str], ...]
+
+    def __post_init__(self):
+        if not self.loop:
+            raise ValueError("lasso loop must be nonempty")
+        for v in self.prefix + self.loop:
+            if not v <= self.signals:
+                raise ValueError(f"valuation {sorted(v)} uses signals outside {sorted(self.signals)}")
+
+    def at(self, i: int) -> frozenset[str]:
+        if i < 0:
+            raise ValueError("position negative")
+        if i < len(self.prefix):
+            return self.prefix[i]
+        return self.loop[(i - len(self.prefix)) % len(self.loop)]
+
+    def key(self) -> tuple:
+        """Canonical form: minimal prefix and primitive loop, for semantic deduplication."""
+        prefix, loop = list(self.prefix), list(self.loop)
+        # shrink loop to its primitive root
+        n = len(loop)
+        for d in range(1, n + 1):
+            if n % d == 0 and loop == loop[:d] * (n // d):
+                loop = loop[:d]
+                break
+        # fold prefix tail into the loop
+        while prefix and prefix[-1] == loop[-1]:
+            prefix.pop()
+            loop = [loop[-1]] + loop[:-1]
+        return (tuple(prefix), tuple(loop))
 
 
 def all_valuations(signals: tuple[str, ...]) -> list[frozenset[str]]:

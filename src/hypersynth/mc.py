@@ -9,9 +9,8 @@ from typing import Optional
 
 from .automata import NBA, flatten_atom, ltl_to_nba, split_atom
 from .formula import Formula, Not, SpecError, TraceAtom, Quantifier, walk
-from .machines import ExistGenerator, MooreSystem, all_valuations
+from .machines import ExistGenerator, LassoTrace, MooreSystem, all_valuations
 from .reductions import with_consistency
-from .semantics import LassoTrace
 
 
 def body_trace_vars(f: Formula) -> list:

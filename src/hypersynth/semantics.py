@@ -28,48 +28,10 @@ from .formula import (
     Until,
     WeakUntil,
 )
-from .machines import MooreSystem, all_valuations
+from .machines import LassoTrace, MooreSystem, all_valuations
 
 LOOP_ALIGN_CAP = 64
 POSITION_GRAPH_CAP = 100_000
-
-
-@dataclass(frozen=True)
-class LassoTrace:
-    """Ultimately periodic trace: finite prefix followed by a repeated nonempty loop."""
-
-    signals: frozenset[str]
-    prefix: tuple[frozenset[str], ...]
-    loop: tuple[frozenset[str], ...]
-
-    def __post_init__(self):
-        if not self.loop:
-            raise ValueError("lasso loop must be nonempty")
-        for v in self.prefix + self.loop:
-            if not v <= self.signals:
-                raise ValueError(f"valuation {sorted(v)} uses signals outside {sorted(self.signals)}")
-
-    def at(self, i: int) -> frozenset[str]:
-        if i < 0:
-            raise ValueError("position negative")
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.loop[(i - len(self.prefix)) % len(self.loop)]
-
-    def key(self) -> tuple:
-        """Canonical form: minimal prefix and primitive loop, for semantic deduplication."""
-        prefix, loop = list(self.prefix), list(self.loop)
-        # shrink loop to its primitive root
-        n = len(loop)
-        for d in range(1, n + 1):
-            if n % d == 0 and loop == loop[:d] * (n // d):
-                loop = loop[:d]
-                break
-        # fold prefix tail into the loop
-        while prefix and prefix[-1] == loop[-1]:
-            prefix.pop()
-            loop = [loop[-1]] + loop[:-1]
-        return (tuple(prefix), tuple(loop))
 
 
 @dataclass(frozen=True)
@@ -246,7 +208,7 @@ def _eval_body(f: Formula, ctx: _PositionGraph, prop_bound: int, allow_knowledge
         return [f.value] * n
     if isinstance(f, TraceAtom):
         if f.trace_var not in ctx.Pi:
-            raise ValueError(f"unbound trace variable {f.trace_var!r}")
+            raise ValueError(f"no trace assigned to {f.trace_var!r}")
         t = ctx.Pi[f.trace_var]
         return [f.prop in t.at(j) for j in range(n)]
     if isinstance(f, PropAtom):
@@ -318,7 +280,7 @@ def _eval_body(f: Formula, ctx: _PositionGraph, prop_bound: int, allow_knowledge
 
 def _knowledge_at(f: Knowledge, ctx: _PositionGraph, j: int, prop_bound: int) -> bool:
     if f.trace_var not in ctx.Pi:
-        raise ValueError(f"unbound trace variable {f.trace_var!r} in knowledge operator")
+        raise ValueError(f"no trace assigned to {f.trace_var!r} in knowledge operator")
     ref = ctx.Pi[f.trace_var]
     for t in ctx.T.sorted_traces():
         if all(ref.at(k) & f.agents == t.at(k) & f.agents for k in range(j + 1)):

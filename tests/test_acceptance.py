@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from hypersynth.automata import ltl_to_nba, tarjan_sccs
+from hypersynth.automata import ltl_to_nba
 from hypersynth.bench import gen_arbiter
 from hypersynth.formula import (
     And,
@@ -176,43 +176,38 @@ def _step_mask(succ, mask, li):
 
 
 def _loop_acceptance(succ, accepting, n_states, v):
-    # states that start an accepting run over v repeated forever: a state s
-    # qualifies when node (s, 0) of the loop product reaches a cyclic SCC
-    # that contains an accepting automaton state
+    # states that start an accepting run over v repeated forever, as a Buchi
+    # fixpoint over the loop product: Z[j] is the set of states that, at
+    # position j of v, have a run through an accepting state infinitely often,
+    # Z = nu Z. mu Y. (accepting & pre Z) | pre Y, one bitmask per position
     lv = len(v)
-    adj = {}
-    for s in range(n_states):
+    acc = 0
+    for s in accepting:
+        acc |= 1 << s
+    cols = [[succ[s][v[j]] for s in range(n_states)] for j in range(lv)]
+
+    def pre(x):
+        out = []
         for j in range(lv):
-            jj = (j + 1) % lv
-            outs = []
-            mm = succ[s][v[j]]
-            while mm:
-                bit = mm & -mm
-                outs.append((bit.bit_length() - 1) * lv + jj)
-                mm ^= bit
-            adj[s * lv + j] = outs
-    total = n_states * lv
-    good = set()
-    for comp in tarjan_sccs(total, adj):
-        cyclic = len(comp) > 1 or comp[0] in adj[comp[0]]
-        if cyclic and any(node // lv in accepting for node in comp):
-            good.update(comp)
-    radj = [[] for _ in range(total)]
-    for x, outs in adj.items():
-        for y in outs:
-            radj[y].append(x)
-    reach_good = set(good)
-    frontier = list(good)
-    while frontier:
-        for x in radj[frontier.pop()]:
-            if x not in reach_good:
-                reach_good.add(x)
-                frontier.append(x)
-    mask = 0
-    for s in range(n_states):
-        if s * lv in reach_good:
-            mask |= 1 << s
-    return mask
+            nxt, m = x[(j + 1) % lv], 0
+            for s, targets in enumerate(cols[j]):
+                if targets & nxt:
+                    m |= 1 << s
+            out.append(m)
+        return out
+
+    z = [(1 << n_states) - 1] * lv
+    while True:
+        base = [acc & m for m in pre(z)]
+        y = base
+        while True:
+            y2 = [b | m for b, m in zip(base, pre(y))]
+            if y2 == y:
+                break
+            y = y2
+        if y == z:
+            return z[0]
+        z = y
 
 
 def _word_tables(nba):

@@ -1,7 +1,7 @@
 """Parser, printer, normal forms, and prefix handling."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypersynth.formula import (
     And,
@@ -19,6 +19,7 @@ from hypersynth.formula import (
     PropForall,
     QuantKind,
     Release,
+    SpecDocument,
     SpecError,
     TraceAtom,
     TraceExists,
@@ -94,14 +95,20 @@ def test_parse_document_comments_and_blank_lines():
 
 
 def test_duplicate_signal_rejected():
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match="declared more than once"):
         parse("inputs: r\noutputs: r\nforall pi : trace . r[pi]")
+    doc = SpecDocument(("r",), ("r",), TraceForall("pi", TraceAtom("r", "pi")))
+    assert check_well_formed(doc) == ["signal 'r' declared more than once"]
 
 
 def test_unbound_trace_var_rejected():
     with pytest.raises(SpecError) as e:
         parse("inputs: r\noutputs: g\ng[pi]")
     assert "pi" in str(e.value)
+    # the error points at the start of the atom
+    with pytest.raises(SpecError, match="unbound trace variable 'pj'") as e:
+        parse("inputs: r\noutputs: g\nforall pi : trace . g[pj]")
+    assert (e.value.line, e.value.col) == (3, 21)
 
 
 def test_duplicate_quantifier_var_rejected():
@@ -118,6 +125,38 @@ def test_error_carries_position():
     with pytest.raises(SpecError) as e:
         parse("inputs: r\noutputs: g\nforall pi : trace . (g[pi]")
     assert e.value.line == 3
+    # a syntax error is reported before any binding error
+    with pytest.raises(SpecError, match="expected") as e:
+        parse("inputs: r\noutputs: g\nforall pi : trace . zz[pj] & (g[pi]")
+    assert e.value.line == 3
+
+
+@pytest.mark.parametrize("header", ["inputs: X\noutputs: g", "inputs: r\noutputs: true",
+                                    "inputs: r, forall\noutputs: g"])
+def test_header_rejects_keyword_names(header):
+    # a keyword signal could never be read back in the body
+    with pytest.raises(SpecError, match="bad signal name") as e:
+        parse(header + "\nforall pi : trace . g[pi]")
+    assert e.value.line in (1, 2)
+
+
+@pytest.mark.parametrize("name", ["X", "r x"])
+def test_bad_signal_name_rejected_by_both_checks(name):
+    doc = SpecDocument((name,), ("g",), TraceForall("pi", TraceAtom("g", "pi")))
+    assert check_well_formed(doc) == [f"bad signal name {name!r}"]
+    with pytest.raises(SpecError, match="bad signal name"):
+        parse(print_document(doc))
+
+
+@pytest.mark.parametrize("quantifier", [TraceForall, PropExists])
+def test_keyword_variable_rejected_by_both_checks(quantifier):
+    # a variable named like an operator prints as text the parser cannot read
+    for var in ("X", "U"):
+        atom = TraceAtom("g", var) if quantifier is TraceForall else PropAtom(var)
+        doc = SpecDocument(("r",), ("g",), quantifier(var=var, child=atom))
+        assert check_well_formed(doc) == [f"bad variable name {var!r}"]
+        with pytest.raises(SpecError):
+            parse(print_document(doc))
 
 
 def test_knowledge_syntax():
@@ -234,6 +273,71 @@ def test_extract_prefix_orders_entries():
 def test_check_well_formed_accepts_document():
     doc = parse("inputs: r\noutputs: g\nforall pi : trace . g[pi]")
     assert check_well_formed(doc) == []
+
+
+# drawn prenex documents: check_well_formed accepts exactly those that print
+# and parse back to themselves
+
+_SIGNALS = ["a", "b", "c", "d", "e", "f"]
+_VARS = ["pi", "pj", "pk", "p", "q", "r"]
+_NAMES = _SIGNALS + _VARS + ["x_1", "X", "U", "forall", "true", "prop", "r x", "1a", "", "a-b"]
+
+
+def _name(pool):
+    # mostly a name of the pool; sometimes a keyword, a non-identifier or a
+    # name of the other pool
+    return st.sampled_from(pool * 10 + _NAMES)
+
+
+@st.composite
+def _documents(draw):
+    signals = draw(st.lists(_name(_SIGNALS), max_size=3))
+    cut = draw(st.integers(0, len(signals)))
+    prefix = draw(st.lists(st.tuples(st.sampled_from([TraceForall, TraceExists, PropForall, PropExists]),
+                                     _name(_VARS)), max_size=3))
+    traces = [v for q, v in prefix if q in (TraceForall, TraceExists)]
+    props = [v for q, v in prefix if q in (PropForall, PropExists)]
+    # a well-bound document's atoms name declared signals and variables bound
+    # with their sort; the others' atoms may name anything
+    well_bound = draw(st.booleans())
+
+    def pick(names):
+        return st.sampled_from(names) if well_bound else _name(_SIGNALS + _VARS)
+
+    def can(*names):
+        return not well_bound or all(names)
+
+    leaves = [st.sampled_from([BoolConst(True), BoolConst(False)])]
+    if can(signals, traces):
+        leaves.append(st.builds(TraceAtom, pick(signals), pick(traces)))
+    if can(props):
+        leaves.append(st.builds(PropAtom, pick(props)))
+    leaf = st.one_of(leaves)
+
+    def extend(children):
+        ops = [st.builds(lambda op, c: op(c), st.sampled_from([Not, Next, Globally]), children),
+               st.builds(lambda op, l, r: op(l, r), st.sampled_from([And, Implies, Until]), children, children)]
+        if can(traces):
+            agents = st.lists(pick(signals), max_size=2) if can(signals) else st.just([])
+            ops.append(st.builds(lambda ags, tv, c: Knowledge(frozenset(ags), tv, c), agents, pick(traces), children))
+        return st.one_of(ops)
+
+    f = draw(st.recursive(leaf, extend, max_leaves=4))
+    for quantifier, var in reversed(prefix):
+        f = quantifier(var=var, child=f)
+    return SpecDocument(tuple(signals[:cut]), tuple(signals[cut:]), f)
+
+
+@given(_documents())
+@example(SpecDocument(("a",), ("b",), PropExists("q", TraceForall("pi", Knowledge(frozenset({"a"}), "pi", PropAtom("q"))))))
+@example(SpecDocument(("r",), ("g",), TraceForall("X", TraceAtom("g", "X"))))
+@settings(max_examples=200, deadline=None)
+def test_check_well_formed_agrees_with_round_trip(doc):
+    try:
+        again = parse(print_document(doc))
+    except SpecError:
+        again = None
+    assert (check_well_formed(doc) == []) == (again == doc)
 
 
 def test_check_well_formed_flags_non_prenex():

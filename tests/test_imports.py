@@ -1,5 +1,6 @@
-"""The installed package carries no dependency that only the tests use, and
-prefix classification reads only the syntax tree."""
+"""The installed package carries no dependency that only the tests use,
+prefix classification reads only the syntax tree, and the pipeline never
+imports the reference evaluator."""
 
 import ast
 from pathlib import Path
@@ -24,12 +25,28 @@ def test_no_module_imports_numpy():
     assert offenders == []
 
 
-def test_fragments_reads_only_the_formula_module():
-    # classification needs none of the evaluator, the reductions or the model
-    # checker
-    path = SRC / "fragments.py"
+def _relative_imports(name: str) -> set:
+    path = SRC / f"{name}.py"
     relative = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             relative.add(node.module)
-    assert relative == {"formula"}
+    return relative
+
+
+def test_fragments_reads_only_the_formula_module():
+    # classification needs none of the evaluator, the reductions or the model
+    # checker
+    assert _relative_imports("fragments") == {"formula"}
+
+
+def test_pipeline_does_not_import_the_reference_evaluator():
+    # semantics is the tests' and the benchmark judge's oracle; no pipeline
+    # module reaches it, directly or through another module
+    for name in ("automata", "machines", "mc", "reductions", "sat", "synth"):
+        reached, todo = set(), [name]
+        while todo:
+            for m in _relative_imports(todo.pop()) - reached:
+                reached.add(m)
+                todo.append(m)
+        assert "semantics" not in reached, name
