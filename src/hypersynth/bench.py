@@ -123,11 +123,15 @@ class BoundResult:
     m: int
     expected: str
     verdict: str  # "sat" | "unsat" | "timeout" | "error"
-    verified: Optional[bool] = None
     slack: Optional[tuple] = None  # bound actually used when it differs
     seconds: float = 0.0
     detail: str = ""
     stats: dict = field(default_factory=dict)  # of the result that decided the verdict
+
+    @property
+    def verified(self) -> Optional[bool]:
+        """True for "sat": solve raises when the model check of a model fails."""
+        return True if self.verdict == "sat" else None
 
     @property
     def matched(self) -> bool:
@@ -172,7 +176,7 @@ class SuiteReport:
                 lines.append(f"{'':<{width}}  ERROR: {r.error}")
             for b in r.bounds:
                 mark = "ok" if b.matched else "MISMATCH"
-                ver = " verified" if b.verdict == "sat" else ""
+                ver = " verified" if b.verified else ""
                 used = f" (at {b.slack[0]},{b.slack[1]})" if b.slack else ""
                 lines.append(
                     f"{'':<{width}}  ({b.n},{b.m}) expected {b.expected:<8} got "
@@ -240,18 +244,12 @@ def run_instance(bench: BenchmarkInstance, timeout=None) -> InstanceReport:
                 res2 = solve_at_bounds(inst, n + 1, m, timeout)
                 if res2.status == "sat":
                     verdict, used, res = "sat", (n + 1, m), res2
-            verified = None
-            if verdict == "sat":
-                verified = True  # solve raises on failed verification
             report.bounds.append(
-                BoundResult(
-                    n, m, expected, verdict, verified, used, time.monotonic() - tb,
-                    stats=res.stats,
-                )
+                BoundResult(n, m, expected, verdict, used, time.monotonic() - tb, stats=res.stats)
             )
         except SolverFailure as e:
             report.bounds.append(
-                BoundResult(n, m, expected, "timeout", None, None, time.monotonic() - tb, str(e))
+                BoundResult(n, m, expected, "timeout", None, time.monotonic() - tb, str(e))
             )
             if expected != "optional":
                 report.error = str(e)
@@ -259,7 +257,7 @@ def run_instance(bench: BenchmarkInstance, timeout=None) -> InstanceReport:
         except Exception as e:  # noqa: BLE001 - an internal fault is an error, not a verdict
             report.error = f"{type(e).__name__}: {e}"
             report.bounds.append(
-                BoundResult(n, m, expected, "error", None, None, time.monotonic() - tb, report.error)
+                BoundResult(n, m, expected, "error", None, time.monotonic() - tb, report.error)
             )
             break
     report.seconds = time.monotonic() - t0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
+from itertools import chain
 from typing import Iterator, Optional
 
 
@@ -21,20 +22,16 @@ class QuantKind(Enum):
     def is_forall(self) -> bool:
         return self in (QuantKind.TRACE_FORALL, QuantKind.PROP_FORALL)
 
-    def dual(self) -> "QuantKind":
-        return {
-            QuantKind.TRACE_FORALL: QuantKind.TRACE_EXISTS,
-            QuantKind.TRACE_EXISTS: QuantKind.TRACE_FORALL,
-            QuantKind.PROP_FORALL: QuantKind.PROP_EXISTS,
-            QuantKind.PROP_EXISTS: QuantKind.PROP_FORALL,
-        }[self]
+
+# a (line, column) source position, if the node or signal was read from text
+Pos = Optional[tuple[int, int]]
 
 
 @dataclass(frozen=True)
 class Formula:
     """Base class of all AST nodes. Source position never takes part in equality."""
 
-    pos: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False, kw_only=True)
+    pos: Pos = field(default=None, compare=False, repr=False, kw_only=True)
 
     def children(self) -> tuple["Formula", ...]:
         return ()
@@ -361,10 +358,30 @@ def _tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
+# operator table: the parser, the printer and to_nnf read each operator's
+# token, precedence, grouping and dual from here
+
+
+_UNARY = {"!": Not, "X": Next, "F": Eventually, "G": Globally}
+# token: (class, precedence, right-associative); a higher precedence binds tighter
+_BINARY = {
+    "<->": (Iff, 1, False),
+    "->": (Implies, 2, True),
+    "|": (Or, 3, False),
+    "&": (And, 4, False),
+    "U": (Until, 5, True),
+    "W": (WeakUntil, 5, True),
+    "R": (Release, 5, True),
+}
+# unary operators and K bind tighter than every binary operator
+_UNARY_PREC = 1 + max(prec for _, prec, _ in _BINARY.values())
+_DUAL = {a: b for x, y in ((And, Or), (Eventually, Globally), (Until, Release), (Next, Next),
+                           (TraceForall, TraceExists), (PropForall, PropExists))
+         for a, b in ((x, y), (y, x))}
+
+
+# ---------------------------------------------------------------------------
 # parser
-#
-# precedence (tightest first): unary (! X F G K) > U/W/R > & > | > -> > <->
-# U/W/R and -> associate to the right, & | <-> to the left
 
 
 class _Parser:
@@ -392,60 +409,20 @@ class _Parser:
             raise self.error(f"expected {text!r}, found {t.text!r}")
         return self.next()
 
-    def parse_formula(self) -> Formula:
-        return self.parse_iff()
-
-    def parse_iff(self) -> Formula:
-        f = self.parse_implies()
-        while self.peek().text == "<->":
-            tok = self.next()
-            g = self.parse_implies()
-            f = Iff(f, g, pos=(tok.line, tok.col))
-        return f
-
-    def parse_implies(self) -> Formula:
-        f = self.parse_or()
-        if self.peek().text == "->":
-            tok = self.next()
-            g = self.parse_implies()
-            return Implies(f, g, pos=(tok.line, tok.col))
-        return f
-
-    def parse_or(self) -> Formula:
-        f = self.parse_and()
-        while self.peek().text == "|":
-            tok = self.next()
-            g = self.parse_and()
-            f = Or(f, g, pos=(tok.line, tok.col))
-        return f
-
-    def parse_and(self) -> Formula:
-        f = self.parse_until()
-        while self.peek().text == "&":
-            tok = self.next()
-            g = self.parse_until()
-            f = And(f, g, pos=(tok.line, tok.col))
-        return f
-
-    def parse_until(self) -> Formula:
+    def parse_formula(self, min_prec: int = 0) -> Formula:
+        """Precedence climbing: read the binary operators that bind at least min_prec."""
         f = self.parse_unary()
-        t = self.peek()
-        if t.text in ("U", "W", "R"):
+        while self.peek().text in _BINARY and _BINARY[self.peek().text][1] >= min_prec:
             tok = self.next()
-            g = self.parse_until()
-            cls = {"U": Until, "W": WeakUntil, "R": Release}[tok.text]
-            return cls(f, g, pos=(tok.line, tok.col))
+            cls, prec, right_assoc = _BINARY[tok.text]
+            f = cls(f, self.parse_formula(prec if right_assoc else prec + 1), pos=(tok.line, tok.col))
         return f
 
     def parse_unary(self) -> Formula:
         t = self.peek()
-        if t.text == "!":
-            tok = self.next()
-            return Not(self.parse_unary(), pos=(tok.line, tok.col))
-        if t.text in ("X", "F", "G"):
-            tok = self.next()
-            cls = {"X": Next, "F": Eventually, "G": Globally}[tok.text]
-            return cls(self.parse_unary(), pos=(tok.line, tok.col))
+        if t.text in _UNARY:
+            self.next()
+            return _UNARY[t.text](self.parse_unary(), pos=(t.line, t.col))
         if t.text == "K":
             return self.parse_knowledge()
         if t.text in ("forall", "exists"):
@@ -520,29 +497,25 @@ class _Parser:
         return PropAtom(t.text, pos=(t.line, t.col))
 
 
-def _parse_header_line(line: str, lineno: int) -> Optional[tuple[str, list[str]]]:
+def _parse_header_line(line: str) -> Optional[tuple[str, list[str]]]:
     stripped = line.split("#", 1)[0].strip()
     if not stripped:
         return None
     for key in ("inputs", "outputs"):
         if stripped.startswith(key + ":"):
             rest = stripped[len(key) + 1 :].strip()
-            names = [s.strip() for s in rest.split(",")] if rest else []
-            for s in names:
-                if not _is_name(s):
-                    raise SpecError(f"bad signal name {s!r} in {key} header", lineno, 1)
-            return key, names
+            return key, [s.strip() for s in rest.split(",")] if rest else []
     return None
 
 
 def parse(text: str) -> SpecDocument:
     """Parse a specification document: header lines followed by one formula."""
     lines = text.split("\n")
-    inputs: Optional[list[str]] = None
-    outputs: Optional[list[str]] = None
+    headers: dict[str, list[str]] = {}
+    signals: list[tuple[str, Pos]] = []  # with their header line, in source order
     body_start = 0
     for idx, line in enumerate(lines):
-        hdr = _parse_header_line(line, idx + 1)
+        hdr = _parse_header_line(line)
         if hdr is None:
             stripped = line.split("#", 1)[0].strip()
             if stripped:
@@ -551,14 +524,10 @@ def parse(text: str) -> SpecDocument:
             body_start = idx + 1
             continue
         key, names = hdr
-        if key == "inputs":
-            if inputs is not None:
-                raise SpecError("duplicate inputs header", idx + 1, 1)
-            inputs = names
-        else:
-            if outputs is not None:
-                raise SpecError("duplicate outputs header", idx + 1, 1)
-            outputs = names
+        if key in headers:
+            raise SpecError(f"duplicate {key} header", idx + 1, 1)
+        headers[key] = names
+        signals += [(s, (idx + 1, 1)) for s in names]
         body_start = idx + 1
     body_text = "\n".join([""] * body_start + lines[body_start:])
     tokens = _tokenize(body_text)
@@ -569,9 +538,8 @@ def parse(text: str) -> SpecDocument:
     t = parser.peek()
     if t.kind != "eof":
         raise parser.error(f"unexpected trailing input {t.text!r}")
-    doc = SpecDocument(tuple(inputs or ()), tuple(outputs or ()), f)
-    _raise_first(_binding_errors(doc.signals, f))
-    return doc
+    _raise_first(_binding_errors(signals, f))
+    return SpecDocument(tuple(headers.get("inputs", ())), tuple(headers.get("outputs", ())), f)
 
 
 def parse_formula(text: str, signals: set[str], trace_vars: set[str] = frozenset(),
@@ -581,59 +549,51 @@ def parse_formula(text: str, signals: set[str], trace_vars: set[str] = frozenset
     f = parser.parse_formula()
     if parser.peek().kind != "eof":
         raise parser.error("unexpected trailing input")
-    _raise_first(_binding_errors(tuple(sorted(signals)), f, trace_vars, prop_vars))
+    _raise_first(_binding_errors([(s, None) for s in sorted(signals)], f, trace_vars, prop_vars))
     return f
 
 
 # ---------------------------------------------------------------------------
 # printer
 
-_PREC_IFF, _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_UNTIL, _PREC_UNARY, _PREC_ATOM = range(7)
+_UNARY_TOKEN = {cls: tok for tok, cls in _UNARY.items()}
+_BINARY_TOKEN = {cls: (tok, prec, right_assoc) for tok, (cls, prec, right_assoc) in _BINARY.items()}
+_ATOMIC = (TraceAtom, PropAtom, BoolConst)
+_TEMPORAL = (Until, WeakUntil, Release)
 
 
 def _print(f: Formula, ctx: int) -> str:
+    """f as text, parenthesized unless it binds at least ctx (0: no enclosing operator)."""
     if isinstance(f, BoolConst):
         return "true" if f.value else "false"
     if isinstance(f, TraceAtom):
         return f"{f.prop}[{f.trace_var}]"
     if isinstance(f, PropAtom):
         return f.var
-    if isinstance(f, Not):
-        return _wrap(f"!{_print(f.child, _PREC_UNARY)}", _PREC_UNARY, ctx)
-    if isinstance(f, (Next, Eventually, Globally)):
-        op = {Next: "X", Eventually: "F", Globally: "G"}[type(f)]
-        return _wrap(f"{op} {_print(f.child, _PREC_UNARY)}", _PREC_UNARY, ctx)
     if isinstance(f, Knowledge):
-        agents = ",".join(sorted(f.agents))
-        return _wrap(f"K{{{agents}}}[{f.trace_var}] {_print(f.child, _PREC_UNARY)}", _PREC_UNARY, ctx)
-    if isinstance(f, (Until, WeakUntil, Release)):
-        op = {Until: "U", WeakUntil: "W", Release: "R"}[type(f)]
-        # operands of binary temporal operators are parenthesized unless atomic
-        if isinstance(f.left, (TraceAtom, PropAtom, BoolConst)):
-            left = _print(f.left, _PREC_ATOM)
+        head = f"K{{{','.join(sorted(f.agents))}}}[{f.trace_var}] "
+        return _wrap(head + _print(f.child, _UNARY_PREC), _UNARY_PREC, ctx)
+    if isinstance(f, Unary):
+        tok = _UNARY_TOKEN[type(f)]
+        head = tok if tok == "!" else tok + " "
+        return _wrap(head + _print(f.child, _UNARY_PREC), _UNARY_PREC, ctx)
+    if isinstance(f, Binary):
+        tok, prec, right_assoc = _BINARY_TOKEN[type(f)]
+        if isinstance(f, _TEMPORAL):
+            # operands of binary temporal operators are parenthesized unless atomic
+            left = _print(f.left, prec) if isinstance(f.left, _ATOMIC) else f"({_print(f.left, 0)})"
+            bare = isinstance(f.right, _ATOMIC + _TEMPORAL)
+            right = _print(f.right, prec) if bare else f"({_print(f.right, 0)})"
         else:
-            left = f"({_print(f.left, _PREC_IFF)})"
-        if isinstance(f.right, (TraceAtom, PropAtom, BoolConst)):
-            right = _print(f.right, _PREC_ATOM)
-        elif isinstance(f.right, (Until, WeakUntil, Release)):
-            right = _print(f.right, _PREC_UNTIL)
-        else:
-            right = f"({_print(f.right, _PREC_IFF)})"
-        return _wrap(f"{left} {op} {right}", _PREC_UNTIL, ctx)
-    if isinstance(f, And):
-        return _wrap(f"{_print(f.left, _PREC_AND)} & {_print(f.right, _PREC_AND + 1)}", _PREC_AND, ctx)
-    if isinstance(f, Or):
-        return _wrap(f"{_print(f.left, _PREC_OR)} | {_print(f.right, _PREC_OR + 1)}", _PREC_OR, ctx)
-    if isinstance(f, Implies):
-        return _wrap(f"{_print(f.left, _PREC_IMPLIES + 1)} -> {_print(f.right, _PREC_IMPLIES)}", _PREC_IMPLIES, ctx)
-    if isinstance(f, Iff):
-        return _wrap(f"{_print(f.left, _PREC_IFF)} <-> {_print(f.right, _PREC_IFF + 1)}", _PREC_IFF, ctx)
+            # the operand on the grouping side may have the same precedence
+            left = _print(f.left, prec + right_assoc)
+            right = _print(f.right, prec + (not right_assoc))
+        return _wrap(f"{left} {tok} {right}", prec, ctx)
     if isinstance(f, Quantifier):
         word = "forall" if f.kind.is_forall else "exists"
         sort = "trace" if f.kind.is_trace else "prop"
-        body = _print(f.child, _PREC_IFF)
-        s = f"{word} {f.var}:{sort}. {body}"
-        return f"({s})" if ctx > _PREC_IFF else s
+        # the body reaches as far right as it can, like the loosest operator
+        return _wrap(f"{word} {f.var}:{sort}. {_print(f.child, 0)}", _BINARY["<->"][1], ctx)
     raise TypeError(f"cannot print node {type(f).__name__}")
 
 
@@ -643,7 +603,7 @@ def _wrap(s: str, prec: int, ctx: int) -> str:
 
 def print_formula(f: Formula) -> str:
     """Render a formula in the concrete grammar; parse(print(f)) is structurally f."""
-    return _print(f, _PREC_IFF)
+    return _print(f, 0)
 
 
 def print_document(doc: SpecDocument) -> str:
@@ -663,19 +623,20 @@ def _is_name(s: str) -> bool:
     return (s[:1].isalpha() or s[:1] == "_") and all(c.isalnum() or c == "_" for c in s) and s not in _KEYWORDS
 
 
-def _binding_errors(signals: tuple[str, ...], f: Formula, trace_vars: set[str] = frozenset(),
-                    prop_vars: set[str] = frozenset()) -> Iterator[tuple[str, Optional[Formula]]]:
-    """Every naming, declaration and binding error as (message, node), in source order.
+def _binding_errors(signals: list[tuple[str, Pos]], f: Formula, trace_vars: set[str] = frozenset(),
+                    prop_vars: set[str] = frozenset()) -> Iterator[tuple[str, Pos]]:
+    """Every naming, declaration and binding error as (message, position), in source order.
 
-    node is None for an error in the signals. trace_vars and prop_vars are
-    bound around f; no two quantifiers of f may bind the same name.
+    signals pairs each declared signal with the position of its header line,
+    if any. trace_vars and prop_vars are bound around f; no two quantifiers
+    of f may bind the same name.
     """
     declared: set[str] = set()
-    for s in signals:
+    for s, pos in signals:
         if not _is_name(s):
-            yield f"bad signal name {s!r}", None
+            yield f"bad signal name {s!r}", pos
         elif s in declared:
-            yield f"signal {s!r} declared more than once", None
+            yield f"signal {s!r} declared more than once", pos
         declared.add(s)
     seen_vars: set[str] = set()
     stack = [(f, frozenset(trace_vars), frozenset(prop_vars))]
@@ -683,32 +644,41 @@ def _binding_errors(signals: tuple[str, ...], f: Formula, trace_vars: set[str] =
         g, traces, props = stack.pop()
         if isinstance(g, Quantifier):
             if not _is_name(g.var):
-                yield f"bad variable name {g.var!r}", g
+                yield f"bad variable name {g.var!r}", g.pos
             if g.var in seen_vars:
-                yield f"duplicate variable {g.var!r}", g
+                yield f"duplicate variable {g.var!r}", g.pos
             seen_vars.add(g.var)
             if g.kind.is_trace:
                 traces = traces | {g.var}
             else:
                 if g.var in declared:
-                    yield f"quantified proposition {g.var!r} collides with a declared signal", g
+                    yield f"quantified proposition {g.var!r} collides with a declared signal", g.pos
                 props = props | {g.var}
         elif isinstance(g, PropAtom):
             if g.var not in props:
-                yield f"unbound propositional variable {g.var!r}", g
+                yield f"unbound propositional variable {g.var!r}", g.pos
         elif isinstance(g, (TraceAtom, Knowledge)):
             for p in (g.prop,) if isinstance(g, TraceAtom) else sorted(g.agents):
                 if p not in declared:
-                    yield f"unknown proposition {p!r}", g
+                    yield f"unknown proposition {p!r}", g.pos
             if g.trace_var not in traces:
-                yield f"unbound trace variable {g.trace_var!r}", g
+                yield f"unbound trace variable {g.trace_var!r}", g.pos
         for c in reversed(g.children()):
             stack.append((c, traces, props))
 
 
-def _raise_first(errors: Iterator[tuple[str, Optional[Formula]]]) -> None:
-    for message, node in errors:
-        raise SpecError(message, *((node and node.pos) or (0, 0)))
+def _prenex_errors(f: Formula) -> Iterator[tuple[str, Pos]]:
+    """Every quantifier below an operator, as (message, position)."""
+    while isinstance(f, Quantifier):
+        f = f.child
+    for g in walk(f):
+        if isinstance(g, Quantifier):
+            yield f"quantifier for {g.var!r} below an operator: the prefix must be prenex", g.pos
+
+
+def _raise_first(errors: Iterator[tuple[str, Pos]]) -> None:
+    for message, pos in errors:
+        raise SpecError(message, *(pos or (0, 0)))
 
 
 def check_well_formed(doc: SpecDocument) -> list[str]:
@@ -716,13 +686,9 @@ def check_well_formed(doc: SpecDocument) -> list[str]:
 
     Beyond the parser's rules, the formula must be prenex.
     """
-    diags = [message for message, _ in _binding_errors(doc.signals, doc.formula)]
-    f = doc.formula
-    while isinstance(f, Quantifier):
-        f = f.child
-    diags += [f"quantifier for {g.var!r} below an operator: the prefix must be prenex"
-              for g in walk(f) if isinstance(g, Quantifier)]
-    return diags
+    errors = chain(_binding_errors([(s, None) for s in doc.signals], doc.formula),
+                   _prenex_errors(doc.formula))
+    return [message for message, _ in errors]
 
 
 # ---------------------------------------------------------------------------
@@ -741,43 +707,27 @@ def _nnf(f: Formula, neg: bool) -> Formula:
         return Not(f) if neg else f
     if isinstance(f, Not):
         return _nnf(f.child, not neg)
-    if isinstance(f, And):
-        cls = Or if neg else And
-        return cls(_nnf(f.left, neg), _nnf(f.right, neg))
-    if isinstance(f, Or):
-        cls = And if neg else Or
-        return cls(_nnf(f.left, neg), _nnf(f.right, neg))
     if isinstance(f, Implies):
         return _nnf(Or(Not(f.left), f.right), neg)
     if isinstance(f, Iff):
         # expanded rather than kept: subformulas occur in both polarities
         expanded = Or(And(f.left, f.right), And(Not(f.left), Not(f.right)))
         return _nnf(expanded, neg)
-    if isinstance(f, Next):
-        return Next(_nnf(f.child, neg))
-    if isinstance(f, Eventually):
-        return Globally(_nnf(f.child, True)) if neg else Eventually(_nnf(f.child, False))
-    if isinstance(f, Globally):
-        return Eventually(_nnf(f.child, True)) if neg else Globally(_nnf(f.child, False))
-    if isinstance(f, Until):
-        if neg:
-            return Release(_nnf(f.left, True), _nnf(f.right, True))
-        return Until(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Release):
-        if neg:
-            return Until(_nnf(f.left, True), _nnf(f.right, True))
-        return Release(_nnf(f.left, False), _nnf(f.right, False))
     if isinstance(f, WeakUntil):
         # a W b = b R (a | b); negation: (!b) U (!a & !b)
         if neg:
             return Until(_nnf(f.right, True), And(_nnf(f.left, True), _nnf(f.right, True)))
         return WeakUntil(_nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Quantifier):
-        kind = f.kind.dual() if neg else f.kind
-        return QUANT_CLASS[kind](var=f.var, child=_nnf(f.child, neg))
     if isinstance(f, Knowledge):
         tagged = Knowledge(f.agents, f.trace_var, _nnf(f.child, False), "neg" if neg else "pos")
         return Not(tagged) if neg else tagged
+    cls = _DUAL[type(f)] if neg else type(f)
+    if isinstance(f, Binary):
+        return cls(_nnf(f.left, neg), _nnf(f.right, neg))
+    if isinstance(f, Unary):
+        return cls(_nnf(f.child, neg))
+    if isinstance(f, Quantifier):
+        return cls(var=f.var, child=_nnf(f.child, neg))
     raise TypeError(f"cannot normalize node {type(f).__name__}")
 
 
@@ -791,8 +741,5 @@ def extract_prefix(f: Formula) -> tuple[QuantifierPrefix, Formula]:
     while isinstance(f, Quantifier):
         entries.append(PrefixEntry(f.kind, f.var))
         f = f.child
-    for g in walk(f):
-        if isinstance(g, Quantifier):
-            raise SpecError(f"formula is not prenex: inner quantifier on {g.var!r}",
-                            *(g.pos or (0, 0)))
+    _raise_first(_prenex_errors(f))
     return QuantifierPrefix(tuple(entries)), f

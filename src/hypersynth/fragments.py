@@ -46,78 +46,36 @@ class FragmentVerdict:
         return self.kind in (NO_UNIVERSAL, SINGLE_UNIVERSAL)
 
 
-def _matches_single_universal(entries) -> bool:
-    # (exists q | exists pi)*  (forall q)*  forall pi  (exists q | forall q)*
-    phase = 0
-    for e in entries:
-        if phase == 0:
-            if e.kind in (QuantKind.PROP_EXISTS, QuantKind.TRACE_EXISTS):
-                continue
-            if e.kind == QuantKind.PROP_FORALL:
-                phase = 1
-                continue
-            if e.kind == QuantKind.TRACE_FORALL:
-                phase = 2
-                continue
-            return False
-        if phase == 1:
-            if e.kind == QuantKind.PROP_FORALL:
-                continue
-            if e.kind == QuantKind.TRACE_FORALL:
-                phase = 2
-                continue
-            return False
-        if e.kind.is_trace:
-            return False
-    return phase == 2
+# each prefix is read as a word: E/e an existential trace/proposition
+# quantifier, A/a a universal one; the first pattern that matches decides
+_LETTER = {
+    QuantKind.TRACE_EXISTS: "E",
+    QuantKind.PROP_EXISTS: "e",
+    QuantKind.TRACE_FORALL: "A",
+    QuantKind.PROP_FORALL: "a",
+}
+_CATALOG = (
+    ("[^A]*", NO_UNIVERSAL,
+     "no universal trace quantifier: the (exists pi, any q)* region, decidable"),
+    ("[eE]*a*A[ea]*", SINGLE_UNIVERSAL,
+     "matches (exists q/pi)* (forall q)* forall pi (Q q)*: single universal trace region, decidable"),
+    (".*A.*E.*", UNDEC_FORALL_EXISTS,
+     "a universal trace quantifier is later followed by an existential one: "
+     "the forall-exists trace region, undecidable"),
+    ("[^A]*a[^A]*e[^A]*A[^A]*", UNDEC_PROP_ALTERNATION,
+     "a forall q ... exists q alternation precedes the universal "
+     "trace quantifier: outside the swap-safe region, undecidable"),
+    (".*A.*A.*", LINEAR_CANDIDATE,
+     "several universal trace quantifiers and no trailing existential trace: "
+     "decidable only under the linearity condition"),
+    (".*", OUTSIDE, "prefix shape not covered by the catalog of known regions"),
+)
 
 
 def classify(prefix: QuantifierPrefix) -> FragmentVerdict:
     """Place a quantifier prefix in the realizability decidability landscape."""
-    entries = list(prefix.entries)
-    foralls = [i for i, e in enumerate(entries) if e.kind == QuantKind.TRACE_FORALL]
-
-    if not foralls:
-        return FragmentVerdict(
-            NO_UNIVERSAL,
-            "no universal trace quantifier: the (exists pi, any q)* region, decidable",
-        )
-    if len(foralls) == 1 and _matches_single_universal(entries):
-        return FragmentVerdict(
-            SINGLE_UNIVERSAL,
-            "matches (exists q/pi)* (forall q)* forall pi (Q q)*: "
-            "single universal trace region, decidable",
-        )
-    first_forall = foralls[0]
-    if any(
-        e.kind == QuantKind.TRACE_EXISTS for e in entries[first_forall + 1 :]
-    ):
-        return FragmentVerdict(
-            UNDEC_FORALL_EXISTS,
-            "a universal trace quantifier is later followed by an existential one: "
-            "the forall-exists trace region, undecidable",
-        )
-    if len(foralls) == 1:
-        before = entries[:first_forall]
-        for i, e in enumerate(before):
-            if e.kind == QuantKind.PROP_FORALL and any(
-                x.kind == QuantKind.PROP_EXISTS for x in before[i + 1 :]
-            ):
-                return FragmentVerdict(
-                    UNDEC_PROP_ALTERNATION,
-                    "a forall q ... exists q alternation precedes the universal "
-                    "trace quantifier: outside the swap-safe region, undecidable",
-                )
-    if len(foralls) >= 2:
-        return FragmentVerdict(
-            LINEAR_CANDIDATE,
-            "several universal trace quantifiers and no trailing existential trace: "
-            "decidable only under the linearity condition",
-        )
-    return FragmentVerdict(
-        OUTSIDE,
-        "prefix shape not covered by the catalog of known regions",
-    )
+    word = "".join(_LETTER[e.kind] for e in prefix)
+    return next(FragmentVerdict(kind, why) for pattern, kind, why in _CATALOG if re.fullmatch(pattern, word))
 
 
 def classify_formula(f: Formula) -> FragmentVerdict:

@@ -26,6 +26,7 @@ from .fragments import (
     LINEAR_CANDIDATE,
     NO_UNIVERSAL,
     SINGLE_UNIVERSAL,
+    UNDEC_FORALL_EXISTS,
     classify,
 )
 from .machines import ExistGenerator, MooreSystem, all_valuations
@@ -135,12 +136,7 @@ def prepare(
 
     # existential witnesses are chosen uniformly, before the universal traces;
     # for quantifiers written after a universal this reads as an under-approximation
-    first_forall = next(
-        (i for i, e in enumerate(prefix) if e.kind == QuantKind.TRACE_FORALL), None
-    )
-    if first_forall is not None and any(
-        e.kind == QuantKind.TRACE_EXISTS for e in list(prefix)[first_forall + 1 :]
-    ):
+    if classify(prefix).kind == UNDEC_FORALL_EXISTS:
         tr.record(
             "uniformize",
             f,

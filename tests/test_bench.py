@@ -97,6 +97,9 @@ def test_bound_result_matching():
     assert BoundResult(2, 1, "unsat", "unsat").matched
     assert not BoundResult(2, 1, "unsat", "sat").matched
     assert not BoundResult(2, 2, "sat", "timeout").matched
+    # only a solved model is verified: solve model-checks every model it returns
+    assert [BoundResult(2, 1, "sat", v).verified for v in ("sat", "unsat", "timeout", "error")] == [
+        True, None, None, None]
 
 
 def test_instance_report_error_fails():

@@ -299,6 +299,16 @@ def test_verify_generator_for_existential_copy(specfile, tmp_path, capsys):
     assert "verified" in capsys.readouterr().out
 
 
+def test_verify_accepts_a_bare_machine(specfile, tmp_path, capsys):
+    # a moore machine without the system wrapper is a system with no generator
+    doc = tmp_path / "on.json"
+    doc.write_text(json.dumps(ON))
+    assert main(["verify", str(doc), specfile(ALWAYS)]) == EXIT_OK
+    assert "verified" in capsys.readouterr().out
+    assert main(["verify", str(doc), specfile(INSTANT)]) == EXIT_UNREALIZABLE
+    assert "violation found" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "spec, document, message",
     [

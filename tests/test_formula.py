@@ -95,8 +95,10 @@ def test_parse_document_comments_and_blank_lines():
 
 
 def test_duplicate_signal_rejected():
-    with pytest.raises(SpecError, match="declared more than once"):
+    with pytest.raises(SpecError, match="declared more than once") as e:
         parse("inputs: r\noutputs: r\nforall pi : trace . r[pi]")
+    # reported at the header line that declares it again
+    assert e.value.line == 2
     doc = SpecDocument(("r",), ("r",), TraceForall("pi", TraceAtom("r", "pi")))
     assert check_well_formed(doc) == ["signal 'r' declared more than once"]
 
@@ -344,6 +346,10 @@ def test_check_well_formed_flags_non_prenex():
     doc = parse("inputs: r\noutputs: g\nforall pi : trace . G (exists pi2 : trace . g[pi2])")
     issues = check_well_formed(doc)
     assert issues and any("prenex" in m for m in issues)
+    # extract_prefix raises the same message, at the inner quantifier
+    with pytest.raises(SpecError) as e:
+        extract_prefix(doc.formula)
+    assert e.value.message in issues and (e.value.line, e.value.col) == (3, 24)
 
 
 def test_fresh_name_deterministic():

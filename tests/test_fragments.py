@@ -57,6 +57,19 @@ CATALOG = [
     ("forall pi : trace . forall pi2 : trace . true", LINEAR_CANDIDATE),
     # an existential trace below a forall-q block fits no known region
     ("forall q : prop . exists pi : trace . forall pi2 : trace . true", OUTSIDE),
+    # the edges of each pattern
+    ("true", NO_UNIVERSAL),
+    ("forall q : prop . exists pi : trace . true", NO_UNIVERSAL),
+    ("exists pi : trace . forall q : prop . forall pi2 : trace . true", SINGLE_UNIVERSAL),
+    ("exists q : prop . forall r : prop . forall pi : trace . true", SINGLE_UNIVERSAL),
+    ("forall q : prop . forall pi : trace . exists pi2 : trace . true", UNDEC_FORALL_EXISTS),
+    ("forall pi : trace . exists q : prop . exists pi2 : trace . true", UNDEC_FORALL_EXISTS),
+    ("exists q : prop . forall r : prop . exists s : prop . forall pi : trace . true", UNDEC_PROP_ALTERNATION),
+    ("forall q : prop . exists pi : trace . exists r : prop . forall pi2 : trace . true", UNDEC_PROP_ALTERNATION),
+    ("forall q : prop . exists r : prop . forall pi : trace . exists s : prop . true", UNDEC_PROP_ALTERNATION),
+    ("forall q : prop . exists r : prop . forall pi : trace . forall pi2 : trace . true", LINEAR_CANDIDATE),
+    ("forall pi : trace . exists q : prop . forall pi2 : trace . true", LINEAR_CANDIDATE),
+    ("exists pi : trace . forall q : prop . exists pi2 : trace . forall pi3 : trace . true", OUTSIDE),
 ]
 
 
