@@ -202,26 +202,16 @@ def ltl_to_nba(f: Formula) -> NBA:
         {g for g in walk(f) if isinstance(g, (Until, Eventually))}, key=print_formula
     )
     k = len(liveness)
-    acc_index = {u: i for i, u in enumerate(liveness)}
 
     start = frozenset() if isinstance(f, BoolConst) and f.value else frozenset([f])
     if isinstance(f, BoolConst) and not f.value:
         return _empty_nba()
 
+    # explore the tableau and degeneralize it with a round counter in one
+    # work-list; index k marks a completed round, and each tableau state's
+    # branches are computed on its first visit
     memo: dict = {}
-    gnba_trans: dict[frozenset, list] = {}
-    todo = [start]
-    seen_states = {start}
-    while todo:
-        s = todo.pop()
-        branches = _state_transitions(s, memo)
-        gnba_trans[s] = branches
-        for _, nxt, _ in branches:
-            if nxt not in seen_states:
-                seen_states.add(nxt)
-                todo.append(nxt)
-
-    # degeneralize with a round counter; index k marks a completed round
+    branches: dict[frozenset, list] = {}
     state_id: dict = {}
     transitions = []
 
@@ -240,7 +230,9 @@ def ltl_to_nba(f: Formula) -> NBA:
             continue
         expanded.add((s, idx))
         base = 0 if idx == k else idx
-        for g, nxt, dly in gnba_trans[s]:
+        if s not in branches:
+            branches[s] = _state_transitions(s, memo)
+        for g, nxt, dly in branches[s]:
             j = base
             while j < k and liveness[j] not in dly:
                 j += 1

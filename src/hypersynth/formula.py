@@ -177,15 +177,11 @@ QUANT_CLASS = {
 
 @dataclass(frozen=True)
 class Knowledge(Formula):
-    """K{a,b}[pi] phi: phi holds on every trace that agrees with pi on the agent set so far.
-
-    polarity is None until to_nnf tags the node as "pos" or "neg".
-    """
+    """K{a,b}[pi] phi: phi holds on every trace that agrees with pi on the agent set so far."""
 
     agents: frozenset[str] = frozenset()
     trace_var: str = ""
     child: Formula = TRUE
-    polarity: Optional[str] = field(default=None, compare=False)
 
     def children(self) -> tuple[Formula, ...]:
         return (self.child,)
@@ -592,8 +588,8 @@ def _print(f: Formula, ctx: int) -> str:
     if isinstance(f, Quantifier):
         word = "forall" if f.kind.is_forall else "exists"
         sort = "trace" if f.kind.is_trace else "prop"
-        # the body reaches as far right as it can, like the loosest operator
-        return _wrap(f"{word} {f.var}:{sort}. {_print(f.child, 0)}", _BINARY["<->"][1], ctx)
+        # the body reaches as far right as it can, so any enclosing operator wraps it
+        return _wrap(f"{word} {f.var}:{sort}. {_print(f.child, 0)}", 0, ctx)
     raise TypeError(f"cannot print node {type(f).__name__}")
 
 
@@ -696,7 +692,7 @@ def check_well_formed(doc: SpecDocument) -> list[str]:
 
 
 def to_nnf(f: Formula) -> Formula:
-    """Push negations to atoms; expand -> and <->; tag knowledge nodes with polarity."""
+    """Push negations to atoms and knowledge nodes; expand -> and <->."""
     return _nnf(f, False)
 
 
@@ -719,8 +715,8 @@ def _nnf(f: Formula, neg: bool) -> Formula:
             return Until(_nnf(f.right, True), And(_nnf(f.left, True), _nnf(f.right, True)))
         return WeakUntil(_nnf(f.left, False), _nnf(f.right, False))
     if isinstance(f, Knowledge):
-        tagged = Knowledge(f.agents, f.trace_var, _nnf(f.child, False), "neg" if neg else "pos")
-        return Not(tagged) if neg else tagged
+        k = Knowledge(f.agents, f.trace_var, _nnf(f.child, False))
+        return Not(k) if neg else k
     cls = _DUAL[type(f)] if neg else type(f)
     if isinstance(f, Binary):
         return cls(_nnf(f.left, neg), _nnf(f.right, neg))

@@ -31,6 +31,7 @@ from .formula import (
     map_children,
     print_formula,
     substitute_trace_var,
+    to_nnf,
     walk,
 )
 
@@ -136,27 +137,23 @@ def collapse(f: Formula) -> Formula:
 # consistency conjunct: existential witnesses must be strategy-tree branches
 
 
-def _agree_until_differ(inputs, outputs, left, right) -> Formula:
-    """Outputs agree until inputs differ: Release(i_neq, o_eq), or G o_eq
-    without inputs. `left` and `right` map a signal to its atom on each side."""
-    o_eq = conj([Iff(left(o), right(o)) for o in outputs])
-    if not inputs:
-        return Globally(o_eq)
-    return Release(disj([Not(Iff(left(i), right(i))) for i in inputs]), o_eq)
-
-
 def build_consistency(
     existential_vars: list[str],
     universal_var: str,
     inputs: tuple[str, ...],
     outputs: tuple[str, ...],
 ) -> Formula:
-    return conj([
-        _agree_until_differ(
-            inputs, outputs, lambda s: TraceAtom(s, ev), lambda s: TraceAtom(s, universal_var)
-        )
-        for ev in existential_vars
-    ])
+    """Each existential copy's outputs agree with the universal copy's until
+    their inputs differ: Release(i_neq, o_eq), or G o_eq without inputs."""
+    parts = []
+    for ev in existential_vars:
+        o_eq = conj([Iff(TraceAtom(o, ev), TraceAtom(o, universal_var)) for o in outputs])
+        if inputs:
+            i_neq = disj([Not(Iff(TraceAtom(i, ev), TraceAtom(i, universal_var))) for i in inputs])
+            parts.append(Release(i_neq, o_eq))
+        else:
+            parts.append(Globally(o_eq))
+    return conj(parts)
 
 
 def consistency_anchor(core: Formula, existential_vars) -> str:
@@ -195,89 +192,63 @@ def with_consistency(
 # knowledge elimination
 
 
-def _replace_knowledge_node(f: Formula, k: Knowledge, repl: Formula) -> Formula:
-    """f with this exact knowledge node (the enclosing Not for negative
-    polarity) replaced by repl."""
-
-    def rec(g: Formula) -> Formula:
-        if k.polarity == "neg" and isinstance(g, Not) and g.child is k:
-            return repl
-        if g is k:
-            # a negative node should be reached through its Not wrapper; guard anyway
-            return repl if k.polarity == "pos" else Not(repl)
-        return map_children(g, rec)
-
-    return rec(f)
-
-
-def _innermost_knowledge(f: Formula) -> Knowledge | None:
-    for g in walk(f):
-        if isinstance(g, Knowledge):
-            inner = _innermost_knowledge(g.child)
-            return inner if inner is not None else g
-    return None
-
-
 def eliminate_knowledge(f: Formula) -> Formula:
     """Replace knowledge operators by quantified bound sequences, innermost first.
 
-    Expects a formula in NNF so every knowledge node carries its polarity tag;
-    the output is knowledge-free and prenex whenever the input prefix was prenex.
+    The input is brought to NNF, where a knowledge node is negative exactly
+    when a Not sits directly above it. One post-order pass turns each operator
+    into a fresh proposition u, appends its block (exists u, forall r, then
+    forall or exists pi2) to the prefix and conjoins its template to the
+    matrix. The output is knowledge-free and prenex whenever the input prefix
+    was prenex; a knowledge-free input is returned unchanged.
     """
-    current = f
-    while True:
-        k = _innermost_knowledge(current)
-        if k is None:
-            return current
-        if k.polarity not in ("pos", "neg"):
-            raise SpecError("knowledge node without a polarity tag; run to_nnf first")
-        current = _eliminate_one(current, k)
-
-
-def _eliminate_one(f: Formula, k: Knowledge) -> Formula:
+    if not any(isinstance(g, Knowledge) for g in walk(f)):
+        return f
+    f = to_nnf(f)
+    used = _all_names(f)
     prefix_entries: list[PrefixEntry] = []
     body = f
     while isinstance(body, Quantifier):
         prefix_entries.append(PrefixEntry(body.kind, body.var))
         body = body.child
+    templates: list[Formula] = []
 
-    used = _all_names(f)
-    u = fresh_name("u", used)
-    r = fresh_name("r", used)
-    pi2 = fresh_name(k.trace_var, used)
+    def rec(g: Formula) -> Formula:
+        negative = isinstance(g, Not) and isinstance(g.child, Knowledge)
+        k = g.child if negative else g
+        if not isinstance(k, Knowledge):
+            return map_children(g, rec)
+        child = rec(k.child)
+        u = fresh_name("u", used)
+        r = fresh_name("r", used)
+        pi2 = fresh_name(k.trace_var, used)
 
-    matrix = _replace_knowledge_node(body, k, PropAtom(u))
-    if matrix == body:
-        raise SpecError("knowledge occurrence not found during elimination")
+        agree = conj([Iff(TraceAtom(a, k.trace_var), TraceAtom(a, pi2)) for a in sorted(k.agents)])
+        pointer = Until(PropAtom(r), And(PropAtom(u), And(PropAtom(r), Next(Globally(Not(PropAtom(r)))))))
+        at_pointer = And(PropAtom(r), Next(Not(PropAtom(r))))
+        shifted = substitute_trace_var(child, k.trace_var, pi2)
 
-    agree = conj([Iff(TraceAtom(a, k.trace_var), TraceAtom(a, pi2)) for a in sorted(k.agents)])
-    pointer = Until(PropAtom(r), And(PropAtom(u), And(PropAtom(r), Next(Globally(Not(PropAtom(r)))))))
-    at_pointer = And(PropAtom(r), Next(Not(PropAtom(r))))
-    shifted = substitute_trace_var(k.child, k.trace_var, pi2)
-
-    if k.polarity == "pos":
-        template: Formula = Implies(
-            And(pointer, Globally(Implies(PropAtom(r), agree))),
-            Globally(Implies(at_pointer, shifted)),
-        )
-        quant_block = [
+        if negative:
+            templates.append(Implies(
+                pointer,
+                And(
+                    Globally(Implies(PropAtom(r), agree)),
+                    Globally(Implies(at_pointer, Not(shifted))),
+                ),
+            ))
+        else:
+            templates.append(Implies(
+                And(pointer, Globally(Implies(PropAtom(r), agree))),
+                Globally(Implies(at_pointer, shifted)),
+            ))
+        prefix_entries.extend([
             PrefixEntry(QuantKind.PROP_EXISTS, u),
             PrefixEntry(QuantKind.PROP_FORALL, r),
-            PrefixEntry(QuantKind.TRACE_FORALL, pi2),
-        ]
-    else:
-        template = Implies(
-            pointer,
-            And(
-                Globally(Implies(PropAtom(r), agree)),
-                Globally(Implies(at_pointer, Not(shifted))),
-            ),
-        )
-        quant_block = [
-            PrefixEntry(QuantKind.PROP_EXISTS, u),
-            PrefixEntry(QuantKind.PROP_FORALL, r),
-            PrefixEntry(QuantKind.TRACE_EXISTS, pi2),
-        ]
+            PrefixEntry(QuantKind.TRACE_EXISTS if negative else QuantKind.TRACE_FORALL, pi2),
+        ])
+        return PropAtom(u)
 
-    new_body = And(matrix, template)
-    return QuantifierPrefix(tuple(prefix_entries + quant_block)).attach(new_body)
+    matrix = rec(body)
+    for t in templates:
+        matrix = And(matrix, t)
+    return QuantifierPrefix(tuple(prefix_entries)).attach(matrix)

@@ -11,7 +11,6 @@ from typing import Optional
 from .automata import NBA, flatten_atom, ltl_to_nba, split_atom
 from .formula import (
     Formula,
-    Knowledge,
     Not,
     QuantKind,
     SpecDocument,
@@ -19,7 +18,6 @@ from .formula import (
     check_well_formed,
     extract_prefix,
     to_nnf,
-    walk,
 )
 from .fragments import (
     FragmentVerdict,
@@ -91,8 +89,8 @@ def prepare(
     f = to_nnf(doc.formula)
     tr.record("nnf", doc.formula, f, "negation normal form")
 
-    if any(isinstance(g, Knowledge) for g in walk(f)):
-        f2 = eliminate_knowledge(f)
+    f2 = eliminate_knowledge(f)
+    if f2 is not f:
         tr.record("eliminate_knowledge", f, f2, "knowledge operators replaced by bound sequences")
         f = f2
 

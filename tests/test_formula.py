@@ -190,6 +190,15 @@ def test_round_trip_closed(text):
     assert parse_formula(print_formula(f), SIG) == f
 
 
+def test_quantifier_under_an_operator_is_wrapped():
+    # a quantifier's body reaches as far right as it can, so as the left
+    # operand of even the loosest operator it needs parentheses
+    f = Iff(TraceForall("x", TraceAtom("a", "x")), TraceAtom("b", "pi"))
+    text = print_formula(f)
+    assert text == "(forall x:trace. a[x]) <-> b[pi]"
+    assert parse_formula(text, SIG, trace_vars={"pi"}) == f
+
+
 # random AST round trip: print then parse is the identity
 
 
@@ -244,11 +253,16 @@ def test_nnf_until_release_duality():
     )
 
 
-def test_nnf_tags_knowledge_polarity():
-    pos = to_nnf(parse_formula("K {a} [pi] b[pi]", SIG, trace_vars={"pi"}))
-    assert isinstance(pos, Knowledge) and pos.polarity == "pos"
-    neg = to_nnf(parse_formula("!(K {a} [pi] b[pi])", SIG, trace_vars={"pi"}))
-    assert isinstance(neg, Not) and neg.child.polarity == "neg"
+def test_nnf_knowledge_polarity_is_structural():
+    k = Knowledge(frozenset({"a"}), "pi", Not(TraceAtom("b", "pi")))
+    nnf = lambda text: to_nnf(parse_formula(text, SIG, trace_vars={"pi"}))
+    assert nnf("K {a} [pi] !b[pi]") == k
+    assert nnf("!(K {a} [pi] !b[pi])") == Not(k)
+    assert nnf("!!(K {a} [pi] !b[pi])") == k
+    # the body of a negated knowledge node is normalized positively
+    assert nnf("!(K {a} [pi] !(a[pi] -> b[pi]))") == Not(
+        Knowledge(frozenset({"a"}), "pi", And(TraceAtom("a", "pi"), Not(TraceAtom("b", "pi"))))
+    )
 
 
 @given(_formulas(8))
@@ -365,15 +379,15 @@ def test_substitute_trace_var():
 
 
 def test_map_children_keeps_every_other_field():
-    k = Knowledge(frozenset({"a"}), "pi", TraceAtom("b", "pi"), "neg", pos=(2, 5))
+    k = Knowledge(frozenset({"a"}), "pi", TraceAtom("b", "pi"), pos=(2, 5))
     g = map_children(k, Not)
-    assert (g.agents, g.trace_var, g.polarity, g.pos) == (k.agents, "pi", "neg", (2, 5))
+    assert (g.agents, g.trace_var, g.pos) == (k.agents, "pi", (2, 5))
     assert g.child == Not(TraceAtom("b", "pi"))
     q = TraceExists("pi", Until(TraceAtom("a", "pi"), TraceAtom("b", "pi")), pos=(1, 1))
     r = map_children(q, lambda c: map_children(c, Next))
     assert r == TraceExists("pi", Until(Next(TraceAtom("a", "pi")), Next(TraceAtom("b", "pi"))))
     assert r.kind == QuantKind.TRACE_EXISTS and r.pos == (1, 1)
     assert map_children(TraceAtom("a", "pi"), Not) == TraceAtom("a", "pi")
-    # renaming inside a knowledge node keeps its polarity tag
+    # renaming inside a knowledge node keeps its other fields
     s = substitute_trace_var(k, "pi", "tau")
-    assert (s.trace_var, s.polarity, s.child) == ("tau", "neg", TraceAtom("b", "tau"))
+    assert (s.trace_var, s.child) == ("tau", TraceAtom("b", "tau"))

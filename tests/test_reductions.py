@@ -7,6 +7,7 @@ import pytest
 from hypersynth.formula import (
     And,
     Knowledge,
+    Not,
     PropAtom,
     QuantKind,
     Quantifier,
@@ -16,6 +17,7 @@ from hypersynth.formula import (
     TraceForall,
     extract_prefix,
     parse_formula,
+    print_formula,
     to_nnf,
     walk,
 )
@@ -172,10 +174,20 @@ def test_knowledge_free_unchanged():
     assert eliminate_knowledge(f) == f
 
 
-def test_untagged_polarity_rejected():
-    raw = TraceForall("pi", Knowledge(frozenset({"i"}), "pi", parse_formula("g[pi]", {"g", "i"}, trace_vars={"pi"})))
-    with pytest.raises(SpecError):
-        eliminate_knowledge(raw)
+def test_polarity_comes_from_structure():
+    # a knowledge node from an earlier NNF, negated afterwards, is negative
+    k = to_nnf(parse_formula("K {a} [pi] a[pi]", {"a", "b"}, trace_vars={"pi"}))
+    f = TraceForall("pi", Not(k))
+    both = frozenset({"a", "b"})
+    T = TraceSet(both, frozenset({LassoTrace(both, (), (both,))}))
+    assert eval_knowledge(f, T, prop_bound=3) is False
+    assert eval_formula(eliminate_knowledge(f), T, prop_bound=3) is False
+    # an input that is not in NNF eliminates as its NNF does
+    for text in ("forall pi : trace . (K {a} [pi] b[pi]) -> a[pi]", "forall pi : trace . !!K {a} [pi] b[pi]"):
+        g = parse_formula(text, {"a", "b"})
+        want = eliminate_knowledge(to_nnf(g))
+        assert eliminate_knowledge(g) == want
+        assert print_formula(eliminate_knowledge(g)) == print_formula(want)
 
 
 def test_positive_elimination_shape():
@@ -205,6 +217,30 @@ def test_nested_knowledge_fully_eliminated():
     assert not any(isinstance(g, Knowledge) for g in walk(out))
     # two eliminations, each adding one quantifier block
     assert len(list(extract_prefix(out)[0])) == 1 + 3 + 3
+
+
+def test_elimination_output_pinned():
+    # nested, sibling and negated operators: eliminated in post-order, each
+    # adding its block to the prefix and its template to the matrix
+    f = to_nnf(parse("forall pi : trace . G ((K {i} [pi] (K {g} [pi] g[pi])) & !(K {i} [pi] F i[pi]))"))
+    prefix, matrix = extract_prefix(eliminate_knowledge(f))
+    A, E = QuantKind.TRACE_FORALL, QuantKind.TRACE_EXISTS
+    PE, PA = QuantKind.PROP_EXISTS, QuantKind.PROP_FORALL
+    assert [(e.kind, e.var) for e in prefix] == [
+        (A, "pi"),
+        (PE, "u__0"), (PA, "r__0"), (A, "pi__0"),
+        (PE, "u__1"), (PA, "r__1"), (A, "pi__1"),
+        (PE, "u__2"), (PA, "r__2"), (E, "pi__2"),
+    ]
+    assert print_formula(matrix) == " & ".join([
+        "G (u__1 & u__2)",
+        "(r__0 U (u__0 & (r__0 & X G !r__0)) & G (r__0 -> (g[pi] <-> g[pi__0]))"
+        " -> G (r__0 & X !r__0 -> g[pi__0]))",
+        "(r__1 U (u__1 & (r__1 & X G !r__1)) & G (r__1 -> (i[pi] <-> i[pi__1]))"
+        " -> G (r__1 & X !r__1 -> u__0))",
+        "(r__2 U (u__2 & (r__2 & X G !r__2))"
+        " -> G (r__2 -> (i[pi] <-> i[pi__2])) & G (r__2 & X !r__2 -> !F i[pi__2]))",
+    ])
 
 
 def _random_micro_set(rng):
