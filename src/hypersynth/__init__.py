@@ -29,7 +29,6 @@ from .fragments import (
     parse_architecture,
 )
 from .reductions import (
-    collapse,
     eliminate_knowledge,
     to_hyperltl,
     with_consistency,
@@ -72,7 +71,6 @@ __all__ = [
     "accepts_lasso",
     "classify",
     "classify_formula",
-    "collapse",
     "eliminate_knowledge",
     "encode",
     "eval_formula",

@@ -55,7 +55,6 @@ def _prepare(args):
     return prepare(
         _load_spec(args.spec),
         designated_input=args.designated_input,
-        do_collapse=args.collapse,
         force=args.force,
     )
 
@@ -195,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_reduction_flags(sp):
         sp.add_argument("--designated-input", metavar="NAME", default=None,
                         help="input signal that carries quantified propositions (default: first input)")
-        sp.add_argument("--collapse", action="store_true",
-                        help="identify all leading universal trace variables")
         sp.add_argument("--force", action="store_true",
                         help="proceed on prefixes outside the decidable fragments (bound-relative verdicts)")
 

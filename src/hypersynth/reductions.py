@@ -26,7 +26,6 @@ from .formula import (
     Until,
     conj,
     disj,
-    extract_prefix,
     fresh_name,
     map_children,
     print_formula,
@@ -104,33 +103,6 @@ def to_hyperltl(f: Formula, designated_input: str) -> Formula:
         return map_children(g, rec)
 
     return rec(f)
-
-
-# ---------------------------------------------------------------------------
-# collapse of multiple universal trace quantifiers
-
-
-def collapse(f: Formula) -> Formula:
-    """Identify all leading universal trace variables into a single one."""
-    prefix, body = extract_prefix(f)
-    entries = list(prefix.entries)
-    universals: list[str] = []
-    idx = 0
-    while idx < len(entries) and entries[idx].kind == QuantKind.TRACE_FORALL:
-        universals.append(entries[idx].var)
-        idx += 1
-    rest = entries[idx:]
-    if not universals:
-        raise SpecError("collapse expects a leading block of universal trace quantifiers")
-    for e in rest:
-        if e.kind.is_trace:
-            raise SpecError("collapse expects only propositional quantifiers after the universal block")
-    used = _all_names(f)
-    var = "pi" if "pi" not in used else fresh_name("pi", used)
-    for old in universals:
-        body = substitute_trace_var(body, old, var)
-    inner = QuantifierPrefix(tuple(rest)).attach(body)
-    return TraceForall(var=var, child=inner)
 
 
 # ---------------------------------------------------------------------------

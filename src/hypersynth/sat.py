@@ -30,8 +30,7 @@ class Solver:
     def __init__(self):
         self.nvars = 0
         self.clauses: list = []          # each clause is a list of encoded lits
-        self.learnts: set = set()        # indices into clauses that were learned
-        self.cl_activity: dict = {}
+        self.cl_activity: dict = {}      # learnt clause index -> activity
         self.watches: list = [[], []]    # per encoded literal
         self.lits: list = [0, 1]         # one shared int per encoded literal
         self.value: list = [2, 2]        # per encoded literal
@@ -218,8 +217,8 @@ class Solver:
             self.queued[v] = False
 
     def _bump_clause(self, ci: int):
-        if ci in self.learnts:
-            act = self.cl_activity.get(ci, 0.0) + self.cla_inc
+        if ci in self.cl_activity:
+            act = self.cl_activity[ci] + self.cla_inc
             self.cl_activity[ci] = act
             if act > 1e100:
                 for k in self.cl_activity:
@@ -331,9 +330,9 @@ class Solver:
         return False
 
     def _reduce_db(self):
-        if len(self.learnts) < 20:
+        if len(self.cl_activity) < 20:
             return
-        ranked = sorted(self.learnts, key=lambda ci: self.cl_activity.get(ci, 0.0))
+        ranked = sorted(self.cl_activity, key=self.cl_activity.get)
         locked = {self.reason[lit >> 1] for lit in self.trail}
         drop = set()
         for ci in ranked[: len(ranked) // 2]:
@@ -350,8 +349,7 @@ class Solver:
                 except ValueError:
                     pass
             self.clauses[ci] = []
-            self.learnts.discard(ci)
-            self.cl_activity.pop(ci, None)
+            del self.cl_activity[ci]
 
     # ------------------------------------------------------------------ main
 
@@ -386,12 +384,11 @@ class Solver:
                     self._enqueue(learnt[0], -1)
                 else:
                     ci = self._attach(learnt)
-                    self.learnts.add(ci)
                     self.cl_activity[ci] = self.cla_inc
                     self._enqueue(learnt[0], ci)
                 self.var_inc /= 0.95
                 self.cla_inc /= 0.999
-                if len(self.learnts) > max_learnts:
+                if len(self.cl_activity) > max_learnts:
                     self._reduce_db()
                     max_learnts = int(max_learnts * 1.3)
             else:

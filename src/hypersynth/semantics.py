@@ -55,17 +55,14 @@ TraceAssignment = Mapping[str, LassoTrace]
 # replacement t[q -> tq]
 
 
-def replace(t: LassoTrace, q: str, tq: LassoTrace, align_cap: int = LOOP_ALIGN_CAP) -> LassoTrace:
+def replace(t: LassoTrace, q: str, tq: LassoTrace) -> LassoTrace:
     """Overwrite the q-coordinate of t with tq, realigning the lasso shape."""
     if tq.signals != frozenset({q}):
         raise ValueError(f"replacement trace must be over exactly {{{q}}}")
     pre = max(len(t.prefix), len(tq.prefix))
     period = lcm(len(t.loop), len(tq.loop))
-    if period > align_cap:
-        raise ValueError(
-            f"aligned loop length {period} exceeds the cap {align_cap}; "
-            "raise align_cap explicitly if this is intended"
-        )
+    if period > LOOP_ALIGN_CAP:
+        raise ValueError(f"aligned loop length {period} exceeds the cap {LOOP_ALIGN_CAP}")
     signals = t.signals | {q}
     vals = []
     for i in range(pre + period):
@@ -76,8 +73,8 @@ def replace(t: LassoTrace, q: str, tq: LassoTrace, align_cap: int = LOOP_ALIGN_C
     return LassoTrace(signals, tuple(vals[:pre]), tuple(vals[pre:]))
 
 
-def replace_set(T: TraceSet, q: str, tq: LassoTrace, align_cap: int = LOOP_ALIGN_CAP) -> TraceSet:
-    return TraceSet(T.signals | {q}, frozenset(replace(t, q, tq, align_cap) for t in T.traces))
+def replace_set(T: TraceSet, q: str, tq: LassoTrace) -> TraceSet:
+    return TraceSet(T.signals | {q}, frozenset(replace(t, q, tq) for t in T.traces))
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +105,6 @@ def prop_witnesses(q: str, prop_bound: int) -> tuple[LassoTrace, ...]:
 
 
 # ---------------------------------------------------------------------------
-# exceptions
-
-
-class KnowledgeNotAllowed(Exception):
-    """Raised when eval meets a Knowledge node; use eval_knowledge for those."""
-
-
-# ---------------------------------------------------------------------------
 # the recursive evaluator
 
 def eval_formula(
@@ -125,33 +114,22 @@ def eval_formula(
     i: int = 0,
     prop_bound: int = 3,
 ) -> bool:
-    """Evaluate a knowledge-free HyperQPTL formula at position i."""
-    return _eval(f, T, dict(Pi or {}), i, prop_bound, allow_knowledge=False)
+    """Evaluate a HyperQPTL formula, knowledge operators included, at position i."""
+    return _eval(f, T, dict(Pi or {}), i, prop_bound)
 
 
-def eval_knowledge(
-    f: Formula,
-    T: TraceSet,
-    Pi: Optional[TraceAssignment] = None,
-    i: int = 0,
-    prop_bound: int = 3,
-) -> bool:
-    """Evaluate a formula that may contain knowledge operators."""
-    return _eval(f, T, dict(Pi or {}), i, prop_bound, allow_knowledge=True)
-
-
-def _eval(f: Formula, T: TraceSet, Pi: dict, i: int, prop_bound: int, allow_knowledge: bool) -> bool:
+def _eval(f: Formula, T: TraceSet, Pi: dict, i: int, prop_bound: int) -> bool:
     if i < 0:
         raise ValueError("position negative")
     if isinstance(f, Quantifier):
         if f.kind == QuantKind.TRACE_EXISTS:
             return any(
-                _eval(f.child, T, {**Pi, f.var: t}, i, prop_bound, allow_knowledge)
+                _eval(f.child, T, {**Pi, f.var: t}, i, prop_bound)
                 for t in T.sorted_traces()
             )
         if f.kind == QuantKind.TRACE_FORALL:
             return all(
-                _eval(f.child, T, {**Pi, f.var: t}, i, prop_bound, allow_knowledge)
+                _eval(f.child, T, {**Pi, f.var: t}, i, prop_bound)
                 for t in T.sorted_traces()
             )
         # propositional quantifier: replace uniformly across the trace set and
@@ -164,7 +142,6 @@ def _eval(f: Formula, T: TraceSet, Pi: dict, i: int, prop_bound: int, allow_know
                 {v: replace(t, f.var, tq) for v, t in Pi.items()},
                 i,
                 prop_bound,
-                allow_knowledge,
             )
             for tq in witnesses
         )
@@ -172,7 +149,7 @@ def _eval(f: Formula, T: TraceSet, Pi: dict, i: int, prop_bound: int, allow_know
             return any(results)
         return all(results)
     ctx = _PositionGraph(T, Pi)
-    vals = _eval_body(f, ctx, prop_bound, allow_knowledge)
+    vals = _eval_body(f, ctx, prop_bound)
     return vals[ctx.norm(i)]
 
 
@@ -202,7 +179,7 @@ class _PositionGraph:
         return self.pre + (i - self.pre) % self.period
 
 
-def _eval_body(f: Formula, ctx: _PositionGraph, prop_bound: int, allow_knowledge: bool) -> list[bool]:
+def _eval_body(f: Formula, ctx: _PositionGraph, prop_bound: int) -> list[bool]:
     n = ctx.n
     if isinstance(f, BoolConst):
         return [f.value] * n
@@ -218,10 +195,10 @@ def _eval_body(f: Formula, ctx: _PositionGraph, prop_bound: int, allow_knowledge
             return [True] * n
         return [all(f.var in t.at(j) for t in traces) for j in range(n)]
     if isinstance(f, Not):
-        return [not v for v in _eval_body(f.child, ctx, prop_bound, allow_knowledge)]
+        return [not v for v in _eval_body(f.child, ctx, prop_bound)]
     if isinstance(f, (And, Or, Implies, Iff)):
-        a = _eval_body(f.left, ctx, prop_bound, allow_knowledge)
-        b = _eval_body(f.right, ctx, prop_bound, allow_knowledge)
+        a = _eval_body(f.left, ctx, prop_bound)
+        b = _eval_body(f.right, ctx, prop_bound)
         if isinstance(f, And):
             return [x and y for x, y in zip(a, b)]
         if isinstance(f, Or):
@@ -230,10 +207,10 @@ def _eval_body(f: Formula, ctx: _PositionGraph, prop_bound: int, allow_knowledge
             return [(not x) or y for x, y in zip(a, b)]
         return [x == y for x, y in zip(a, b)]
     if isinstance(f, Next):
-        a = _eval_body(f.child, ctx, prop_bound, allow_knowledge)
+        a = _eval_body(f.child, ctx, prop_bound)
         return [a[ctx.succ(j)] for j in range(n)]
     if isinstance(f, Eventually):
-        a = _eval_body(f.child, ctx, prop_bound, allow_knowledge)
+        a = _eval_body(f.child, ctx, prop_bound)
         res = [False] * n
         loop_any = any(a[ctx.pre:])
         for j in range(n - 1, -1, -1):
@@ -241,7 +218,7 @@ def _eval_body(f: Formula, ctx: _PositionGraph, prop_bound: int, allow_knowledge
             res[j] = a[j] or nxt
         return res
     if isinstance(f, Globally):
-        a = _eval_body(f.child, ctx, prop_bound, allow_knowledge)
+        a = _eval_body(f.child, ctx, prop_bound)
         res = [False] * n
         loop_all = all(a[ctx.pre:])
         for j in range(n - 1, -1, -1):
@@ -249,8 +226,8 @@ def _eval_body(f: Formula, ctx: _PositionGraph, prop_bound: int, allow_knowledge
             res[j] = a[j] and nxt
         return res
     if isinstance(f, (Until, WeakUntil, Release)):
-        a = _eval_body(f.left, ctx, prop_bound, allow_knowledge)
-        b = _eval_body(f.right, ctx, prop_bound, allow_knowledge)
+        a = _eval_body(f.left, ctx, prop_bound)
+        b = _eval_body(f.right, ctx, prop_bound)
         if isinstance(f, Until):
             init = False
             combine = lambda x, y, r: y or (x and r)
@@ -269,12 +246,10 @@ def _eval_body(f: Formula, ctx: _PositionGraph, prop_bound: int, allow_knowledge
                 res[j] = combine(a[j], b[j], res[ctx.succ(j)])
         return res
     if isinstance(f, Knowledge):
-        if not allow_knowledge:
-            raise KnowledgeNotAllowed("knowledge operator in eval; use eval_knowledge")
         return [_knowledge_at(f, ctx, j, prop_bound) for j in range(n)]
     if isinstance(f, Quantifier):
         # a non-prenex quantifier under a temporal operator: evaluate pointwise
-        return [_eval(f, ctx.T, ctx.Pi, j, prop_bound, allow_knowledge) for j in range(n)]
+        return [_eval(f, ctx.T, ctx.Pi, j, prop_bound) for j in range(n)]
     raise TypeError(f"cannot evaluate node {type(f).__name__}")
 
 
@@ -284,7 +259,7 @@ def _knowledge_at(f: Knowledge, ctx: _PositionGraph, j: int, prop_bound: int) ->
     ref = ctx.Pi[f.trace_var]
     for t in ctx.T.sorted_traces():
         if all(ref.at(k) & f.agents == t.at(k) & f.agents for k in range(j + 1)):
-            if not _eval(f.child, ctx.T, {**ctx.Pi, f.trace_var: t}, j, prop_bound, True):
+            if not _eval(f.child, ctx.T, {**ctx.Pi, f.trace_var: t}, j, prop_bound):
                 return False
     return True
 

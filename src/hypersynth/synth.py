@@ -31,7 +31,6 @@ from .machines import ExistGenerator, MooreSystem, all_valuations
 from .mc import body_trace_vars, mc_exists_forall
 from .reductions import (
     ReductionTrace,
-    collapse,
     eliminate_knowledge,
     to_hyperltl,
     with_consistency,
@@ -78,7 +77,6 @@ class SynthesisInstance:
 def prepare(
     doc: SpecDocument,
     designated_input: Optional[str] = None,
-    do_collapse: bool = False,
     force: bool = False,
 ) -> SynthesisInstance:
     """Reduce a specification document to an exists*-forall* synthesis instance."""
@@ -117,11 +115,6 @@ def prepare(
             f2,
             f"propositional quantifiers replaced by trace quantifiers reading {designated!r}",
         )
-        f = f2
-
-    if do_collapse:
-        f2 = collapse(f)
-        tr.record("collapse", f, f2, "leading universal trace quantifiers identified")
         f = f2
 
     prefix, core = extract_prefix(f)

@@ -45,7 +45,6 @@ from hypersynth.semantics import (
     LassoTrace,
     TraceSet,
     eval_formula,
-    eval_knowledge,
     replace_set,
     system_traces,
 )
@@ -580,7 +579,7 @@ def test_criterion_8_knowledge_elimination():
             f = to_nnf(parse_formula(text, {"a", "b"}))
             out = eliminate_knowledge(f)
             T = _random_micro_set(rng)
-            want = eval_knowledge(f, T, prop_bound=3)
+            want = eval_formula(f, T, prop_bound=3)
             got = eval_formula(out, T, prop_bound=3)
             assert got == want, text
             checked += 1

@@ -119,6 +119,21 @@ def test_synth_has_no_lambda_cap(specfile, capsys):
     assert "realizable at system bound 3" in capsys.readouterr().out
 
 
+def test_universal_copies_cannot_be_collapsed(specfile, capsys):
+    # identifying the universal traces weakens this body to G (X o <-> i),
+    # which two states realize; every universal trace gets its own copy
+    text = "inputs: i\noutputs: o\nforall p1 : trace . forall p2 : trace . " \
+        "G ((X o[p1]) <-> i[p1]) & G (o[p1] <-> o[p2])\n"
+    path = specfile(text)
+    for argv in (["synth", path, "--max-system", "1", "--max-exists", "1"], ["reduce", path]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--collapse"])
+        assert exc.value.code == EXIT_INPUT
+    capsys.readouterr()
+    assert main(["synth", path, "--max-system", "2", "--max-exists", "1"]) == EXIT_UNREALIZABLE
+    assert "unrealizable within the given bounds" in capsys.readouterr().out
+
+
 def test_synth_out_and_dot_then_verify(specfile, tmp_path, capsys):
     out_path = tmp_path / "machine.json"
     dot_path = tmp_path / "machine.dot"

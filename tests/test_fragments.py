@@ -24,7 +24,6 @@ from hypersynth.fragments import (
     render_architecture,
 )
 from hypersynth.formula import extract_prefix
-from hypersynth.reductions import collapse
 
 
 def pfx(text):
@@ -98,14 +97,6 @@ def test_verdict_rejects_unknown_kind():
     with pytest.raises(AssertionError):
         FragmentVerdict("Sideways", "no such region")
     assert len(set(ALL_VERDICTS)) == 7
-
-
-def test_collapse_never_less_decidable():
-    f = parse_formula(
-        "forall p1 : trace . forall p2 : trace . G (a[p1] <-> a[p2])", {"a"}
-    )
-    assert classify_formula(f).kind == LINEAR_CANDIDATE
-    assert classify_formula(collapse(f)).kind == SINGLE_UNIVERSAL
 
 
 # ---------------------------------------------------------------------------

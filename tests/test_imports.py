@@ -1,6 +1,7 @@
 """The installed package carries no dependency that only the tests use,
-prefix classification reads only the syntax tree, and the pipeline never
-imports the reference evaluator."""
+prefix classification reads only the syntax tree, the pipeline never
+imports the reference evaluator, and the package exports exactly the names
+it imports."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,20 @@ def test_pipeline_does_not_import_the_reference_evaluator():
                 reached.add(m)
                 todo.append(m)
         assert "semantics" not in reached, name
+
+
+def test_package_exports_exactly_what_it_imports():
+    # a name dropped from a module but left in __all__ would break
+    # `from hypersynth import *`; a name imported but not listed is unexported
+    import hypersynth
+
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    }
+    assert all(hasattr(hypersynth, name) for name in hypersynth.__all__)
+    assert len(hypersynth.__all__) == len(set(hypersynth.__all__))
+    assert set(hypersynth.__all__) == imported

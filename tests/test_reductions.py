@@ -25,7 +25,6 @@ from hypersynth.machines import MooreSystem
 from hypersynth.reductions import (
     ReductionTrace,
     build_consistency,
-    collapse,
     eliminate_knowledge,
     to_hyperltl,
 )
@@ -33,7 +32,6 @@ from hypersynth.semantics import (
     LassoTrace,
     TraceSet,
     eval_formula,
-    eval_knowledge,
     system_traces,
 )
 
@@ -115,43 +113,6 @@ def test_prop_to_trace_preserves_verdicts_on_closed_sets():
 
 
 # ---------------------------------------------------------------------------
-# collapse
-
-def test_collapse_two_universals():
-    f = parse("forall p1 : trace . forall p2 : trace . G (g[p1] <-> g[p2])")
-    assert collapse(f) == parse("forall pi : trace . G (g[pi] <-> g[pi])")
-
-
-def test_collapse_single_renames():
-    f = parse("forall p1 : trace . G g[p1]")
-    assert collapse(f) == parse("forall pi : trace . G g[pi]")
-
-
-def test_collapse_preserves_prop_quantifiers():
-    f = parse(
-        "forall p1 : trace . forall p2 : trace . exists q : prop . F ((q & i[p1]) & g[p2])"
-    )
-    assert collapse(f) == parse(
-        "forall pi : trace . exists q : prop . F ((q & i[pi]) & g[pi])"
-    )
-
-
-def test_collapse_output_shape():
-    f = parse("forall p1 : trace . forall p2 : trace . forall q : prop . G (q -> g[p1])")
-    out = collapse(f)
-    kinds = [e.kind for e in extract_prefix(out)[0]]
-    assert kinds.count(QuantKind.TRACE_FORALL) == 1
-    assert QuantKind.TRACE_EXISTS not in kinds
-
-
-def test_collapse_errors():
-    with pytest.raises(SpecError):
-        collapse(parse("exists pi : trace . G g[pi]"))
-    with pytest.raises(SpecError):
-        collapse(parse("forall pi : trace . exists pi2 : trace . G g[pi]"))
-
-
-# ---------------------------------------------------------------------------
 # consistency conjunct
 
 def test_consistency_shapes():
@@ -180,7 +141,7 @@ def test_polarity_comes_from_structure():
     f = TraceForall("pi", Not(k))
     both = frozenset({"a", "b"})
     T = TraceSet(both, frozenset({LassoTrace(both, (), (both,))}))
-    assert eval_knowledge(f, T, prop_bound=3) is False
+    assert eval_formula(f, T, prop_bound=3) is False
     assert eval_formula(eliminate_knowledge(f), T, prop_bound=3) is False
     # an input that is not in NNF eliminates as its NNF does
     for text in ("forall pi : trace . (K {a} [pi] b[pi]) -> a[pi]", "forall pi : trace . !!K {a} [pi] b[pi]"):
@@ -286,7 +247,7 @@ def test_elimination_matches_direct_evaluation(polarity):
         f = to_nnf(parse_formula(text, {"a", "b"}))
         out = eliminate_knowledge(f)
         T = _random_micro_set(rng)
-        want = eval_knowledge(f, T, prop_bound=3)
+        want = eval_formula(f, T, prop_bound=3)
         got = eval_formula(out, T, prop_bound=3)
         assert got == want, text
 
@@ -296,8 +257,8 @@ def test_elimination_matches_direct_evaluation(polarity):
 
 def test_reduction_trace_renders_steps():
     tr = ReductionTrace()
-    f = parse("forall pi : trace . G g[pi]")
-    g = collapse(f)
-    assert tr.record("collapse", f, g, "identify universal trace variables") is g
+    f = parse("exists q : prop . forall pi : trace . G (q -> g[pi])")
+    g = to_hyperltl(f, "i")
+    assert tr.record("to_hyperltl", f, g, "propositional quantifiers replaced") is g
     text = tr.render()
-    assert "collapse" in text and "in :" in text and "out:" in text
+    assert "to_hyperltl" in text and "in :" in text and "out:" in text

@@ -133,7 +133,6 @@ def test_replacement_cap_enforced():
     tq = LassoTrace(frozenset({"q"}), (), (frozenset({"q"}), frozenset()))
     with pytest.raises(ValueError):
         replace(t, "q", tq)
-    replace(t, "q", tq, align_cap=63 * 2)
 
 
 def test_prop_witnesses_dedupe_and_persistence():
