@@ -42,6 +42,8 @@ ALLOWED_CLASSES = (NO_UNIVERSAL, SINGLE_UNIVERSAL, LINEAR_CANDIDATE)
 CLAUSE_FAMILIES = (
     "totality", "counter_order", "guard_conjunctions", "step_definitions", "counter_steps", "transitions"
 )
+# an accepting SCC's counter kind by (reads a system copy, reads the generator)
+COUNTER_KINDS = {(False, False): "none", (True, False): "system", (False, True): "generator", (True, True): "mixed"}
 
 
 class SolverFailure(Exception):
@@ -72,6 +74,33 @@ class SynthesisInstance:
     def nba(self) -> NBA:
         """Buchi automaton for the negated body, built once per instance."""
         return ltl_to_nba(Not(self.body))
+
+    @cached_property
+    def scc_reads(self) -> tuple:
+        """What the guards inside each accepting SCC read, as (copies, generator).
+
+        `copies` are the universal copies whose outputs appear in the guard of
+        some edge between two states of the SCC, in `universal_vars` order;
+        `generator` says that some existential-copy signal appears there.
+        Inputs of universal copies are not reads: every copy steps on every
+        input its guard admits.
+        """
+        scc_of, weight = self.nba.sccs
+        copies = [set() for _ in weight]
+        generator = [False] * len(weight)
+        for q, g, q2 in self.nba.transitions:
+            c = scc_of[q]
+            if c < 0 or scc_of[q2] != c:
+                continue
+            for sig, _ in g:
+                a, var = split_atom(sig)
+                if var in self.exist_vars:
+                    generator[c] = True
+                elif a not in self.inputs:
+                    copies[c].add(var)
+        return tuple(
+            (tuple(v for v in self.universal_vars if v in cs), gen) for cs, gen in zip(copies, generator)
+        )
 
 
 def prepare(
@@ -184,11 +213,22 @@ class ConstraintProblem:
 
 
 def _scc_bounds(instance: SynthesisInstance, n: int, m: int) -> list:
-    """Sufficient counter bound of each automaton SCC: one step per rejecting
-    product node whose automaton state lies in it, n^k * m * |F & C|."""
-    m_eff = m if instance.exist_vars else 1
+    """Sufficient counter height of each accepting SCC C: n^|R| * m^[gen] * |F & C|.
+
+    The counter of C ranges over C's nodes projected onto what C's guards
+    read (`SynthesisInstance.scc_reads`): the system copies R and, if read,
+    the generator. A projected path that closes no cycle through an accepting
+    step enters each accepting projected node at most once, so this many
+    accepting steps suffice. Every component the
+    projection drops is total: a system steps on every admitted input and
+    the generator is a deterministic lasso. So a projected cycle, repeated
+    from a reachable node, returns by pigeonhole to the same product node:
+    it lifts to a reachable product cycle with the same accepting steps.
+    """
     _, weight = instance.nba.sccs
-    return [(n**instance.k) * m_eff * w for w in weight]
+    return [
+        n ** len(copies) * (m if gen else 1) * w for (copies, gen), w in zip(instance.scc_reads, weight)
+    ]
 
 
 def _compile_guards(instance: SynthesisInstance, in_vals: list) -> list:
@@ -271,12 +311,28 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     r1 = nxt[0] + 1
     nxt[0] += n_nodes
 
-    # counters only for nodes whose automaton state lies in an SCC with a bound
+    # counters only for nodes whose automaton state lies in an accepting SCC,
+    # one per projection onto what that SCC reads (_scc_bounds), shared by
+    # the nodes that agree there; None for the other nodes
+    upos = {v: i for i, v in enumerate(instance.universal_vars)}
+    reads = [([upos[v] for v in copies], gen) for copies, gen in instance.scc_reads]
+    counter_vars_by_kind = dict.fromkeys(COUNTER_KINDS.values(), 0)
     l_base = nxt[0]
-    l_start = []
-    for node in range(n_nodes):
-        l_start.append(nxt[0] + 1)
-        nxt[0] += lam_of[node % Q]
+    l_start: list = [None] * n_nodes
+    projected: dict = {}
+    for svec_i, svec in enumerate(svecs):
+        for e in range(m_eff):
+            for q, c in enumerate(scc_of):
+                if c < 0:
+                    continue
+                R, gen = reads[c]
+                key = (tuple(svec[u] for u in R), e if gen else 0, q)
+                ls = projected.get(key)
+                if ls is None:
+                    ls = projected[key] = nxt[0] + 1
+                    nxt[0] += scc_lam[c]
+                    counter_vars_by_kind[COUNTER_KINDS[bool(R), gen]] += scc_lam[c]
+                l_start[(svec_i * m_eff + e) * Q + q] = ls
     counter_vars = nxt[0] - l_base
 
     # clauses by family (CLAUSE_FAMILIES), concatenated in that order
@@ -294,9 +350,8 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
         exactly_one(back_var)
 
     # annotation order chains
-    for node in range(n_nodes):
-        ls = l_start[node]
-        for j in range(2, lam_of[node % Q] + 1):
+    for (_, _, q), ls in projected.items():
+        for j in range(2, lam_of[q] + 1):
             order.append([-(ls + j - 1), ls + j - 2])
 
     add = trans.append
@@ -332,30 +387,28 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
             steps.extend([-d_var[s][iv][s2], y] for iv in F)
         return y
 
-    # per (node, successor) pair inside one counted SCC: an activation
-    # variable and its annotation clauses; every counted SCC holds an
-    # accepting state, so its bound lam_c is at least 1
-    pair_act: dict = {}
+    # per pair of projected counters inside one counted SCC, keyed on their
+    # first variables: an activation variable that implies the annotation
+    # clauses; every counted SCC holds an accepting state, so its height
+    # lam_c is at least 1
+    counter_act: dict = {}
 
-    def pair_clauses(node: int, node2: int, q2: int):
-        a = pair_act.get((node, node2))
-        if a is None:
-            a = pair_act[(node, node2)] = new_var()
+    def counter_lit(ls: int, ls2: int, q2: int) -> int:
+        b = counter_act.get((ls, ls2))
+        if b is None:
+            b = counter_act[(ls, ls2)] = new_var()
             add_c = counter.append
-            rn = r1 + node
             lam_c = lam_of[q2]
-            l1 = l_start[node] - 1
-            l2 = l_start[node2] - 1
-            add_c([-rn, -a, r1 + node2])
+            l1, l2 = ls - 1, ls2 - 1
             if q2 in nba.accepting:
-                add_c([-rn, -a, l2 + 1])
+                add_c([-b, l2 + 1])
                 for j in range(1, lam_c):
-                    add_c([-rn, -a, -(l1 + j), l2 + j + 1])
-                add_c([-rn, -a, -(l1 + lam_c)])
+                    add_c([-b, -(l1 + j), l2 + j + 1])
+                add_c([-b, -(l1 + lam_c)])
             else:
                 for j in range(1, lam_c + 1):
-                    add_c([-rn, -a, -(l1 + j), l2 + j])
-        return a
+                    add_c([-b, -(l1 + j), l2 + j])
+        return b
 
     # each generator state's successors, as (e2, antecedent literals)
     gen_tails = [[(e2, [] if back is None else [-back]) for e2, back in succ] for succ in gen_succ]
@@ -371,6 +424,7 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
             for q in range(Q):
                 node = (svec_i * m_eff + e) * Q + q
                 rn = r1 + node
+                ls = l_start[node]
                 for admitted, lits, q2, counted in guards[q]:
                     residual = {lit_vars[u][a] if val else -lit_vars[u][a] for u, a, val in lits}
                     if any(-b in residual for b in residual):
@@ -386,8 +440,9 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
                     for base2, nd in rows:
                         for e2, tail in tails:
                             node2 = (base2 + e2) * Q + q2
-                            head = [pair_clauses(node, node2, q2)] if counted else [-rn, r1 + node2]
-                            add([*nd, *tail, *head])
+                            add([*nd, *tail, -rn, r1 + node2])
+                            if counted:
+                                add([*nd, *tail, -rn, counter_lit(ls, l_start[node2], q2)])
 
     families = (totality, order, conj, steps, counter, trans)
     var_maps = {
@@ -399,6 +454,7 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
         "l_start": l_start,
         "lam_of": lam_of,
         "counter_vars": counter_vars,
+        "counter_vars_by_kind": counter_vars_by_kind,
         "step": step_var,
         "clauses_by_family": {f: len(c) for f, c in zip(CLAUSE_FAMILIES, families)},
         "m_eff": m_eff,
@@ -406,7 +462,7 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     comments = [
         f"bounded synthesis: n={n} m={m} k={k} nba={Q} lambda={lam}",
         f"vars: delta 1..{n*V*n}, outputs, generator, reach at {r1}, "
-        f"{counter_vars} counters at {l_base+1}, local to each automaton SCC, "
+        f"{counter_vars} counters at {l_base+1}, one per node of an accepting SCC projected onto what it reads, "
         f"{len(step_var)} step literals, one per (state, copy's admitted inputs, successor)",
     ]
     return ConstraintProblem(
@@ -503,6 +559,7 @@ def solve(problem: ConstraintProblem, timeout=None) -> SynthesisResult:
         "clauses": len(problem.clauses),
         "lambda": problem.lambda_max,
         "counter_vars": problem.var_maps["counter_vars"],
+        "counter_vars_by_kind": problem.var_maps["counter_vars_by_kind"],
         "step_vars": len(problem.var_maps["step"]),
         "clauses_by_family": problem.var_maps["clauses_by_family"],
         **counts,
@@ -540,11 +597,14 @@ def solve_at_bounds(
 ) -> SynthesisResult:
     """Verdict at one bound point: one encode, one solve.
 
-    Every SCC's counter runs to its sufficient bound (_scc_bounds). A product
-    cycle projects onto a cycle of the automaton, so it stays inside one SCC
-    and the counter there only has to count the rejecting nodes it meets.
-    The verdict is therefore exact at (n, m): UNSAT proves that no n-state
-    system with an m-state generator exists. `stats` also gets `encode_s`.
+    A product cycle projects onto a cycle of the automaton, so it stays
+    inside one accepting SCC C. C's counter ranges over product nodes
+    projected onto what C's guards read and runs to the sufficient height
+    n^|R| * m^[gen] * |F & C| (_scc_bounds): a projected cycle with an
+    accepting step lifts to a reachable product cycle, because the dropped
+    components are total. The verdict is therefore exact at (n, m): UNSAT
+    proves that no n-state system with an m-state generator exists. `stats`
+    also gets `encode_s`.
     """
     t0 = time.perf_counter()
     problem = encode(instance, n, m)

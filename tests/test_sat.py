@@ -210,14 +210,14 @@ def test_decisions_follow_activity_after_rescale():
 # the arbiter table's solve points: ((k, full), (n, m), status, conflicts,
 # SHA-1 of the model's signed literals joined by spaces, or None if unsat)
 TABLE_SOLVES = (
-    ((2, False), (2, 1), False, 7, None),
-    ((2, False), (2, 2), True, 22, "7cae4b0e6b3cccbc2bdc01b1a32837ca1e8345dc"),
-    ((2, True), (3, 1), False, 69, None),
-    ((2, True), (3, 2), False, 243, None),
-    ((2, True), (4, 2), True, 421, "37387a972186c09bd3762a059a0c2ceaaa43efd4"),
-    ((3, False), (3, 1), False, 31, None),
-    ((3, False), (3, 2), False, 487, None),
-    ((3, False), (4, 2), True, 363, "209f63ea65dd661a32e22c9b2e87d52de2d90ba6"),
+    ((2, False), (2, 1), False, 8, None),
+    ((2, False), (2, 2), True, 18, "98a10bc87851c5f21612a5518a00701ead2fd37c"),
+    ((2, True), (3, 1), False, 59, None),
+    ((2, True), (3, 2), False, 171, None),
+    ((2, True), (4, 2), True, 894, "cd208abbb55603e7501e470f9287a8ed63d2b70a"),
+    ((3, False), (3, 1), False, 17, None),
+    ((3, False), (3, 2), False, 413, None),
+    ((3, False), (4, 2), True, 135, "44332246e2e749efe159ea1758df3d2d7942dc25"),
 )
 
 

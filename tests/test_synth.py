@@ -194,19 +194,77 @@ def _accepting_sccs(nba) -> list:
 
 def test_counters_are_scc_local():
     inst = prepare(gen_arbiter(3, {1}))
-    problem = encode(inst, 3, 2)
-    assert problem.lambda_max == 6
-    # one global counter of height n^k * m * |F| = 54 per node took 118,765 clauses
-    assert len(problem.clauses) <= 118_765 // 4
+    n, m = 3, 2
+    problem = encode(inst, n, m)
+    assert problem.lambda_max == 3
+    # one counter of height n^k * m * |F & C| per product node took 4,604
+    # clauses and 324 counter variables; projected ones take 2,909 and 63
+    assert len(problem.clauses) <= 2_909
     vm = problem.var_maps
+    assert vm["counter_vars"] <= 63
     starts = vm["l_start"]
-    ends = starts[1:] + [starts[0] + vm["counter_vars"]]
     counted = set().union(*_accepting_sccs(inst.nba))
     Q = inst.nba.n_states
     assert any(q in counted for q in range(Q))
-    for node, (a, b) in enumerate(zip(starts, ends)):
-        if node % Q not in counted:
-            assert a == b, node
+    svecs = list(itertools.product(range(n), repeat=inst.k))
+    scc_of, _ = inst.nba.sccs
+    owners: dict = {}
+    for node, ls in enumerate(starts):
+        q = node % Q
+        assert (ls is None) == (q not in counted), node
+        if ls is not None:
+            copies, gen = inst.scc_reads[scc_of[q]]
+            svec, e = svecs[node // Q // m], node // Q % m
+            read = (q, tuple(svec[inst.universal_vars.index(v)] for v in copies), e if gen else None)
+            owners.setdefault(ls, set()).add(read)
+    # nodes share a counter exactly when they agree on what their SCC reads
+    assert all(len(reads) == 1 for reads in owners.values())
+    assert len({r for reads in owners.values() for r in reads}) == len(owners)
+    # the shared counters tile the counter variables, each at its SCC's height
+    ls_sorted = sorted(owners)
+    heights = [vm["lam_of"][next(iter(owners[ls]))[0]] for ls in ls_sorted]
+    assert all(a + h == b for a, h, b in zip(ls_sorted, heights, ls_sorted[1:]))
+    assert sum(heights) == vm["counter_vars"]
+
+
+def _scc_reads_from_transitions(inst) -> dict:
+    """Each accepting SCC, as a set of states, and what the guards of its inner
+    edges read: the universal copies with an output atom there, and whether
+    an atom of an existential copy appears."""
+    out = {}
+    for comp in _accepting_sccs(inst.nba):
+        copies, gen = set(), False
+        for q, g, q2 in inst.nba.transitions:
+            if q in comp and q2 in comp:
+                for sig, _ in g:
+                    prop, copy = split_atom(sig)
+                    gen |= copy in inst.exist_vars
+                    if copy in inst.universal_vars and prop in inst.outputs:
+                        copies.add(copy)
+        out[frozenset(comp)] = (copies, gen)
+    return out
+
+
+def test_scc_reads_match_the_transitions():
+    docs = _specs_in_this_module() + [spec(ARBITER_K2_3, inputs="r1, r2, r3", outputs="g1, g2, g3")]
+    docs += [spec(text) for text, _ in TWO_COMPONENT_READS]
+    docs += [gen_arbiter(k, {1}, full) for k, full in ((3, True), (4, False))]
+    for doc in docs:
+        inst = prepare(doc)
+        scc_of, _ = inst.nba.sccs
+        want = _scc_reads_from_transitions(inst)
+        assert len(inst.scc_reads) == len(want), print_formula(doc.formula)
+        for comp, (copies, gen) in want.items():
+            (c,) = {scc_of[q] for q in comp}
+            assert inst.scc_reads[c] == (tuple(v for v in inst.universal_vars if v in copies), gen)
+    k2 = prepare(spec(ARBITER_K2, inputs="r1, r2", outputs="g1, g2"))
+    assert sorted(k2.scc_reads) == [((), False)] * 2 + [(("p1",), False)] * 2
+    arb3 = prepare(gen_arbiter(3, {1}))
+    assert sorted(arb3.scc_reads) == [((), False), ((), True), ((), True)] + [(("pi",), False)] * 6
+    for text, kind in TWO_COMPONENT_READS:
+        inst = prepare(spec(text))
+        assert max(len(copies) + gen for copies, gen in inst.scc_reads) == 2
+        assert encode(inst, 2, 2).var_maps["counter_vars_by_kind"][kind] > 0
 
 
 def test_dimacs_emission_parses_back():
@@ -254,14 +312,23 @@ forall p1 : trace . forall p2 : trace .
   & (!g1[p1] W r1[p1]) & (!g2[p1] W r2[p1])
   & (G (r1[p1] <-> r1[p2]) -> G (g1[p1] <-> g1[p2]))
 """
+# ARBITER_K2 widened to three clients (a 16-state automaton); as there, the
+# accepting SCC of the information-flow conjunct reads inputs only
+ARBITER_K2_3 = """
+forall p1 : trace . forall p2 : trace .
+  G !(g1[p1] & g2[p1]) & G !(g1[p1] & g3[p1]) & G !(g2[p1] & g3[p1])
+  & G (r1[p1] -> F g1[p1]) & G (r2[p1] -> F g2[p1]) & G (r3[p1] -> F g3[p1])
+  & (!g1[p1] W r1[p1]) & (!g2[p1] W r2[p1]) & (!g3[p1] W r3[p1])
+  & (G (r1[p1] <-> r1[p2]) -> G (g1[p1] <-> g1[p2]))
+"""
 
 
 @pytest.mark.parametrize(
     "doc, n, m, status, lam",
     [
-        (spec(ARBITER_K2, inputs="r1, r2", outputs="g1, g2"), 3, 1, "unsat", 9),
-        (spec(ARBITER_K2, inputs="r1, r2", outputs="g1, g2"), 4, 1, "sat", 16),
-        (gen_arbiter(2, {1}), 2, 2, "sat", 4),
+        (spec(ARBITER_K2, inputs="r1, r2", outputs="g1, g2"), 3, 1, "unsat", 3),
+        (spec(ARBITER_K2, inputs="r1, r2", outputs="g1, g2"), 4, 1, "sat", 4),
+        (gen_arbiter(2, {1}), 2, 2, "sat", 2),
     ],
     ids=["arbiter-k2-3-1", "arbiter-k2-4-1", "arbiter-2-prompt-2-2"],
 )
@@ -284,6 +351,10 @@ ORACLE_SPECS = (
     "forall pi : trace . (G F i[pi]) -> G F o[pi] & G F !o[pi]",
     # sat from three states on, and only with counters above one
     "forall pi : trace . G F (o[pi] & X o[pi]) & G F !o[pi]",
+    # sat at one state, where the negation's run meets both accepting states
+    # of its SCC before it dies: a counter one below the sufficient height
+    # n * |F & C| = 2 finds no model
+    "forall pi : trace . F G X X o[pi]",
 )
 
 
@@ -464,80 +535,80 @@ def _encoding_points():
 # SHA-1 of the DIMACS text and of repr(var_maps) at each point
 ENCODING_DIGESTS = {
     ('arbiter-2', 2, 1): (
-        "a67a3a62a4f010b167f6039577a8a805518b06ed",
-        "a75b645d98699e578f911550e024162f9d2e7573",
+        "f31dce2f9f536ef4294429b530733844891e8b86",
+        "99cdb4da26ee2546c4b3dd11a4933c98310652b6",
     ),
     ('arbiter-2', 2, 2): (
-        "7966eaf131ff58cc50345868575c7e5c07401399",
-        "cfaff275792e22656c6badadc3916272b94d6a3e",
+        "d65d4704c6dd0ba8eabe3e115b07ebac6a3595dc",
+        "60d8a9055b5e4d62b47bc9b19527ada6845d884b",
     ),
     ('arbiter-2-full', 3, 1): (
-        "e012b2084349488c68b2a5fdc83246d740da3c48",
-        "730b4e345f4ac4d0b73f1440fb6254c2c63c8c4a",
+        "5f37b1366c703b86212c9507159f497cc0195a1e",
+        "42994aeaf7cfc05e4100b3fc2e5821d7d05ed668",
     ),
     ('arbiter-2-full', 3, 2): (
-        "00aa7ee6a4b20a9dee9e4875864cf3901d451a2f",
-        "bf8385ab758ecc1a836705a55e44548643f22f81",
+        "bf558ac83376f0a4c7137a413626aa34ec573223",
+        "2b0254422db349dc917b312ce78731102f0c2c4e",
     ),
     ('arbiter-2-full', 4, 2): (
-        "751c8eebb2b37bb4fc0391676afd2dfa2a98b99e",
-        "12f9ebe791968df095ad12eed0a80f1e02832cb3",
+        "7df8ccd576ed94e094724905d5b6dea5d427792e",
+        "6a8cb2e274689e814a2a58afcaf89fc9c1176433",
     ),
     ('arbiter-3', 3, 1): (
-        "b77529d4b409c6ba7a63e34daa203b40d6383189",
-        "fa9992e897bea88c7be055c3e6a79b15909426e1",
+        "2fa7284e208eeb19fdf24884aff7a02ac5ef0d91",
+        "dbbbd6e019a5afacffb059eba655b33b1709ba22",
     ),
     ('arbiter-3', 3, 2): (
-        "c04857b6e959cc7cfaa732a608ddda9ccb33e37d",
-        "6c77bf1420bc15a86581854ca642e4e75473cf25",
+        "cd7f694f5f06fe7f7d6c1b82c2e629bc443098af",
+        "3c3af0578434dcb9f0d187eb680d2ee76540a514",
     ),
     ('arbiter-3', 4, 2): (
-        "3981e8d4ae7f9dabe55a7c96ad08377ef1929359",
-        "1d9bbbb932f948d1f50fc20531a32bc004a85b5e",
+        "c15374cbc77275723df9cc1cc1892295fb57f991",
+        "519b9e8d505c02b75e5fd76ddc09dab015e86830",
     ),
     ('arbiter-4', 4, 1): (
-        "450af37a358df363214ee6e5e168d7578f18089c",
-        "d29033838e4e53624642758e26df6804e267c7a3",
+        "454029acbda45bb418e466b8b752ab9323e29753",
+        "8d4d7abcf5ccc3d51831dc3c3205ad7a5c335ff6",
     ),
     ('demo', 1, 1): (
-        "02444d92c9e1398e44f0bf2fdab0e88ab42b2e4f",
-        "e6b3f56863c996bea40fe2462f3acbc77e3be5a2",
+        "9f432c05eb27bcc75bb63a4c1bed5267786352ce",
+        "621340e36787e2468c8e32da90c1b7c8f14ef412",
     ),
     ('demo', 1, 2): (
-        "dae25671b90d31762b5d86afa682ef53b30c8ef8",
-        "6fa7d3db81ac2710ee5badf66a243fbac4352d00",
+        "49578c9d7f2ec9b6b9000d2d000e4c4e82e62f5c",
+        "629c75be0754c6c67f04daccc76b0abc4612d343",
     ),
     ('demo', 2, 1): (
-        "a67a3a62a4f010b167f6039577a8a805518b06ed",
-        "a75b645d98699e578f911550e024162f9d2e7573",
+        "f31dce2f9f536ef4294429b530733844891e8b86",
+        "99cdb4da26ee2546c4b3dd11a4933c98310652b6",
     ),
     ('demo', 1, 3): (
-        "05aa469f5889a44da9df50b8bca875564abdb4b3",
-        "1354290f8e2aea96b2c4f6a689321a2311f622e6",
+        "967433f80a6a515f59b0934cd135d913f2366fad",
+        "53411ef1195bbbd59c086aa7a67895bf5dd9dd9e",
     ),
     ('demo', 2, 2): (
-        "7966eaf131ff58cc50345868575c7e5c07401399",
-        "cfaff275792e22656c6badadc3916272b94d6a3e",
+        "d65d4704c6dd0ba8eabe3e115b07ebac6a3595dc",
+        "60d8a9055b5e4d62b47bc9b19527ada6845d884b",
     ),
     ('arbiter-k2', 1, 1): (
-        "7f026747ffc4c3705846c682cfb64f6bc66c9ad0",
-        "df91049a52c86bf42bb50e1fb43a6abfabf9ce60",
+        "1b18007ace98274c7f4beae151c89bcbbfc392c3",
+        "79bc837f2ae11eed3c0d954e7e2e4ddf6240f295",
     ),
     ('arbiter-k2', 2, 1): (
-        "ef5e76ba06a583e05d47e662cac240bf3e5076bc",
-        "eb1fe74550909317f5190ce8a80ac1adbdb3a9bc",
+        "27a57ab3a4231f119f0bbf32dd4457fec36d30d1",
+        "be25037326ed93395f242d3131291d1fb9a69268",
     ),
     ('arbiter-k2', 3, 1): (
-        "5f6bfd7bd721bb377faf2d716399cee5e8f4cdcd",
-        "38d014af8706a22d5ca00114bf885b03c8c93667",
+        "4e802dda3e1ba93562d443599151a07cb532f1bf",
+        "5ced1cda5d67d434bef47b521dbedfc59392b5c5",
     ),
     ('arbiter-k2', 4, 1): (
-        "dcbe3f98cf93076580ba058eed1150c1ed138f36",
-        "39e67ff18b8a64c4479a4cb9477dc779a3a332f3",
+        "1321abafcb3ffcf7e2860922703e8357894daede",
+        "897f5d2a75de2223e183fa262cfa83ce88db06c7",
     ),
     ('two-universal', 1, 1): (
-        "f4e0d85b21181fb21b5e5ebf2c20bf755dbc469f",
-        "e2d03085d246f2900e4b6eed237a5657f4854d98",
+        "ef95b74bb75ad591240a9777f71d0eb359d589da",
+        "3b9ac2bb9b2cc6ea46f058eb680cee0342ba7837",
     ),
 }
 
@@ -621,12 +692,22 @@ def test_singleton_input_sets_make_no_step_variable():
 # the textbook encoding (tests/_reference_encoding.py) as a differential oracle
 
 
+# accepting SCCs that read two components: both system copies (the first two,
+# with a counter of height n^2) and the system copy with the generator (the third)
+TWO_COMPONENT_READS = (
+    ("forall p1 : trace . forall p2 : trace . F G (o[p1] <-> o[p2]) & G F o[p1] & G F !o[p1]", "system"),
+    ("forall p1 : trace . forall p2 : trace . (G (i[p1] <-> i[p2])) -> G F (o[p1] & o[p2] & X !o[p1])", "system"),
+    ("exists e : trace . forall pi : trace . G F (o[pi] & i[e]) & G F (!o[pi] & !i[e])", "mixed"),
+)
+
+
 def _reference_points():
     """Default table rows and their (n+1, m) retry points, criterion 9's
     monotonicity pads of arbiter-2, arbiter-4 (4,1), the points synth-search
-    visits, the brute-force oracles' points (among them LATE_I at (1,4),
-    where the counter bound needs its factor m), two-universal (1,1) and a
-    spec whose generator must loop in its last state.
+    visits, the three-client ARBITER_K2_3 at (2,1) and (3,1), the brute-force
+    oracles' points (among them LATE_I at (1,4), where the counter bound
+    needs its factor m), two-universal (1,1), a spec whose generator must
+    loop in its last state, and the TWO_COMPONENT_READS specs.
 
     The pads of arbiter-2-full, (5,2) and (4,3), and of arbiter-3, (4,3) and
     (3,4), take the textbook encoding 3.5-7 s each and are left out."""
@@ -643,6 +724,9 @@ def _reference_points():
     k2 = spec(ARBITER_K2, inputs="r1, r2", outputs="g1, g2")
     for n in (1, 2, 3, 4):
         yield "arbiter-k2", k2, n, 1
+    k2_3 = spec(ARBITER_K2_3, inputs="r1, r2, r3", outputs="g1, g2, g3")
+    for n in (2, 3):
+        yield "arbiter-k2-3", k2_3, n, 1
     for body in ORACLE_SPECS:
         for n in (1, 2, 3):
             yield body, spec(body), n, 1
@@ -653,6 +737,10 @@ def _reference_points():
     # a two-state generator must stay in its last state: needs the last loop-back
     for n, m in ((1, 1), (1, 2)):
         yield "stay-last", spec("exists e : trace . forall pi : trace . !i[e] & X G i[e]"), n, m
+    for text, _ in TWO_COMPONENT_READS:
+        doc = spec(text)
+        for n, m in ((1, 1), (2, 1), (3, 1)) + ((1, 2), (2, 2), (1, 3)) * ("exists" in text):
+            yield text, doc, n, m
 
 
 def test_reference_encoding_agrees_at_table_pads_and_search_points():
@@ -662,7 +750,7 @@ def test_reference_encoding_agrees_at_table_pads_and_search_points():
         got[(name, n, m)] = solve_at_bounds(inst, n, m).status
         want[(name, n, m)] = reference_verdict(inst, n, m)
     assert got == want
-    assert len(got) == 62 and set(got.values()) == {"sat", "unsat"}
+    assert len(got) == 79 and set(got.values()) == {"sat", "unsat"}
 
 
 _DRAWN_PREFIXES = {
