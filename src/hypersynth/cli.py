@@ -95,6 +95,7 @@ def cmd_synth(args) -> int:
             print("unrealizable within the given bounds; attempted:")
         for a in attempts:
             print(f"  ({a.n},{a.m}) lambda={a.lambda_max}: {a.status}")
+        _print_stats(args, attempts)
         return EXIT_UNREALIZABLE
     print(f"realizable at system bound {result.n}, generator bound {result.m}")
     payload = {"system": json.loads(result.system.to_json())}
@@ -111,7 +112,15 @@ def cmd_synth(args) -> int:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(result.system.to_dot())
         print(f"system rendered to {args.dot}")
+    _print_stats(args, attempts)
     return EXIT_OK
+
+
+def _print_stats(args, attempts) -> None:
+    """With --stats, one JSON line per attempted (n, m) point, in search order."""
+    if args.stats:
+        for a in attempts:
+            print(json.dumps({"n": a.n, "m": a.m, "status": a.status, "stats": a.stats}))
 
 
 def _load_machines(path: str):
@@ -215,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--timeout", type=float, default=None, metavar="SEC")
     sp.add_argument("--out", default=None, metavar="FILE")
     sp.add_argument("--dot", default=None, metavar="FILE")
+    sp.add_argument("--stats", action="store_true",
+                    help="after the verdict, print each attempted point's stats as one JSON line")
     add_reduction_flags(sp)
     sp.set_defaults(func=cmd_synth)
 

@@ -40,7 +40,13 @@ from .sat import solve_clauses
 ALLOWED_CLASSES = (NO_UNIVERSAL, SINGLE_UNIVERSAL, LINEAR_CANDIDATE)
 # encode's clause families in CNF order; "transitions" includes the initial nodes
 CLAUSE_FAMILIES = (
-    "totality", "counter_order", "guard_conjunctions", "step_definitions", "counter_steps", "transitions"
+    "totality",
+    "state_order",
+    "counter_order",
+    "guard_conjunctions",
+    "step_definitions",
+    "counter_steps",
+    "transitions",
 )
 # an accepting SCC's counter kind by (reads a system copy, reads the generator)
 COUNTER_KINDS = {(False, False): "none", (True, False): "system", (False, True): "generator", (True, True): "mixed"}
@@ -269,7 +275,17 @@ def _compile_guards(instance: SynthesisInstance, in_vals: list) -> list:
 
 
 def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
-    """Constraint system for an n-state system and m-state generator."""
+    """Constraint system for an n-state system and m-state generator.
+
+    Every system state j >= 1 must be entered from a state below j (one
+    `state_order` clause per j), which cuts most of the n! renumberings of a
+    machine. This keeps every verdict: renumber the reachable states of a
+    model in BFS order from 0, so each is entered from its BFS parent, which
+    is lower. Then fill each remaining index j with a copy of the target t of
+    delta(j-1, 0) and point that one transition at the copy. Since t <= j-1,
+    that edge was never the edge that enters t from a lower state, so the
+    earlier clauses still hold, and no branch of the system changes.
+    """
     if n < 1 or m < 1:
         raise SpecError("bounds must be at least 1")
     outputs = instance.outputs
@@ -336,7 +352,7 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     counter_vars = nxt[0] - l_base
 
     # clauses by family (CLAUSE_FAMILIES), concatenated in that order
-    totality, order, conj, steps, counter, trans = ([] for _ in CLAUSE_FAMILIES)
+    totality, state_order, order, conj, steps, counter, trans = ([] for _ in CLAUSE_FAMILIES)
 
     def exactly_one(row: list):
         totality.append(list(row))
@@ -348,6 +364,10 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
             exactly_one(d_var[s][iv])
     if back_var:
         exactly_one(back_var)
+
+    # symmetry breaking: some transition enters state j from a state below j
+    for j in range(1, n):
+        state_order.append([d_var[i][iv][j] for i in range(j) for iv in range(V)])
 
     # annotation order chains
     for (_, _, q), ls in projected.items():
@@ -444,7 +464,7 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
                             if counted:
                                 add([*nd, *tail, -rn, counter_lit(ls, l_start[node2], q2)])
 
-    families = (totality, order, conj, steps, counter, trans)
+    families = (totality, state_order, order, conj, steps, counter, trans)
     var_maps = {
         "d": d_var,
         "out": out_var,
@@ -483,7 +503,12 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
 
 
 def decode(problem: ConstraintProblem, model: set):
-    """Model to (MooreSystem, ExistGenerator or None)."""
+    """Model to (MooreSystem, ExistGenerator or None).
+
+    Raises EncoderSoundnessError when some state j >= 1 is entered from no
+    state below j: the `state_order` clauses forbid that, so every decoded
+    system is fully reachable.
+    """
     inst = problem.instance
     n = problem.n
     vm = problem.var_maps
@@ -502,6 +527,9 @@ def decode(problem: ConstraintProblem, model: set):
                 raise EncoderSoundnessError(f"transition ({s},{iv}) decoded to {hits}")
             row.append(hits[0])
         delta.append(tuple(row))
+    for j in range(1, n):
+        if all(j not in delta[i] for i in range(j)):
+            raise EncoderSoundnessError(f"state {j} is entered from no state below it")
     labels = tuple(
         frozenset(o for o in outputs if true(vm["out"][s][o])) for s in range(n)
     )

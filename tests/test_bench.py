@@ -147,7 +147,7 @@ def test_suite_report_render_and_json():
     assert all(set(c) == {"none", "system", "generator", "mixed"} for c in by_kind)
     assert all(sum(c.values()) == s["counter_vars"] for c, s in zip(by_kind, stats.values()))
     assert all(c["system"] > 0 and c["generator"] > 0 for c in by_kind)
-    assert {p: s["conflicts"] for p, s in stats.items()} == {(2, 1): 8, (2, 2): 18}
+    assert {p: s["conflicts"] for p, s in stats.items()} == {(2, 1): 8, (2, 2): 21}
     assert all(s["decisions"] > 0 and s["propagations"] > 0 and "restarts" in s for s in stats.values())
     assert all(s[key] >= 0.0 for s in stats.values() for key in ("encode_s", "solve_s", "verify_s"))
     assert all(0 < s["nba_accepting"] <= s["nba_states"] < s["nba_edges"] for s in stats.values())

@@ -95,6 +95,26 @@ def test_synth_unrealizable_exit(specfile, capsys):
     assert "(1,1)" in out and "(2,1)" in out
 
 
+def test_synth_stats_prints_one_json_line_per_attempt(specfile, capsys):
+    # unsat at one state, sat at two: the output must alternate
+    alternate = "inputs: i\noutputs: o\nforall pi : trace . G F o[pi] & G F !o[pi]\n"
+    for text, rc, want in ((alternate, EXIT_OK, "sat"), (INSTANT, EXIT_UNREALIZABLE, "unsat")):
+        argv = ["synth", specfile(text), "--max-system", "2", "--max-exists", "1", "--stats"]
+        assert main(argv) == rc
+        lines = capsys.readouterr().out.splitlines()
+        rows = [json.loads(l) for l in lines[-2:]]
+        assert [(r["n"], r["m"]) for r in rows] == [(1, 1), (2, 1)]
+        assert rows[-1]["status"] == want and rows[0]["status"] == "unsat"
+        for r in rows:
+            families = r["stats"]["clauses_by_family"]
+            assert families["state_order"] == r["n"] - 1
+            assert sum(families.values()) == r["stats"]["clauses"]
+            assert r["stats"]["conflicts"] >= 0
+    # without the flag the output ends with the verdict's own lines
+    assert main(["synth", specfile(INSTANT), "--max-system", "2", "--max-exists", "1"]) == EXIT_UNREALIZABLE
+    assert "{" not in capsys.readouterr().out
+
+
 def test_synth_uniformized_unsat_is_bound_relative(specfile, capsys):
     rc = main([
         "synth", specfile(FLIPPED_WITNESS), "--force",

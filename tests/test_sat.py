@@ -211,13 +211,13 @@ def test_decisions_follow_activity_after_rescale():
 # SHA-1 of the model's signed literals joined by spaces, or None if unsat)
 TABLE_SOLVES = (
     ((2, False), (2, 1), False, 8, None),
-    ((2, False), (2, 2), True, 18, "98a10bc87851c5f21612a5518a00701ead2fd37c"),
-    ((2, True), (3, 1), False, 59, None),
-    ((2, True), (3, 2), False, 171, None),
-    ((2, True), (4, 2), True, 894, "cd208abbb55603e7501e470f9287a8ed63d2b70a"),
-    ((3, False), (3, 1), False, 17, None),
-    ((3, False), (3, 2), False, 413, None),
-    ((3, False), (4, 2), True, 135, "44332246e2e749efe159ea1758df3d2d7942dc25"),
+    ((2, False), (2, 2), True, 21, "20331e0fd35695c8fcadc91f5fefa213123ce936"),
+    ((2, True), (3, 1), False, 54, None),
+    ((2, True), (3, 2), False, 188, None),
+    ((2, True), (4, 2), True, 48, "e05c506bd71d86b8072796d4da028f2344b33d55"),
+    ((3, False), (3, 1), False, 15, None),
+    ((3, False), (3, 2), False, 172, None),
+    ((3, False), (4, 2), True, 179, "cdc869fb9b7243c55fa0fddb821af80dd9abb06e"),
 )
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import random
 import subprocess
 import tempfile
 
@@ -28,9 +29,11 @@ from hypersynth.formula import (
 from hypersynth.fragments import SINGLE_UNIVERSAL, UNDEC_FORALL_EXISTS
 from hypersynth.machines import ExistGenerator, MooreSystem, all_valuations
 from hypersynth.mc import mc_exists_forall
-from hypersynth.sat import emit_dimacs
+from hypersynth.sat import emit_dimacs, solve_clauses
+from hypersynth.semantics import eval_formula, system_traces
 from hypersynth.synth import (
     CLAUSE_FAMILIES,
+    EncoderSoundnessError,
     SolverFailure,
     encode,
     prepare,
@@ -198,9 +201,11 @@ def test_counters_are_scc_local():
     problem = encode(inst, n, m)
     assert problem.lambda_max == 3
     # one counter of height n^k * m * |F & C| per product node took 4,604
-    # clauses and 324 counter variables; projected ones take 2,909 and 63
-    assert len(problem.clauses) <= 2_909
+    # clauses and 324 counter variables; projected ones take 2,909 and 63,
+    # besides one state_order clause per system state above 0
     vm = problem.var_maps
+    assert vm["clauses_by_family"]["state_order"] == n - 1
+    assert len(problem.clauses) - vm["clauses_by_family"]["state_order"] <= 2_909
     assert vm["counter_vars"] <= 63
     starts = vm["l_start"]
     counted = set().union(*_accepting_sccs(inst.nba))
@@ -535,80 +540,80 @@ def _encoding_points():
 # SHA-1 of the DIMACS text and of repr(var_maps) at each point
 ENCODING_DIGESTS = {
     ('arbiter-2', 2, 1): (
-        "f31dce2f9f536ef4294429b530733844891e8b86",
-        "99cdb4da26ee2546c4b3dd11a4933c98310652b6",
+        "78dca686bbb07250396365c4ba81e9e517724c72",
+        "349e9fd7f767aa0ecbd9591dccb5591c1b11b317",
     ),
     ('arbiter-2', 2, 2): (
-        "d65d4704c6dd0ba8eabe3e115b07ebac6a3595dc",
-        "60d8a9055b5e4d62b47bc9b19527ada6845d884b",
+        "e1dfc59d69f370f5e1b1c40a1994c0548bdb56f0",
+        "c823c36d4a3f8605f9563a8df9dc2c01b45f177f",
     ),
     ('arbiter-2-full', 3, 1): (
-        "5f37b1366c703b86212c9507159f497cc0195a1e",
-        "42994aeaf7cfc05e4100b3fc2e5821d7d05ed668",
+        "6a67d164323561b91bf03cbb9255ea2f353afe6d",
+        "8cc65a06948a156529a3c85093221e19e2d42eab",
     ),
     ('arbiter-2-full', 3, 2): (
-        "bf558ac83376f0a4c7137a413626aa34ec573223",
-        "2b0254422db349dc917b312ce78731102f0c2c4e",
+        "06b3b39ea9dabca458837679cb58dbdc37fefc4d",
+        "e2535db418594a4b97276edb3f976070b53b5f6e",
     ),
     ('arbiter-2-full', 4, 2): (
-        "7df8ccd576ed94e094724905d5b6dea5d427792e",
-        "6a8cb2e274689e814a2a58afcaf89fc9c1176433",
+        "a607f71b7ac77b62c21de7c0b236fcbe48a92b5a",
+        "614eb6f65bacde8950cc4dcfc7fd32d4a5e789dc",
     ),
     ('arbiter-3', 3, 1): (
-        "2fa7284e208eeb19fdf24884aff7a02ac5ef0d91",
-        "dbbbd6e019a5afacffb059eba655b33b1709ba22",
+        "8f3757088dfaa106d98cdce4a3eea058fb83a475",
+        "e163484972bf11c85c9d9337558078ec79fb3225",
     ),
     ('arbiter-3', 3, 2): (
-        "cd7f694f5f06fe7f7d6c1b82c2e629bc443098af",
-        "3c3af0578434dcb9f0d187eb680d2ee76540a514",
+        "8eb384456128432fd0203156bff0bfa9cbbb86ad",
+        "3cf47657b39843641a7357ea51298bdc5876e94b",
     ),
     ('arbiter-3', 4, 2): (
-        "c15374cbc77275723df9cc1cc1892295fb57f991",
-        "519b9e8d505c02b75e5fd76ddc09dab015e86830",
+        "3bbb6108839422988eb2e953c7bef5cb9ac92d12",
+        "b572ca76e25584fc37f29b925b0af8d04c1bcab2",
     ),
     ('arbiter-4', 4, 1): (
-        "454029acbda45bb418e466b8b752ab9323e29753",
-        "8d4d7abcf5ccc3d51831dc3c3205ad7a5c335ff6",
+        "0ee2b862b9fcd035d097e567751a22c6cccfe497",
+        "3954a5b9c8d0376d4ab4e0d36d41856af50d9906",
     ),
     ('demo', 1, 1): (
         "9f432c05eb27bcc75bb63a4c1bed5267786352ce",
-        "621340e36787e2468c8e32da90c1b7c8f14ef412",
+        "ea0175edd1d2c08af7f07e9781d735deab2ab748",
     ),
     ('demo', 1, 2): (
         "49578c9d7f2ec9b6b9000d2d000e4c4e82e62f5c",
-        "629c75be0754c6c67f04daccc76b0abc4612d343",
+        "78654ce31f181ae8763cf5ab149af6e4a38065c0",
     ),
     ('demo', 2, 1): (
-        "f31dce2f9f536ef4294429b530733844891e8b86",
-        "99cdb4da26ee2546c4b3dd11a4933c98310652b6",
+        "78dca686bbb07250396365c4ba81e9e517724c72",
+        "349e9fd7f767aa0ecbd9591dccb5591c1b11b317",
     ),
     ('demo', 1, 3): (
         "967433f80a6a515f59b0934cd135d913f2366fad",
-        "53411ef1195bbbd59c086aa7a67895bf5dd9dd9e",
+        "a3d9ca48b4d14f949d99879f8053506cde0750f3",
     ),
     ('demo', 2, 2): (
-        "d65d4704c6dd0ba8eabe3e115b07ebac6a3595dc",
-        "60d8a9055b5e4d62b47bc9b19527ada6845d884b",
+        "e1dfc59d69f370f5e1b1c40a1994c0548bdb56f0",
+        "c823c36d4a3f8605f9563a8df9dc2c01b45f177f",
     ),
     ('arbiter-k2', 1, 1): (
         "1b18007ace98274c7f4beae151c89bcbbfc392c3",
-        "79bc837f2ae11eed3c0d954e7e2e4ddf6240f295",
+        "0832b4178b2de3a402b325e1f5a4b8f89b44cae5",
     ),
     ('arbiter-k2', 2, 1): (
-        "27a57ab3a4231f119f0bbf32dd4457fec36d30d1",
-        "be25037326ed93395f242d3131291d1fb9a69268",
+        "d0dd5347af8a8e9433a48cf5561117c2c0b5e1eb",
+        "23cc80c369b1fbad57e1a2f002384c3a3ed535a1",
     ),
     ('arbiter-k2', 3, 1): (
-        "4e802dda3e1ba93562d443599151a07cb532f1bf",
-        "5ced1cda5d67d434bef47b521dbedfc59392b5c5",
+        "60a18ae4027c031c57e0de41145cbc6bb1b1d9fc",
+        "32f9d4eae684dc75f9c6228877d2a547d1c602cd",
     ),
     ('arbiter-k2', 4, 1): (
-        "1321abafcb3ffcf7e2860922703e8357894daede",
-        "897f5d2a75de2223e183fa262cfa83ce88db06c7",
+        "b8a1cec324f73e6ccc71c900856b946e59b0903b",
+        "eec00f7be3b313f2b5173c8aa10744f12c417ef3",
     ),
     ('two-universal', 1, 1): (
         "ef95b74bb75ad591240a9777f71d0eb359d589da",
-        "3b9ac2bb9b2cc6ea46f058eb680cee0342ba7837",
+        "6d93ee9023f41c239ab9f76096cd1fd12a18fa19",
     ),
 }
 
@@ -686,6 +691,94 @@ def test_singleton_input_sets_make_no_step_variable():
     assert any(d_lits & set(cl) for cl in transitions)
     for name, doc, n, m in _encoding_points():
         assert all(len(F) > 1 for _, F, _ in encode(prepare(doc), n, m).var_maps["step"]), name
+
+
+def test_decode_rejects_a_state_entered_only_from_above():
+    # a CNF that lost its state_order clauses admits a model whose state 1 is
+    # entered from no lower state; decode refuses it instead of reporting it
+    problem = encode(prepare(spec(ALWAYS)), 2, 1)
+    families = problem.var_maps["clauses_by_family"]
+    assert families["state_order"] == 1
+    d = problem.var_maps["d"]
+    not_from_0 = [[-d[0][iv][1]] for iv in range(len(d[0]))]
+    assert solve_clauses(problem.nvars, problem.clauses + not_from_0)[0] is False
+    start = families["totality"]
+    cut = problem.clauses[:start] + problem.clauses[start + 1 :] + not_from_0
+    with pytest.raises(EncoderSoundnessError, match="state 1 is entered from no state below it"):
+        solve(dataclasses.replace(problem, clauses=cut))
+
+
+def _bfs_order(M: MooreSystem) -> list:
+    """M's reachable states in BFS order from its initial state."""
+    order = [M.initial]
+    for s in order:
+        order += [t for t in dict.fromkeys(M.delta[s]) if t not in order]
+    return order
+
+
+def _bfs_padded(M: MooreSystem) -> MooreSystem:
+    """M renumbered in BFS order, then padded back to its size: each index j
+    left over becomes a copy of t = delta(j-1, 0), and that one transition is
+    pointed at the copy (encode's exactness argument)."""
+    order = _bfs_order(M)
+    index = {s: i for i, s in enumerate(order)}
+    labels = [M.labels[s] for s in order]
+    delta = [[index[t] for t in M.delta[s]] for s in order]
+    for j in range(len(order), M.state_count):
+        t = delta[j - 1][0]
+        labels.append(labels[t])
+        delta.append(list(delta[t]))
+        delta[j - 1][0] = j
+    return MooreSystem(M.inputs, M.outputs, tuple(labels), tuple(map(tuple, delta)), 0)
+
+
+def _with_junk_states(M: MooreSystem, extra: int, rng: random.Random) -> MooreSystem:
+    """M with `extra` unreachable states added and all states shuffled."""
+    n, width = M.state_count, len(M.delta[0])
+    labels = list(M.labels) + [frozenset(rng.sample(M.outputs, rng.randrange(3))) for _ in range(extra)]
+    delta = [list(row) for row in M.delta] + [[rng.randrange(n + extra) for _ in range(width)] for _ in range(extra)]
+    perm = list(range(n + extra))
+    rng.shuffle(perm)
+    new_labels, new_delta = [None] * len(perm), [None] * len(perm)
+    for s, p in enumerate(perm):
+        new_labels[p], new_delta[p] = labels[s], tuple(perm[t] for t in delta[s])
+    return MooreSystem(M.inputs, M.outputs, tuple(new_labels), tuple(new_delta), perm[M.initial])
+
+
+def test_state_order_padding_keeps_every_branch():
+    # every machine has a renumbering of the same size whose states j >= 1
+    # are each entered from a state below j, with the same verdict
+    rng = random.Random(22)
+    cases = []
+    for full, (n, m) in ((False, (2, 2)), (True, (4, 2))):
+        doc = gen_arbiter(2, {1}, full)
+        inst = prepare(doc)
+        good = solve_at_bounds(inst, n, m)
+        sigs, width = good.generator.signals, len(good.system.delta[0])
+        gens = [good.generator, ExistGenerator(sigs, (frozenset(),), (0,), 0)]
+        machines = [_with_junk_states(good.system, extra, rng) for extra in range(6 - n)]
+        for size in range(1, 6):
+            for _ in range(8):
+                labels = tuple(frozenset(rng.sample(inst.outputs, rng.randrange(3))) for _ in range(size))
+                delta = tuple(tuple(rng.randrange(size) for _ in range(width)) for _ in range(size))
+                machines.append(MooreSystem(inst.inputs, inst.outputs, labels, delta, rng.randrange(size)))
+        cases += [(doc, inst, M, E) for M in machines for E in gens]
+    verdicts, unreachable = set(), 0
+    for doc, inst, M, E in cases:
+        P = _bfs_padded(M)
+        assert P.state_count == M.state_count
+        assert all(any(j in P.delta[i] for i in range(j)) for j in range(1, P.state_count)), M
+        ok = mc_exists_forall(M, E, inst.core)[0]
+        assert mc_exists_forall(P, E, inst.core)[0] == ok, M
+        verdicts.add(ok)
+        unreachable += len(_bfs_order(M)) < M.state_count
+        if M.state_count <= 2:
+            # the reference evaluator sees the same traces, and holds where mc does
+            T = system_traces(P, 1, 1)
+            assert system_traces(M, 1, 1) == T, M
+            assert not ok or eval_formula(doc.formula, T, prop_bound=3), M
+    assert verdicts == {True, False}
+    assert unreachable > 0
 
 
 # ---------------------------------------------------------------------------
