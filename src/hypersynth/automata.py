@@ -156,13 +156,28 @@ def _expand(f: Formula, memo: dict) -> list:
     return out
 
 
+def _dominates(a: tuple, b: tuple) -> bool:
+    """Branch a allows every step of b: weaker guard, fewer obligations and delays."""
+    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
+
+
 def _combine(left: list, right: list) -> list:
-    out = []
+    """Products of one branch from each side, keeping only undominated ones.
+
+    A dominated branch can be dropped without changing the language (Gastin &
+    Oddoux, CAV 2001); survivors stay in product order, and of equal branches
+    the first is kept.
+    """
+    out: list = []
     for g1, n1, d1 in left:
         for g2, n2, d2 in right:
             g = merge_guards(g1, g2)
-            if g is not None:
-                out.append((g, n1 | n2, d1 | d2))
+            if g is None:
+                continue
+            b = (g, n1 | n2, d1 | d2)
+            if not any(_dominates(k, b) for k in out):
+                out = [k for k in out if not _dominates(b, k)]
+                out.append(b)
     return out
 
 
@@ -172,16 +187,11 @@ def _state_transitions(state: frozenset, memo: dict) -> list:
         acc = _combine(acc, _expand(member, memo))
         if not acc:
             break
-    # drop the true constant from obligations and dedupe branches
-    seen = set()
-    out = []
-    for g, nxt, dly in acc:
-        nxt = frozenset(x for x in nxt if not (isinstance(x, BoolConst) and x.value))
-        key = (g, nxt, dly)
-        if key not in seen:
-            seen.add(key)
-            out.append((g, nxt, dly))
-    return out
+    # drop the true constant from obligations
+    return [
+        (g, frozenset(x for x in nxt if not (isinstance(x, BoolConst) and x.value)), dly)
+        for g, nxt, dly in acc
+    ]
 
 
 # formulas whose automata are kept; synthesis and its verification share one
@@ -252,15 +262,18 @@ def ltl_to_nba(f: Formula) -> NBA:
 # simplification passes
 
 
-def tarjan_sccs(n: int, succ: dict) -> list:
-    """Iterative Tarjan; returns SCCs as lists of nodes, reverse topological order."""
+def tarjan_sccs(n: int, succ: dict, roots=None) -> list:
+    """Iterative Tarjan; returns SCCs as lists of nodes, reverse topological order.
+
+    With roots, only the nodes reachable from them are visited.
+    """
     index = {}
     low = {}
     on_stack = set()
     stack = []
     sccs = []
     counter = [0]
-    for root in range(n):
+    for root in range(n) if roots is None else roots:
         if root in index:
             continue
         call = [(root, iter(succ.get(root, ())))]
@@ -300,30 +313,14 @@ def tarjan_sccs(n: int, succ: dict) -> list:
     return sccs
 
 
+def _accepting_cycle(comp: list, succ: dict, accepting) -> bool:
+    cyclic = len(comp) > 1 or comp[0] in succ.get(comp[0], ())
+    return cyclic and not accepting.isdisjoint(comp)
+
+
 def accepting_sccs(n: int, succ: dict, accepting) -> list:
     """SCCs (as sets) with a cycle and an accepting node, reverse topological order."""
-    out = []
-    for comp in tarjan_sccs(n, succ):
-        cyclic = len(comp) > 1 or comp[0] in succ.get(comp[0], ())
-        if cyclic and not accepting.isdisjoint(comp):
-            out.append(set(comp))
-    return out
-
-
-def live_states(n: int, succ: dict, sccs: list) -> set:
-    """Nodes that can reach a node of one of the given SCCs."""
-    pred: dict = {}
-    for u in range(n):
-        for v in succ.get(u, ()):
-            pred.setdefault(v, []).append(u)
-    live = set().union(*sccs)
-    todo = list(live)
-    while todo:
-        for p in pred.get(todo.pop(), ()):
-            if p not in live:
-                live.add(p)
-                todo.append(p)
-    return live
+    return [set(c) for c in tarjan_sccs(n, succ) if _accepting_cycle(c, succ, accepting)]
 
 
 def _empty_nba() -> NBA:
@@ -346,25 +343,15 @@ def _subsume_edges(trans: list) -> list:
 
 
 def simplify_nba(nba: NBA) -> NBA:
-    trans = _subsume_edges(list(dict.fromkeys(nba.transitions)))
-
-    # states reachable from the initial set
-    succ: dict[int, set] = {}
-    for s, _, d in trans:
-        succ.setdefault(s, set()).add(d)
-    reach = set(nba.initial)
-    todo = list(nba.initial)
-    while todo:
-        s = todo.pop()
-        for d in succ.get(s, ()):
-            if d not in reach:
-                reach.add(d)
-                todo.append(d)
-
-    # states from which an accepting cycle is reachable
-    live = live_states(nba.n_states, succ, accepting_sccs(nba.n_states, succ, nba.accepting))
-
-    keep = reach & live
+    # keep the reachable states that reach an accepting cycle: Tarjan settles
+    # an SCC after its successors', so one walk from the initial states decides
+    succ = {s: [d for _, d in es] for s, es in enumerate(nba.edges)}
+    keep: set = set()
+    for comp in tarjan_sccs(nba.n_states, succ, roots=sorted(nba.initial)):
+        if _accepting_cycle(comp, succ, nba.accepting) or any(
+            d in keep for q in comp for d in succ[q]
+        ):
+            keep.update(comp)
     if not keep:
         return _empty_nba()
 
@@ -373,9 +360,7 @@ def simplify_nba(nba: NBA) -> NBA:
     while True:
         canon = {}
         for s in keep:
-            outs = sorted(
-                {(tuple(sorted(g)), block[d]) for src, g, d in trans if src == s and d in keep}
-            )
+            outs = sorted({(tuple(sorted(g)), block[d]) for g, d in nba.edges[s] if d in keep})
             canon[s] = (block[s], tuple(outs))
         keys = sorted(set(canon.values()))
         newid = {k: i for i, k in enumerate(keys)}
@@ -391,13 +376,11 @@ def simplify_nba(nba: NBA) -> NBA:
     remap = {b: reps.index(r) for b, r in rep_of_block.items()}
 
     new_initial = frozenset(remap[block[s]] for s in nba.initial if s in keep)
-    if not new_initial:
-        return _empty_nba()
     new_accept = frozenset(remap[block[s]] for s in keep if s in nba.accepting)
 
     merged = [
         (remap[block[s]], g, remap[block[d]])
-        for s, g, d in trans
+        for s, g, d in nba.transitions
         if s in keep and d in keep and rep_of_block[block[s]] == s
     ]
     return NBA(len(reps), new_initial, new_accept, tuple(_subsume_edges(merged)))

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import traceback
 
 from .automata import flatten_atom
 from .bench import DEFAULT_SELECTION, TABLE_INSTANCES, run_suite
@@ -28,13 +30,21 @@ EXIT_SOLVER = 3
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SpecError(f"cannot read {path}: {e}") from e
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise SpecError(f"cannot write {path}: {e}") from e
 
 
 def _load_spec(path: str):
@@ -74,8 +84,7 @@ def cmd_synth(args) -> int:
         problem = encode(inst, args.max_system, args.max_exists)
         text = emit_dimacs(problem.nvars, problem.clauses, problem.comments)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write_text(args.out, text)
             print(f"{args.backend} constraints for bounds ({args.max_system},{args.max_exists}) written to {args.out}")
         else:
             sys.stdout.write(text)
@@ -103,14 +112,12 @@ def cmd_synth(args) -> int:
         payload["generator"] = json.loads(result.generator.to_json())
     text = json.dumps(payload, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(args.out, text + "\n")
         print(f"machines written to {args.out}")
     else:
         print(text)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(result.system.to_dot())
+        _write_text(args.dot, result.system.to_dot())
         print(f"system rendered to {args.dot}")
     _print_stats(args, attempts)
     return EXIT_OK
@@ -124,15 +131,20 @@ def _print_stats(args, attempts) -> None:
 
 
 def _load_machines(path: str):
-    raw = json.loads(_read_text(path))
-    if isinstance(raw, dict) and "system" in raw:
-        system = MooreSystem.from_json(json.dumps(raw["system"]))
-        generator = None
-        if raw.get("generator") is not None:
-            generator = ExistGenerator.from_json(json.dumps(raw["generator"]))
-        return system, generator
-    if isinstance(raw, dict) and raw.get("kind") == "moore":
-        return MooreSystem.from_json(json.dumps(raw)), None
+    text = _read_text(path)
+    try:
+        raw = json.loads(text)
+        if isinstance(raw, dict) and "system" in raw:
+            system = MooreSystem.from_json(json.dumps(raw["system"]))
+            generator = None
+            if raw.get("generator") is not None:
+                generator = ExistGenerator.from_json(json.dumps(raw["generator"]))
+            return system, generator
+        if isinstance(raw, dict) and raw.get("kind") == "moore":
+            return MooreSystem.from_json(json.dumps(raw)), None
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as e:
+        # what the loaders raise on JSON of the wrong shape or nesting depth
+        raise SpecError(f"{path}: malformed machine document: {e}") from e
     raise SpecError(f"{path}: expected a system document or a moore machine")
 
 
@@ -193,6 +205,17 @@ def cmd_bench(args) -> int:
     return report.exit_code
 
 
+def _seconds(text: str) -> float:
+    """A positive finite number of seconds, for --timeout."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number of seconds")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hypersynth",
@@ -221,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-exists", type=int, required=True, metavar="M")
     sp.add_argument("--backend", choices=("dimacs",), default=None,
                     help="emit constraints at the maximal bounds instead of solving")
-    sp.add_argument("--timeout", type=float, default=None, metavar="SEC")
+    sp.add_argument("--timeout", type=_seconds, default=None, metavar="SEC",
+                    help="time limit of each solver call")
     sp.add_argument("--out", default=None, metavar="FILE")
     sp.add_argument("--dot", default=None, metavar="FILE")
     sp.add_argument("--stats", action="store_true",
@@ -239,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--instance", action="append", default=None, metavar="NAME")
     sp.add_argument("--full-table", action="store_true",
                     help="also run the slow arbiter-4 instance")
-    sp.add_argument("--timeout", type=float, default=None, metavar="SEC")
+    sp.add_argument("--timeout", type=_seconds, default=None, metavar="SEC",
+                    help="time limit of each solver call")
     sp.add_argument("--json", action="store_true", help="machine-readable report")
     sp.set_defaults(func=cmd_bench)
     return p
@@ -253,14 +278,16 @@ def main(argv=None) -> int:
     except SpecError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except SolverFailure as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
     except EncoderSoundnessError as e:
         print(f"internal soundness failure: {e}", file=sys.stderr)
+        return EXIT_SOLVER
+    except Exception as e:
+        # a fault of the program, never a verdict (1) or malformed input (2)
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -1,6 +1,7 @@
 """Tableau-built Buchi automata checked against the reference evaluator."""
 
 import random
+import signal
 
 import pytest
 
@@ -9,16 +10,16 @@ from hypersynth.automata import (
     accepting_sccs,
     flatten,
     flatten_atom,
-    live_states,
     ltl_to_nba,
     merge_guards,
     simplify_nba,
     split_atom,
     tarjan_sccs,
 )
-from hypersynth.formula import Knowledge, SpecError, TraceAtom, TraceForall, parse_formula
+from hypersynth.formula import Knowledge, Not, SpecError, TraceAtom, TraceForall, parse, parse_formula
 from hypersynth.mc import accepts_lasso
 from hypersynth.semantics import LassoTrace, TraceSet, eval_formula
+from hypersynth.synth import prepare
 
 SIG = frozenset({"a", "b"})
 
@@ -177,6 +178,41 @@ def test_membership_matches_evaluator_randomized():
             assert got == want, (text, t.prefix, t.loop)
 
 
+# a body whose automaton never finished while every product of branches was
+# kept (about 1,000 branches per tableau state); its spec negates it
+FOUND_SPEC = """inputs: s, p
+outputs: q
+forall pi : trace .
+  !(((X F s[pi]) R (F !s[pi]) <-> F ((G s[pi]) W (s[pi] -> true))) R (F F X q[pi])
+    W (!G s[pi]) W (F s[pi] -> (p[pi] <-> q[pi])))
+"""
+
+
+def test_dominated_branches_are_dropped_so_large_bodies_build():
+    def expire(*_):
+        raise TimeoutError("the automaton took more than 20 s")
+
+    inst = prepare(parse(FOUND_SPEC))
+    ltl_to_nba.cache_clear()
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        nba = inst.nba
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    # the pruned automaton still decides membership as the evaluator does
+    sig = frozenset({"s", "p", "q"})
+    rng = random.Random(19)
+    pick = lambda: frozenset(x for x in sorted(sig) if rng.random() < 0.5)
+    ren = lambda v: frozenset(f"{x}@pi" for x in v)
+    for _ in range(40):
+        t = LassoTrace(sig, tuple(pick() for _ in range(rng.randrange(3))),
+                       tuple(pick() for _ in range(rng.randrange(1, 4))))
+        want = eval_formula(Not(inst.body), TraceSet(sig, frozenset({t})), {"pi": t})
+        assert accepts_lasso(nba, [ren(v) for v in t.prefix], [ren(v) for v in t.loop]) == want
+
+
 # ---------------------------------------------------------------------------
 # simplification
 
@@ -194,6 +230,27 @@ def test_simplify_drops_unreachable_and_dead():
         assert accepts_lasso(raw, word, [t and frozenset() or frozenset()]) == accepts_lasso(
             slim, word, [frozenset()]
         )
+
+
+def test_simplify_trims_to_reached_live_states():
+    # distinct guards, so that no two kept states are bisimilar
+    lit = lambda i: frozenset({(f"e{i}", True)})
+    # 2 -> 0 -> 1 (accepting self-loop): 0 is on no cycle and lives through 1;
+    # 3 accepts on no cycle and reaches only the cycle 4 <-> 5, as does 6;
+    # the accepting cycle 7 <-> 8 is unreachable
+    edges = [(2, 0), (0, 1), (1, 1), (3, 4), (4, 5), (5, 4), (6, 4), (7, 8), (8, 7)]
+    trans = tuple((s, lit(i), d) for i, (s, d) in enumerate(edges))
+
+    def trimmed(accepting):
+        slim = simplify_nba(NBA(9, frozenset([2, 3, 6]), frozenset(accepting), trans))
+        return slim.n_states, len(slim.initial), len(slim.accepting), len(slim.transitions)
+
+    assert trimmed({1, 3, 8}) == (3, 1, 1, 3)
+    # once the cycle 4 <-> 5 accepts, 3 and 6 live through it
+    assert trimmed({1, 3, 5, 8}) == (7, 3, 3, 7)
+    # with no reached accepting cycle the language is empty
+    empty = simplify_nba(NBA(9, frozenset([3, 6]), frozenset({3, 8}), trans))
+    assert (empty.n_states, empty.accepting, empty.transitions) == (1, frozenset(), ())
 
 
 def test_simplify_subsumes_weaker_edges():
@@ -254,21 +311,19 @@ def test_tarjan_reverse_topological():
     assert [3] in comps and [4] in comps
     # the cycle is a successor of 3, so it must settle first
     assert comps.index([0, 1, 2]) < comps.index([3])
+    # from given roots only what they reach is visited
+    assert sorted(sorted(c) for c in tarjan_sccs(5, succ, roots=[3])) == [[0, 1, 2], [3]]
 
 
-def test_accepting_sccs_and_live_states():
+def test_accepting_sccs():
     # 0 -> 1 -> 1 (accepting self-loop); 2 -> 0; 3 accepting on no cycle -> 4 <-> 5;
     # 6 reaches only the non-accepting cycle 4 <-> 5
     succ = {0: [1], 1: [1], 2: [0], 3: [4], 4: [5], 5: [4], 6: [4]}
-    sccs = accepting_sccs(7, succ, {1, 3})
-    assert sccs == [{1}]
-    assert live_states(7, succ, sccs) == {0, 1, 2}
+    assert accepting_sccs(7, succ, {1, 3}) == [{1}]
     # the non-accepting cycle 4 <-> 5 is found once one of its nodes accepts
     sccs = accepting_sccs(7, succ, {1, 5})
     assert {4, 5} in sccs and {1} in sccs
-    assert live_states(7, succ, sccs) == set(range(7))
     assert accepting_sccs(7, succ, set()) == []
-    assert live_states(7, succ, []) == set()
 
 
 def test_accepting_sccs_reverse_topological():

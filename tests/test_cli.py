@@ -9,10 +9,12 @@ import sys
 import pytest
 
 import hypersynth
+from hypersynth import cli
 from hypersynth.bench import gen_arbiter
 from hypersynth.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_UNREALIZABLE, main
 from hypersynth.formula import print_document
 from hypersynth.machines import MooreSystem
+from test_automata import FOUND_SPEC
 
 ALWAYS = "inputs: i\noutputs: o\nforall pi : trace . G (o[pi])\n"
 DELAYED = "inputs: i\noutputs: o\nforall pi : trace . G (i[pi] -> (X (o[pi])))\n"
@@ -171,6 +173,49 @@ def test_synth_out_and_dot_then_verify(specfile, tmp_path, capsys):
     assert "verified" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--out", "{bad}"], ["--dot", "{bad}"], ["--backend", "dimacs", "--out", "{bad}"]],
+    ids=["out", "dot", "dimacs-out"],
+)
+def test_synth_unwritable_output_is_input_error(flags, specfile, tmp_path, capsys):
+    bad = str(tmp_path / "missing" / "file")
+    argv = ["synth", specfile(DELAYED), "--max-system", "2", "--max-exists", "1"]
+    assert main(argv + [f.format(bad=bad) for f in flags]) == EXIT_INPUT
+    assert f"cannot write {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_timeout_must_be_positive_and_finite(value, specfile, capsys):
+    for argv in (
+        ["synth", specfile(ALWAYS), "--max-system", "1", "--max-exists", "1"],
+        ["bench", "--instance", "arbiter-2-prompt"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--timeout={value}"])
+        assert exc.value.code == EXIT_INPUT
+        assert "positive finite number of seconds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [KeyError("k"), RuntimeError("r")], ids=["KeyError", "RuntimeError"])
+def test_internal_error_is_named_and_exits_3(error, specfile, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "search", broken)
+    assert main(["synth", specfile(ALWAYS), "--max-system", "1", "--max-exists", "1"]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert f"internal error: {type(error).__name__}: " in err
+    assert "Traceback" in err
+
+
+def test_undecodable_spec_is_input_error(tmp_path, capsys):
+    spec = tmp_path / "binary.hq"
+    spec.write_bytes(b"inputs: i\n\xff\xfe\n")
+    assert main(["classify", str(spec)]) == EXIT_INPUT
+    assert f"cannot read {spec}" in capsys.readouterr().err
+
+
 def test_synth_backend_dimacs(specfile, tmp_path, capsys):
     out_path = tmp_path / "problem.cnf"
     rc = main([
@@ -291,6 +336,28 @@ def test_verify_rejects_malformed_machine(document, specfile, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# shapes the loaders do not expect: each once escaped main as a TypeError,
+# AttributeError or RecursionError and exited 1, the code of a found violation
+@pytest.mark.parametrize(
+    "document",
+    [
+        _echo_with(transitions=[1] + ECHO_STEPS[1:]),
+        _echo_with(transitions=None),
+        {"system": [1]},
+        _generator(next=0),
+        # nested deeper than the JSON decoder recurses, given as text
+        "[" * 100_000,
+    ],
+    ids=["transition-not-object", "transitions-null", "system-list", "generator-next-number",
+         "nested-too-deep"],
+)
+def test_verify_rejects_misshapen_document(document, specfile, tmp_path, capsys):
+    doc = tmp_path / "bad.json"
+    doc.write_text(document if isinstance(document, str) else json.dumps(document))
+    assert main(["verify", str(doc), specfile(DELAYED)]) == EXIT_INPUT
+    assert f"error: {doc}: malformed machine document" in capsys.readouterr().err
+
+
 # a JSON string where a list of names belongs would load as its characters
 @pytest.mark.parametrize(
     "document",
@@ -373,17 +440,31 @@ def test_bench_single_instance_json(specfile, capsys):
     assert data[0]["ok"] is True
 
 
-def test_package_runs_as_a_module():
+def _run_module(argv, timeout=None):
+    """`python -m hypersynth ARGV` in a child that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(hypersynth.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypersynth", "bench", "--instance", "arbiter-2-prompt"],
+    return subprocess.run(
+        [sys.executable, "-m", "hypersynth", *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
+
+
+def test_package_runs_as_a_module():
+    proc = _run_module(["bench", "--instance", "arbiter-2-prompt"])
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "arbiter-2-prompt" in proc.stdout
+
+
+def test_synth_on_a_large_body_returns_a_verdict(specfile):
+    # in a child process, so that a tableau that never finishes fails the test
+    argv = ["synth", specfile(FOUND_SPEC), "--max-system", "2", "--max-exists", "1", "--timeout", "1"]
+    proc = _run_module(argv, timeout=60)
+    assert proc.returncode in (EXIT_OK, EXIT_UNREALIZABLE), proc.stderr
+    assert "realizable" in proc.stdout
 
 
 def test_bench_unknown_instance(capsys):

@@ -600,16 +600,16 @@ ENCODING_DIGESTS = {
         "0832b4178b2de3a402b325e1f5a4b8f89b44cae5",
     ),
     ('arbiter-k2', 2, 1): (
-        "d0dd5347af8a8e9433a48cf5561117c2c0b5e1eb",
-        "23cc80c369b1fbad57e1a2f002384c3a3ed535a1",
+        "55d4f766835d1b2fca3c352f72b0aa2002ac20c3",
+        "f04a57bb4bdbb0cc1c0c2b0f8c1b367a7c82814c",
     ),
     ('arbiter-k2', 3, 1): (
-        "60a18ae4027c031c57e0de41145cbc6bb1b1d9fc",
-        "32f9d4eae684dc75f9c6228877d2a547d1c602cd",
+        "fbfa375ed02ce48fb7ff813c3cb8c26c2e7bee55",
+        "6269c365b44312c392b573d33c848d0258bee2db",
     ),
     ('arbiter-k2', 4, 1): (
-        "b8a1cec324f73e6ccc71c900856b946e59b0903b",
-        "eec00f7be3b313f2b5173c8aa10744f12c417ef3",
+        "70a34b275b94d63ca04c086e431ba8b3780be440",
+        "ce9870180dad0fd07ac9067507a84b19dce7504d",
     ),
     ('two-universal', 1, 1): (
         "ef95b74bb75ad591240a9777f71d0eb359d589da",
