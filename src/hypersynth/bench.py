@@ -231,7 +231,8 @@ def run_instance(bench: BenchmarkInstance, timeout=None) -> InstanceReport:
     try:
         inst = prepare(doc)
     except Exception as e:  # noqa: BLE001 - reported, suite continues
-        return InstanceReport(bench.name, classification, (), [], time.monotonic() - t0, str(e))
+        error = f"{type(e).__name__}: {e}"
+        return InstanceReport(bench.name, classification, (), [], time.monotonic() - t0, error)
     steps = tuple(s.name for s in inst.trace.steps)
     report = InstanceReport(bench.name, classification, steps)
     for (n, m), expected in bench.expected:
@@ -265,9 +266,9 @@ def run_instance(bench: BenchmarkInstance, timeout=None) -> InstanceReport:
 
 
 def run_suite(selection=None, timeout=None) -> SuiteReport:
-    """Run the named instances (default: the fast table rows) in name order."""
+    """Run each named instance once (default: the fast table rows), in name order."""
     if selection is None:
         selection = DEFAULT_SELECTION
-    names = sorted(selection)
+    names = sorted(set(selection))
     reports = [run_instance(instance_by_name(name), timeout=timeout) for name in names]
     return SuiteReport(reports)

@@ -25,12 +25,11 @@ def _luby(x: int) -> int:
 
 
 class Solver:
-    """CDCL with VSIDS-style activities, phase saving, Luby restarts, clause reduction."""
+    """CDCL with VSIDS-style activities, phase saving, Luby restarts; learnt clauses all stay."""
 
     def __init__(self):
         self.nvars = 0
         self.clauses: list = []          # each clause is a list of encoded lits
-        self.cl_activity: dict = {}      # learnt clause index -> activity
         self.watches: list = [[], []]    # per encoded literal
         self.lits: list = [0, 1]         # one shared int per encoded literal
         self.value: list = [2, 2]        # per encoded literal
@@ -44,7 +43,6 @@ class Solver:
         self.qhead = 0
         self.heap: list = []
         self.var_inc = 1.0
-        self.cla_inc = 1.0
         self.ok = True
         self.conflicts = 0
         self.decisions = 0
@@ -216,15 +214,6 @@ class Solver:
         else:
             self.queued[v] = False
 
-    def _bump_clause(self, ci: int):
-        if ci in self.cl_activity:
-            act = self.cl_activity[ci] + self.cla_inc
-            self.cl_activity[ci] = act
-            if act > 1e100:
-                for k in self.cl_activity:
-                    self.cl_activity[k] *= 1e-100
-                self.cla_inc *= 1e-100
-
     def _analyze(self, confl: int):
         clauses = self.clauses
         level = self.level
@@ -238,7 +227,6 @@ class Solver:
         cur_level = len(self.lim)
         first = True
         while True:
-            self._bump_clause(confl)
             cl = clauses[confl]
             start = 0 if first else 1
             for q in cl[start:]:
@@ -329,28 +317,6 @@ class Solver:
                     return True
         return False
 
-    def _reduce_db(self):
-        if len(self.cl_activity) < 20:
-            return
-        ranked = sorted(self.cl_activity, key=self.cl_activity.get)
-        locked = {self.reason[lit >> 1] for lit in self.trail}
-        drop = set()
-        for ci in ranked[: len(ranked) // 2]:
-            if ci in locked or len(self.clauses[ci]) <= 2:
-                continue
-            drop.add(ci)
-        if not drop:
-            return
-        for ci in drop:
-            cl = self.clauses[ci]
-            for w in (cl[0], cl[1]):
-                try:
-                    self.watches[w].remove(ci)
-                except ValueError:
-                    pass
-            self.clauses[ci] = []
-            del self.cl_activity[ci]
-
     # ------------------------------------------------------------------ main
 
     def solve(self, deadline: Optional[float] = None) -> Optional[bool]:
@@ -360,13 +326,9 @@ class Solver:
         """
         if not self.ok:
             return False
-        if self._propagate() is not None:
-            self.ok = False
-            return False
         restart_round = 0
         limit = 64 * _luby(restart_round)
         since_restart = 0
-        max_learnts = max(1000, len(self.clauses) // 3)
         while True:
             confl = self._propagate()
             if confl is not None:
@@ -383,14 +345,8 @@ class Solver:
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], -1)
                 else:
-                    ci = self._attach(learnt)
-                    self.cl_activity[ci] = self.cla_inc
-                    self._enqueue(learnt[0], ci)
+                    self._enqueue(learnt[0], self._attach(learnt))
                 self.var_inc /= 0.95
-                self.cla_inc /= 0.999
-                if len(self.cl_activity) > max_learnts:
-                    self._reduce_db()
-                    max_learnts = int(max_learnts * 1.3)
             else:
                 if since_restart >= limit:
                     restart_round += 1

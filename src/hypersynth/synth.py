@@ -507,10 +507,11 @@ def decode(problem: ConstraintProblem, model: set):
 
     Raises EncoderSoundnessError when some state j >= 1 is entered from no
     state below j: the `state_order` clauses forbid that, so every decoded
-    system is fully reachable.
+    system is fully reachable. Each error names the point (n, m).
     """
     inst = problem.instance
     n = problem.n
+    at = f"at ({n},{problem.m})"
     vm = problem.var_maps
     inputs, outputs = inst.inputs, inst.outputs
     V = len(all_valuations(inputs))
@@ -524,12 +525,12 @@ def decode(problem: ConstraintProblem, model: set):
         for iv in range(V):
             hits = [s2 for s2 in range(n) if true(vm["d"][s][iv][s2])]
             if len(hits) != 1:
-                raise EncoderSoundnessError(f"transition ({s},{iv}) decoded to {hits}")
+                raise EncoderSoundnessError(f"transition ({s},{iv}) decoded to {hits} {at}")
             row.append(hits[0])
         delta.append(tuple(row))
     for j in range(1, n):
         if all(j not in delta[i] for i in range(j)):
-            raise EncoderSoundnessError(f"state {j} is entered from no state below it")
+            raise EncoderSoundnessError(f"state {j} is entered from no state below it {at}")
     labels = tuple(
         frozenset(o for o in outputs if true(vm["out"][s][o])) for s in range(n)
     )
@@ -540,7 +541,7 @@ def decode(problem: ConstraintProblem, model: set):
         m_eff = vm["m_eff"]
         hits = [j for j, back in vm["gen_succ"][-1] if back is None or true(back)]
         if len(hits) != 1:
-            raise EncoderSoundnessError(f"generator loop-back decoded to {hits}")
+            raise EncoderSoundnessError(f"generator loop-back decoded to {hits} {at}")
         glabels = tuple(
             frozenset(sig for sig in vm["gen_signals"] if true(vm["gen"][e][sig]))
             for e in range(m_eff)
@@ -570,13 +571,14 @@ def solve(problem: ConstraintProblem, timeout=None) -> SynthesisResult:
     `nba_accepting`, `nba_edges`), the seconds of the solve (`solve_s`: clause
     load and search) and of the verification (`verify_s`: decode and model
     check, 0.0 when unsat). Raises SolverFailure when the solver runs past
-    `timeout` seconds.
+    `timeout` seconds; it and EncoderSoundnessError name the point (n, m).
     """
     t0 = time.perf_counter()
+    at = f"at ({problem.n},{problem.m})"
     deadline = None if timeout is None else time.monotonic() + timeout
     status, model, counts = solve_clauses(problem.nvars, problem.clauses, deadline)
     if status is None:
-        raise SolverFailure(f"solver timed out after {timeout}s")
+        raise SolverFailure(f"solver timed out after {timeout}s {at}")
     t1 = time.perf_counter()
     nba = problem.instance.nba
     stats = {
@@ -603,7 +605,7 @@ def solve(problem: ConstraintProblem, timeout=None) -> SynthesisResult:
     stats["verify_s"] = time.perf_counter() - t1
     if not ok:
         raise EncoderSoundnessError(
-            "SAT model fails containment verification; counterexample inputs: "
+            f"SAT model {at} fails containment verification; counterexample inputs: "
             + "; ".join(str((c.prefix, c.loop)) for c in (cex or []))
         )
     return SynthesisResult(

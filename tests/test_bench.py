@@ -178,7 +178,9 @@ def test_missed_unsat_row_is_a_mismatch(monkeypatch):
     assert [(b.n, b.m, b.verdict, b.slack) for b in rep.bounds] == [
         (2, 1, "sat", None), (2, 2, "sat", None),
     ]
-    assert not rep.ok and "MISMATCH" in SuiteReport([rep]).render()
+    suite = SuiteReport([rep])
+    assert not rep.ok and "MISMATCH" in suite.render()
+    assert suite.exit_code == 1
     assert asked == [(2, 1), (2, 2)]
 
 
@@ -222,6 +224,21 @@ def test_soundness_failure_is_an_error_not_a_verdict(monkeypatch):
     assert [b.verdict for b in rep.bounds] == ["error"]
     assert "EncoderSoundnessError" in rep.error
     assert SuiteReport([rep]).exit_code == 3
+
+
+def test_failed_prepare_is_an_error(monkeypatch):
+    from hypersynth import bench
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("reduction broke")
+
+    monkeypatch.setattr(bench, "prepare", broken)
+    rep = run_instance(instance_by_name("arbiter-2-prompt"))
+    assert rep.error == "RuntimeError: reduction broke"
+    assert rep.bounds == [] and rep.reduction_steps == ()
+    suite = SuiteReport([rep])
+    assert suite.exit_code == 3
+    assert "ERROR: RuntimeError: reduction broke" in suite.render()
 
 
 def test_solver_timeout_is_a_timeout_row():

@@ -14,6 +14,7 @@ from hypersynth.bench import gen_arbiter
 from hypersynth.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_UNREALIZABLE, main
 from hypersynth.formula import print_document
 from hypersynth.machines import MooreSystem
+from hypersynth.synth import EncoderSoundnessError
 from test_automata import FOUND_SPEC
 
 ALWAYS = "inputs: i\noutputs: o\nforall pi : trace . G (o[pi])\n"
@@ -173,6 +174,18 @@ def test_synth_out_and_dot_then_verify(specfile, tmp_path, capsys):
     assert "verified" in capsys.readouterr().out
 
 
+def test_synth_out_with_generator_then_verify(specfile, tmp_path, capsys):
+    # the generator's JSON goes out with the system's and comes back in
+    out_path = tmp_path / "machines.json"
+    spec = specfile(WITNESS_HOLDS)
+    rc = main(["synth", spec, "--max-system", "1", "--max-exists", "1", "--out", str(out_path)])
+    assert rc == EXIT_OK
+    assert json.loads(out_path.read_text())["generator"]["signals"] == ["i@e", "o@e"]
+    capsys.readouterr()
+    assert main(["verify", str(out_path), spec]) == EXIT_OK
+    assert "verified" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--out", "{bad}"], ["--dot", "{bad}"], ["--backend", "dimacs", "--out", "{bad}"]],
@@ -185,7 +198,7 @@ def test_synth_unwritable_output_is_input_error(flags, specfile, tmp_path, capsy
     assert f"cannot write {bad}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
 def test_timeout_must_be_positive_and_finite(value, specfile, capsys):
     for argv in (
         ["synth", specfile(ALWAYS), "--max-system", "1", "--max-exists", "1"],
@@ -207,6 +220,15 @@ def test_internal_error_is_named_and_exits_3(error, specfile, monkeypatch, capsy
     err = capsys.readouterr().err
     assert f"internal error: {type(error).__name__}: " in err
     assert "Traceback" in err
+
+
+def test_soundness_failure_exits_3(specfile, monkeypatch, capsys):
+    def unsound(*args, **kwargs):
+        raise EncoderSoundnessError("SAT model at (1,1) fails containment verification")
+
+    monkeypatch.setattr(cli, "search", unsound)
+    assert main(["synth", specfile(ALWAYS), "--max-system", "1", "--max-exists", "1"]) == EXIT_SOLVER
+    assert "internal soundness failure: SAT model at (1,1)" in capsys.readouterr().err
 
 
 def test_undecodable_spec_is_input_error(tmp_path, capsys):
@@ -240,7 +262,7 @@ def test_synth_solver_failure(specfile, capsys):
         "--timeout", "1e-9",
     ])
     assert rc == EXIT_SOLVER
-    assert "timed out" in capsys.readouterr().err
+    assert "timed out after 1e-09s at (1,1)" in capsys.readouterr().err
 
 
 def test_no_external_solver_flag(specfile, capsys):
@@ -451,6 +473,14 @@ def _run_module(argv, timeout=None):
         text=True,
         timeout=timeout,
     )
+
+
+def test_bench_runs_a_repeated_instance_once(capsys):
+    rc = main(["bench", "--instance", "arbiter-2-prompt", "--instance", "arbiter-2-prompt"])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    assert "1/1 instances as expected" in out
+    assert out.count("arbiter-2-prompt") == 1
 
 
 def test_package_runs_as_a_module():

@@ -170,6 +170,18 @@ def test_clause_added_after_a_satisfiable_solve():
     assert s.solve() is True and s.model()[0] == 1
 
 
+def test_learnt_clauses_stay_watched_by_their_first_two_literals():
+    nvars, clauses = php(5)
+    s = Solver()
+    s.add_clauses(clauses)
+    attached = len(s.clauses)
+    assert s.solve() is False
+    assert len(s.clauses) > attached  # learnt clauses are kept
+    watched = [(ci, lit) for lit, ws in enumerate(s.watches) for ci in ws]
+    assert sorted(watched) == sorted((ci, lit) for ci, cl in enumerate(s.clauses) for lit in cl[:2])
+    assert all(len(cl) >= 2 for cl in s.clauses)
+
+
 def test_luby_sequence():
     want = [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
     assert [_luby(x) for x in range(15)] == want

@@ -284,8 +284,27 @@ def test_dimacs_emission_parses_back():
 def test_timeout_is_solver_failure():
     # the (2,1) row of the two-client arbiter is unsat only after conflicts
     problem = encode(prepare(gen_arbiter(2, {1})), 2, 1)
-    with pytest.raises(SolverFailure, match="timed out"):
+    with pytest.raises(SolverFailure, match=r"timed out after 1e-09s at \(2,1\)$"):
         solve(problem, timeout=1e-9)
+
+
+def test_failed_model_check_names_its_point(monkeypatch):
+    monkeypatch.setattr(synth, "mc_exists_forall", lambda *args: (False, []))
+    with pytest.raises(EncoderSoundnessError, match=r"SAT model at \(1,1\) fails containment"):
+        solve(encode(prepare(spec(ALWAYS)), 1, 1))
+
+
+def test_knowledge_operator_through_prepare():
+    # an agent who sees i knows o: on a deterministic system the inputs so far decide o
+    doc = spec("forall pi : trace . G (K{i}[pi] (o[pi]) | K{i}[pi] (!o[pi]))")
+    inst = prepare(doc)
+    assert [s.name for s in inst.trace.steps] == [
+        "nnf", "eliminate_knowledge", "to_hyperltl", "uniformize", "consistency",
+    ]
+    res, attempts = search(inst, 2, 2)
+    assert res.status == "sat" and (res.n, res.m) == (1, 1)
+    assert [(a.n, a.m) for a in attempts] == [(1, 1)]
+    assert eval_formula(doc.formula, system_traces(res.system, 2, 2))
 
 
 def test_default_path_starts_no_process(monkeypatch):
@@ -704,7 +723,7 @@ def test_decode_rejects_a_state_entered_only_from_above():
     assert solve_clauses(problem.nvars, problem.clauses + not_from_0)[0] is False
     start = families["totality"]
     cut = problem.clauses[:start] + problem.clauses[start + 1 :] + not_from_0
-    with pytest.raises(EncoderSoundnessError, match="state 1 is entered from no state below it"):
+    with pytest.raises(EncoderSoundnessError, match=r"state 1 is entered from no state below it at \(2,1\)"):
         solve(dataclasses.replace(problem, clauses=cut))
 
 
