@@ -9,7 +9,7 @@ import sys
 import traceback
 
 from .automata import flatten_atom
-from .bench import DEFAULT_SELECTION, TABLE_INSTANCES, run_suite
+from .bench import TABLE_INSTANCES, run_suite
 from .formula import SpecError, parse, print_formula
 from .fragments import classify_formula
 from .machines import ExistGenerator, MooreSystem
@@ -89,12 +89,12 @@ def cmd_synth(args) -> int:
         else:
             sys.stdout.write(text)
         return EXIT_OK
-    result, attempts = search(
-        inst,
-        args.max_system,
-        args.max_exists,
-        timeout=args.timeout,
-    )
+    try:
+        result, attempts = search(inst, args.max_system, args.max_exists, timeout=args.timeout)
+    except (SolverFailure, EncoderSoundnessError) as e:
+        # the points solved before the failure; main prints the failure
+        _print_stats(args, e.attempts)
+        raise
     if result is None:
         if "uniformize" in {s.name for s in inst.trace.steps}:
             # witnesses fixed before the universal traces only under-approximate
@@ -196,7 +196,7 @@ def cmd_bench(args) -> int:
     elif args.full_table:
         selection = sorted(known)
     else:
-        selection = DEFAULT_SELECTION
+        selection = None  # run_suite's default
     report = run_suite(selection, timeout=args.timeout)
     if args.json:
         print(report.to_json())

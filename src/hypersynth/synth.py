@@ -55,9 +55,13 @@ COUNTER_KINDS = {(False, False): "none", (True, False): "system", (False, True):
 class SolverFailure(Exception):
     """The solver ran past its time limit."""
 
+    attempts = ()  # out of `search`: the points solved before the failure
+
 
 class EncoderSoundnessError(Exception):
     """A SAT model failed post-decode verification; the encoding is wrong."""
+
+    attempts = ()  # out of `search`: the points solved before the failure
 
 
 @dataclass
@@ -238,12 +242,13 @@ def _scc_bounds(instance: SynthesisInstance, n: int, m: int) -> list:
 
 
 def _compile_guards(instance: SynthesisInstance, in_vals: list) -> list:
-    """Each automaton state's edges that admit some input, as (admitted, lits, q2, counted).
+    """Each automaton state's edges, as (admitted, lits, q2, counted).
 
-    A guard is a cube, so the joint inputs it admits are the product of what
-    it admits on each copy: `admitted` holds one tuple of indices into
-    `in_vals` per universal copy. `lits` are its other atoms as (u, name,
-    value): output `name` of copy u, or generator signal `name` when u = k.
+    A guard is a consistent cube, so it admits some input on every copy, and
+    the joint inputs it admits are the product of what it admits on each
+    copy: `admitted` holds one tuple of indices into `in_vals` per universal
+    copy. `lits` are its other atoms as (u, name, value): output `name` of
+    copy u, or generator signal `name` when u = k.
     `counted` says that the edge stays inside its accepting SCC.
     """
     upos = {v: i for i, v in enumerate(instance.universal_vars)}
@@ -267,10 +272,9 @@ def _compile_guards(instance: SynthesisInstance, in_vals: list) -> list:
             admitted = tuple(
                 tuple(i for i, vals in enumerate(in_vals) if all((a in vals) == val for a, val in c)) for c in ins
             )
-            if all(admitted):
-                # a step that leaves its accepting SCC closes no counted
-                # cycle: reachability only
-                guards[q].append((admitted, lits, q2, scc_of[q] == scc_of[q2] >= 0))
+            # a step that leaves its accepting SCC closes no counted cycle:
+            # reachability only
+            guards[q].append((admitted, lits, q2, scc_of[q] == scc_of[q2] >= 0))
     return guards
 
 
@@ -660,7 +664,11 @@ def search(
     )
     attempts = []
     for n, m in points:
-        res = solve_at_bounds(instance, n, m, timeout)
+        try:
+            res = solve_at_bounds(instance, n, m, timeout)
+        except (SolverFailure, EncoderSoundnessError) as e:
+            e.attempts = attempts
+            raise
         attempts.append(res)
         if res.status == "sat":
             return res, attempts

@@ -9,12 +9,12 @@ import sys
 import pytest
 
 import hypersynth
-from hypersynth import cli
-from hypersynth.bench import gen_arbiter
+from hypersynth import cli, synth
+from hypersynth.bench import DEFAULT_SELECTION, gen_arbiter
 from hypersynth.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_UNREALIZABLE, main
 from hypersynth.formula import print_document
 from hypersynth.machines import MooreSystem
-from hypersynth.synth import EncoderSoundnessError
+from hypersynth.synth import EncoderSoundnessError, SolverFailure
 from test_automata import FOUND_SPEC
 
 ALWAYS = "inputs: i\noutputs: o\nforall pi : trace . G (o[pi])\n"
@@ -116,6 +116,24 @@ def test_synth_stats_prints_one_json_line_per_attempt(specfile, capsys):
     # without the flag the output ends with the verdict's own lines
     assert main(["synth", specfile(INSTANT), "--max-system", "2", "--max-exists", "1"]) == EXIT_UNREALIZABLE
     assert "{" not in capsys.readouterr().out
+
+
+def test_synth_stats_keep_the_points_solved_before_a_failure(specfile, monkeypatch, capsys):
+    # INSTANT is unsat at every point; the third of (1,1), (2,1), (3,1) fails
+    real = synth.solve_at_bounds
+
+    def fails_third(instance, n, m, timeout=None):
+        if n == 3:
+            raise SolverFailure("solver timed out at (3,1)")
+        return real(instance, n, m, timeout)
+
+    monkeypatch.setattr(synth, "solve_at_bounds", fails_third)
+    argv = ["synth", specfile(INSTANT), "--max-system", "3", "--max-exists", "1", "--stats"]
+    assert main(argv) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    rows = [json.loads(l) for l in captured.out.splitlines()]
+    assert [(r["n"], r["m"], r["status"]) for r in rows] == [(1, 1, "unsat"), (2, 1, "unsat")]
+    assert captured.err == "solver failure: solver timed out at (3,1)\n"
 
 
 def test_synth_uniformized_unsat_is_bound_relative(specfile, capsys):
@@ -473,6 +491,13 @@ def _run_module(argv, timeout=None):
         text=True,
         timeout=timeout,
     )
+
+
+def test_bench_without_a_selection_runs_the_default_instances(capsys):
+    assert main(["bench"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("3/3 instances as expected")
+    assert [l.split()[0] for l in lines[:-1] if not l.startswith(" ")] == sorted(DEFAULT_SELECTION)
 
 
 def test_bench_runs_a_repeated_instance_once(capsys):

@@ -94,6 +94,16 @@ def test_parse_document_comments_and_blank_lines():
     assert doc.outputs == ("g",)
 
 
+def test_comment_in_the_formula_body_is_skipped():
+    plain = "inputs: i\noutputs: o\nforall pi : trace .\n  G (o[pi] <->\n  i[pi])\n"
+    commented = "inputs: i\noutputs: o\nforall pi : trace . # one copy\n  G (o[pi] <-> # instant\n  i[pi])\n"
+    a, b = parse(plain).formula, parse(commented).formula
+    assert a == b
+    # later tokens keep their positions: the body's nodes were read at the same places
+    assert [g.pos for g in walk(a)] == [g.pos for g in walk(b)]
+    assert b.child.child.right.pos == (5, 3)
+
+
 def test_duplicate_signal_rejected():
     with pytest.raises(SpecError, match="declared more than once") as e:
         parse("inputs: r\noutputs: r\nforall pi : trace . r[pi]")
@@ -376,6 +386,16 @@ def test_substitute_trace_var():
     f = pf("a[pi] U b[pi2]")
     g = substitute_trace_var(f, "pi", "tau")
     assert g == Until(TraceAtom("a", "tau"), TraceAtom("b", "pi2"))
+
+
+def test_substitute_trace_var_stops_at_a_shadowing_quantifier():
+    # parse refuses a name bound twice, so the tree is built directly
+    inner = TraceExists("pi", Knowledge(frozenset({"a"}), "pi", TraceAtom("b", "pi")))
+    f = Until(TraceAtom("a", "pi"), inner)
+    assert substitute_trace_var(f, "pi", "tau") == Until(TraceAtom("a", "tau"), inner)
+    # a proposition quantifier of the same name shadows no trace variable
+    p = PropExists("pi", TraceAtom("a", "pi"))
+    assert substitute_trace_var(p, "pi", "tau") == PropExists("pi", TraceAtom("a", "tau"))
 
 
 def test_map_children_keeps_every_other_field():

@@ -91,6 +91,22 @@ def test_trace_quantifiers_range_over_set():
     assert ev("forall pi : trace . G a[pi] | G !a[pi]", T)
 
 
+def test_quantifier_under_a_temporal_operator_is_evaluated_pointwise():
+    # a holds on t1 from position 1 on and on t2 at even positions, so "every
+    # trace has a" fails at 0 and 1 and holds at 2, 4, ...
+    t1 = lasso([[]], [["a"]])
+    t2 = lasso([], [["a"], []])
+    T = ts(t1, t2)
+    assert not ev("forall tau : trace . a[tau]", T)
+    assert not ev("X (forall tau : trace . a[tau])", T)
+    assert ev("X X (forall tau : trace . a[tau])", T)
+    assert ev("G F (forall tau : trace . a[tau])", T)
+    assert not ev("G (forall tau : trace . a[tau])", T)
+    # some trace has a at every position: t2 at 0, t1 from 1 on
+    assert ev("G (exists tau : trace . a[tau])", T)
+    assert not ev("G (exists tau : trace . !a[tau])", T)
+
+
 def test_bare_prop_needs_all_traces():
     # an unquantified proposition under a prop quantifier reads uniformly:
     # the witness sequence is shared, so its value is trace-independent
