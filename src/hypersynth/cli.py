@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="run the arbiter regression suite")
     sp.add_argument("--instance", action="append", default=None, metavar="NAME")
     sp.add_argument("--full-table", action="store_true",
-                    help="also run the slow arbiter-4 instance")
+                    help="also run the arbiter-4 instance")
     sp.add_argument("--timeout", type=_seconds, default=None, metavar="SEC",
                     help="time limit of each solver call")
     sp.add_argument("--json", action="store_true", help="machine-readable report")

@@ -27,7 +27,6 @@ from hypersynth.formula import (
     to_nnf,
 )
 from hypersynth.fragments import (
-    Architecture,
     LINEAR_CANDIDATE,
     NO_UNIVERSAL,
     OUTSIDE,
@@ -51,6 +50,17 @@ from hypersynth.semantics import (
 from hypersynth.synth import prepare, search, solve_at_bounds
 
 from _bulk import eval_bulk
+from _oracles import (
+    CHAINED,
+    FORKED,
+    K_CONTEXTS,
+    brute_fork,
+    feeds,
+    random_architecture,
+    random_child,
+    random_micro_set,
+    rooted,
+)
 
 
 def _report(num, detail):
@@ -107,7 +117,7 @@ def test_criterion_2_arbiter2_full_prompt(arb2full):
     assert solve_at_bounds(inst, 3, 1).status == "unsat"
     assert res is not None and res.status == "sat"
     assert res.n <= 4 and res.m <= 3
-    # one state above the smallest reported bound, within the convention slack
+    # one state above the paper's (3,2): the point the bench declares for this row
     assert (res.n, res.m) == (4, 2)
     ok, _ = mc_exists_forall(res.system, res.generator, inst.body)
     assert ok
@@ -444,90 +454,24 @@ def test_criterion_6_fragment_catalog():
 # ---------------------------------------------------------------------------
 # criterion 7: fork detection vs a brute-force search over candidate tuples
 
-_FORKED = """
-env : inputs {} outputs {i, ip}
-p : inputs {i} outputs {o}
-pp : inputs {ip} outputs {op}
-"""
-
-_CHAINED = """
-env : inputs {} outputs {i, ip}
-p : inputs {i} outputs {o}
-pp : inputs {i, ip} outputs {op}
-"""
-
-
-def _rooted(a, pset, vset):
-    region = {a.env}
-    todo = [a.env]
-    while todo:
-        x = todo.pop()
-        for y in pset:
-            if y not in region and a.edge_label(x, y) & vset:
-                region.add(y)
-                todo.append(y)
-    return region == set(pset)
-
-
-def _feeds(a, q, p, other):
-    inter = a.outputs[q] & a.inputs[p]
-    return bool(inter) and not inter <= a.inputs[other]
-
-
-def _brute_fork(a):
-    procs = list(a.processes)
-    allvars = sorted(a.all_vars())
-    others = [x for x in procs if x != a.env]
-    for p, p2 in itertools.permutations(procs, 2):
-        banned = a.inputs[p] | a.inputs[p2]
-        avail = [v for v in allvars if v not in banned]
-        for r in range(len(avail) + 1):
-            for vsub in itertools.combinations(avail, r):
-                vset = frozenset(vsub)
-                for k in range(len(others) + 1):
-                    for psub in itertools.combinations(others, k):
-                        pset = frozenset(psub) | {a.env}
-                        if not _rooted(a, pset, vset):
-                            continue
-                        if any(_feeds(a, q, p, p2) for q in pset) and any(
-                            _feeds(a, q2, p2, p) for q2 in pset
-                        ):
-                            return True
-    return False
-
-
-def _random_architecture(rng):
-    env_out = frozenset({"i1", "i2"})
-    workers = ["w1", "w2", "w3"]
-    inputs = {"env": frozenset()}
-    outputs = {"env": env_out}
-    for k, w in enumerate(workers, start=1):
-        outputs[w] = frozenset({f"o{k}"})
-    pool = sorted(env_out) + [f"o{k}" for k in range(1, 4)]
-    for k, w in enumerate(workers, start=1):
-        choices = [v for v in pool if v != f"o{k}"]
-        inputs[w] = frozenset(v for v in choices if rng.random() < 0.45)
-    return Architecture(("env", *workers), "env", inputs, outputs)
-
-
 def test_criterion_7_fork_detection():
-    forked, witness = has_info_fork(parse_architecture(_FORKED))
+    forked, witness = has_info_fork(parse_architecture(FORKED))
     assert forked
     assert {witness[2], witness[3]} == {"p", "pp"}
-    ok, none_witness = has_info_fork(parse_architecture(_CHAINED))
+    ok, none_witness = has_info_fork(parse_architecture(CHAINED))
     assert not ok and none_witness is None
     rng = random.Random(7)
     forks = 0
     for _ in range(20):
-        a = _random_architecture(rng)
+        a = random_architecture(rng)
         got, witness = has_info_fork(a)
-        assert got == _brute_fork(a), render_architecture(a)
+        assert got == brute_fork(a), render_architecture(a)
         if got:
             pset, vset, p, p2 = witness
             assert not vset & (a.inputs[p] | a.inputs[p2])
-            assert _rooted(a, pset, vset)
-            assert any(_feeds(a, q, p, p2) for q in pset)
-            assert any(_feeds(a, q2, p2, p) for q2 in pset)
+            assert rooted(a, pset, vset)
+            assert any(feeds(a, q, p, p2) for q in pset)
+            assert any(feeds(a, q2, p2, p) for q2 in pset)
             forks += 1
     _report(7, f"both reference architectures and 20 random ones agree ({forks} forked)")
 
@@ -535,50 +479,20 @@ def test_criterion_7_fork_detection():
 # ---------------------------------------------------------------------------
 # criterion 8: knowledge elimination vs direct evaluation on micro trace sets
 
-# contexts keep the knowledge operator at positions 0 or 1: the pointer
-# sequence can only designate positions below the witness bound, so the
-# emulation is exact precisely where the bounded evaluator can realize it
-_K_CONTEXTS = [
-    "{k}",
-    "X ({k})",
-    "(a[pi]) & ({k})",
-    "(b[pi]) | ({k})",
-    "(a[pi]) & (X ({k}))",
-]
-
-
-def _random_micro_set(rng):
-    pick = lambda: frozenset(x for x in ("a", "b") if rng.random() < 0.5)
-    mk = lambda k: tuple(pick() for _ in range(k))
-    sig = frozenset({"a", "b"})
-    t1 = LassoTrace(sig, mk(rng.randrange(2)), mk(rng.randrange(1, 3)))
-    t2 = LassoTrace(sig, mk(rng.randrange(2)), mk(rng.randrange(1, 3)))
-    return TraceSet(sig, frozenset({t1, t2}))
-
-
-def _random_child(rng, depth=2):
-    if depth == 0 or rng.random() < 0.4:
-        return rng.choice(["a[pi]", "b[pi]"])
-    op = rng.choice(["!", "X", "F", "G", "&", "|"])
-    if op in ("!", "X", "F", "G"):
-        return f"{op}({_random_child(rng, depth - 1)})"
-    return f"({_random_child(rng, depth - 1)}) {op} ({_random_child(rng, depth - 1)})"
-
-
 def test_criterion_8_knowledge_elimination():
     checked = 0
     for polarity, seed in (("pos", 2026), ("neg", 2027)):
         rng = random.Random(seed)
         for _ in range(30):
             agents = rng.choice(["a", "b", "a, b"])
-            child = _random_child(rng)
+            child = random_child(rng)
             k = f"K {{{agents}}} [pi] ({child})"
             if polarity == "neg":
                 k = f"!({k})"
-            text = "forall pi : trace . " + rng.choice(_K_CONTEXTS).format(k=k)
+            text = "forall pi : trace . " + rng.choice(K_CONTEXTS).format(k=k)
             f = to_nnf(parse_formula(text, {"a", "b"}))
             out = eliminate_knowledge(f)
-            T = _random_micro_set(rng)
+            T = random_micro_set(rng)
             want = eval_formula(f, T, prop_bound=3)
             got = eval_formula(out, T, prop_bound=3)
             assert got == want, text

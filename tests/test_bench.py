@@ -184,16 +184,39 @@ def test_missed_unsat_row_is_a_mismatch(monkeypatch):
     assert asked == [(2, 1), (2, 2)]
 
 
-def test_missed_sat_row_is_retried_with_one_more_state_only(monkeypatch):
-    asked = _fake_solves(monkeypatch, {(2, 3)})
-    rep = run_instance(instance_by_name("arbiter-2-prompt"))
-    assert [(b.n, b.m, b.verdict) for b in rep.bounds] == [(2, 1, "unsat"), (2, 2, "unsat")]
-    assert not rep.ok
-    assert asked == [(2, 1), (2, 2), (3, 2)]
+def test_each_row_is_solved_once_at_its_point(monkeypatch):
+    asked = _fake_solves(monkeypatch, {(2, 2), (4, 2)})
+    suite = run_suite()
+    # sorted names: arbiter-2-full-prompt, arbiter-2-prompt, arbiter-3-prompt
+    assert asked == [(3, 1), (4, 2), (2, 1), (2, 2), (3, 1), (4, 2)]
+    assert suite.exit_code == 0
+    slack = {(r.name, b.n, b.m): b.slack for r in suite.reports for b in r.bounds if b.slack}
+    assert slack == {("arbiter-2-full-prompt", 3, 2): (4, 2), ("arbiter-3-prompt", 3, 2): (4, 2)}
+    assert suite.render().count("(3,2) expected sat      got sat (at 4,2) verified  ok") == 2
+    rows = [row for r in json.loads(suite.to_json()) for row in r["bounds"]]
+    assert [row["slack"] for row in rows if row["slack"]] == [[4, 2], [4, 2]]
+    # an undeclared "sat" row that comes back unsat is a mismatch, not retried
     asked = _fake_solves(monkeypatch, {(3, 2)})
     rep = run_instance(instance_by_name("arbiter-2-prompt"))
-    assert rep.ok and rep.bounds[1].slack == (3, 2)
-    assert "(at 3,2)" in SuiteReport([rep]).render()
+    assert [(b.n, b.m, b.verdict, b.slack) for b in rep.bounds] == [
+        (2, 1, "unsat", None), (2, 2, "unsat", None),
+    ]
+    assert asked == [(2, 1), (2, 2)]
+    suite = SuiteReport([rep])
+    assert "MISMATCH" in suite.render() and suite.exit_code == 1
+
+
+def test_declared_points_are_needed_and_enough():
+    # a row decided away from the paper's point is unsat there and sat at its own
+    declared = []
+    for bench in TABLE_INSTANCES:
+        inst = prepare(bench.doc)
+        for (n, m), expected, *at in bench.expected:
+            if at:
+                assert solve_at_bounds(inst, n, m).status == "unsat", (bench.name, n, m)
+                assert solve_at_bounds(inst, *at[0]).status == expected, (bench.name, at[0])
+                declared.append((bench.name, n, m))
+    assert declared == [("arbiter-2-full-prompt", 3, 2), ("arbiter-3-prompt", 3, 2)]
 
 
 def test_internal_exception_is_an_error_not_a_verdict(monkeypatch):

@@ -1,6 +1,5 @@
 """Prefix classification and information forks."""
 
-import itertools
 import random
 
 import pytest
@@ -24,6 +23,8 @@ from hypersynth.fragments import (
     render_architecture,
 )
 from hypersynth.formula import extract_prefix
+
+from _oracles import CHAINED, FORKED, brute_fork, feeds, random_architecture, rooted
 
 
 def pfx(text):
@@ -102,19 +103,6 @@ def test_verdict_rejects_unknown_kind():
 # ---------------------------------------------------------------------------
 # architectures and information forks
 
-FORKED = """
-env : inputs {} outputs {i, ip}
-p : inputs {i} outputs {o}
-pp : inputs {ip} outputs {op}
-"""
-
-CHAINED = """
-env : inputs {} outputs {i, ip}
-p : inputs {i} outputs {o}
-pp : inputs {i, ip} outputs {op}
-"""
-
-
 def test_fig_pair_verdicts():
     forked, witness = has_info_fork(parse_architecture(FORKED))
     assert forked
@@ -151,65 +139,10 @@ def test_architecture_validation():
         Architecture(("env", "p"), "missing", {"env": frozenset(), "p": frozenset()}, {})
 
 
-# brute force straight from the definition: enumerate every candidate tuple
-
-def _rooted(a, pset, vset):
-    region = {a.env}
-    todo = [a.env]
-    while todo:
-        x = todo.pop()
-        for y in pset:
-            if y not in region and a.edge_label(x, y) & vset:
-                region.add(y)
-                todo.append(y)
-    return region == set(pset)
-
-
-def _feeds(a, q, p, other):
-    inter = a.outputs[q] & a.inputs[p]
-    return bool(inter) and not inter <= a.inputs[other]
-
-
-def brute_fork(a):
-    procs = list(a.processes)
-    allvars = sorted(a.all_vars())
-    others = [x for x in procs if x != a.env]
-    for p, p2 in itertools.permutations(procs, 2):
-        banned = a.inputs[p] | a.inputs[p2]
-        avail = [v for v in allvars if v not in banned]
-        for r in range(len(avail) + 1):
-            for vsub in itertools.combinations(avail, r):
-                vset = frozenset(vsub)
-                for k in range(len(others) + 1):
-                    for psub in itertools.combinations(others, k):
-                        pset = frozenset(psub) | {a.env}
-                        if not _rooted(a, pset, vset):
-                            continue
-                        if any(_feeds(a, q, p, p2) for q in pset) and any(
-                            _feeds(a, q2, p2, p) for q2 in pset
-                        ):
-                            return True
-    return False
-
-
-def _random_architecture(rng):
-    env_out = frozenset({"i1", "i2"})
-    workers = ["w1", "w2", "w3"]
-    inputs = {"env": frozenset()}
-    outputs = {"env": env_out}
-    for k, w in enumerate(workers, start=1):
-        outputs[w] = frozenset({f"o{k}"})
-    pool = sorted(env_out) + [f"o{k}" for k in range(1, 4)]
-    for k, w in enumerate(workers, start=1):
-        choices = [v for v in pool if v != f"o{k}"]
-        inputs[w] = frozenset(v for v in choices if rng.random() < 0.45)
-    return Architecture(("env", *workers), "env", inputs, outputs)
-
-
 def test_fork_agrees_with_brute_force():
     rng = random.Random(11)
     catalog = [parse_architecture(FORKED), parse_architecture(CHAINED)]
-    archs = catalog + [_random_architecture(rng) for _ in range(24)]
+    archs = catalog + [random_architecture(rng) for _ in range(24)]
     for a in archs:
         got, witness = has_info_fork(a)
         assert got == brute_fork(a), render_architecture(a)
@@ -217,9 +150,9 @@ def test_fork_agrees_with_brute_force():
             pset, vset, p, p2 = witness
             # the returned witness must itself satisfy the definition
             assert not vset & (a.inputs[p] | a.inputs[p2])
-            assert _rooted(a, pset, vset)
-            assert any(_feeds(a, q, p, p2) for q in pset)
-            assert any(_feeds(a, q2, p2, p) for q2 in pset)
+            assert rooted(a, pset, vset)
+            assert any(feeds(a, q, p, p2) for q in pset)
+            assert any(feeds(a, q2, p2, p) for q2 in pset)
 
 
 def test_chained_inputs_never_fork():

@@ -35,6 +35,8 @@ from hypersynth.semantics import (
     system_traces,
 )
 
+from _oracles import K_CONTEXTS, random_child, random_micro_set
+
 
 def parse(text, signals=("i", "g")):
     return parse_formula(text, set(signals))
@@ -204,49 +206,19 @@ def test_elimination_output_pinned():
     ])
 
 
-def _random_micro_set(rng):
-    pick = lambda: frozenset(x for x in ("a", "b") if rng.random() < 0.5)
-    mk = lambda k: tuple(pick() for _ in range(k))
-    sig = frozenset({"a", "b"})
-    t1 = LassoTrace(sig, mk(rng.randrange(2)), mk(rng.randrange(1, 3)))
-    t2 = LassoTrace(sig, mk(rng.randrange(2)), mk(rng.randrange(1, 3)))
-    return TraceSet(sig, frozenset({t1, t2}))
-
-
-def _random_child(rng, depth=2):
-    if depth == 0 or rng.random() < 0.4:
-        return rng.choice(["a[pi]", "b[pi]"])
-    op = rng.choice(["!", "X", "F", "G", "&", "|"])
-    if op in ("!", "X", "F", "G"):
-        return f"{op}({_random_child(rng, depth - 1)})"
-    return f"({_random_child(rng, depth - 1)}) {op} ({_random_child(rng, depth - 1)})"
-
-
-# contexts keep the knowledge operator at positions 0 or 1: the pointer
-# sequence r can only designate positions below the witness bound, so the
-# emulation is exact precisely where the bounded oracle can realize it
-K_CONTEXTS = [
-    "{k}",
-    "X ({k})",
-    "(a[pi]) & ({k})",
-    "(b[pi]) | ({k})",
-    "(a[pi]) & (X ({k}))",
-]
-
-
 @pytest.mark.parametrize("polarity", ["pos", "neg"])
 def test_elimination_matches_direct_evaluation(polarity):
     rng = random.Random(17 if polarity == "pos" else 23)
     for _ in range(12):
         agents = rng.choice(["a", "b", "a, b"])
-        child = _random_child(rng)
+        child = random_child(rng)
         k = f"K {{{agents}}} [pi] ({child})"
         if polarity == "neg":
             k = f"!({k})"
         text = "forall pi : trace . " + rng.choice(K_CONTEXTS).format(k=k)
         f = to_nnf(parse_formula(text, {"a", "b"}))
         out = eliminate_knowledge(f)
-        T = _random_micro_set(rng)
+        T = random_micro_set(rng)
         want = eval_formula(f, T, prop_bound=3)
         got = eval_formula(out, T, prop_bound=3)
         assert got == want, text

@@ -814,7 +814,8 @@ TWO_COMPONENT_READS = (
 
 
 def _reference_points():
-    """Default table rows and their (n+1, m) retry points, criterion 9's
+    """Default table rows and their (n+1, m) points, among them the bench's
+    declared points (4,2) of arbiter-2-full and arbiter-3, criterion 9's
     monotonicity pads of arbiter-2, arbiter-4 (4,1), the points synth-search
     visits, the three-client ARBITER_K2_3 at (2,1) and (3,1), the brute-force
     oracles' points (among them LATE_I at (1,4), where the counter bound
