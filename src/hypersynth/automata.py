@@ -30,7 +30,6 @@ from .formula import (
 )
 
 # a guard is a conjunction of literals (signal, required value); frozenset() is "true"
-Lit = tuple[str, bool]
 Guard = frozenset
 
 

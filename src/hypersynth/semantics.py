@@ -149,8 +149,29 @@ def _eval(f: Formula, T: TraceSet, Pi: dict, i: int, prop_bound: int) -> bool:
             return any(results)
         return all(results)
     ctx = _PositionGraph(T, Pi)
-    vals = _eval_body(f, ctx, prop_bound)
-    return vals[ctx.norm(i)]
+    vals = _eval_body(f, ctx.pre, ctx.n, 1, lambda g: _leaf(g, ctx, prop_bound))
+    return vals[ctx.norm(i)] == 1
+
+
+def eval_bulk(
+    f: Formula, atoms: Mapping[tuple, list[int]], pre: int, period: int, rows: int
+) -> list[int]:
+    """Evaluate a quantifier-free body on `rows` lassos of one shape (pre, period) at once.
+
+    Atom keys are ("trace", prop, trace_var) and ("prop", var); each maps to
+    pre + period ints, one per position, whose bit r is the atom's value on
+    row r. The result has the same form: bit r of entry j is the body's
+    verdict at position j of row r.
+    """
+
+    def leaf(g: Formula) -> list[int]:
+        if isinstance(g, TraceAtom):
+            return atoms[("trace", g.prop, g.trace_var)]
+        if isinstance(g, PropAtom):
+            return atoms[("prop", g.var)]
+        raise TypeError(f"cannot bulk-evaluate node {type(g).__name__}")
+
+    return _eval_body(f, pre, pre + period, (1 << rows) - 1, leaf)
 
 
 class _PositionGraph:
@@ -170,19 +191,16 @@ class _PositionGraph:
         self.period = period
         self.n = pre + period
 
-    def succ(self, j: int) -> int:
-        return j + 1 if j + 1 < self.n else self.pre
-
     def norm(self, i: int) -> int:
         if i < self.n:
             return i
         return self.pre + (i - self.pre) % self.period
 
 
-def _eval_body(f: Formula, ctx: _PositionGraph, prop_bound: int) -> list[bool]:
+def _leaf(f: Formula, ctx: _PositionGraph, prop_bound: int) -> list[int]:
+    """Per-position values of an atom, knowledge or quantifier node, as bools:
+    the one-row masks 0 and 1."""
     n = ctx.n
-    if isinstance(f, BoolConst):
-        return [f.value] * n
     if isinstance(f, TraceAtom):
         if f.trace_var not in ctx.Pi:
             raise ValueError(f"no trace assigned to {f.trace_var!r}")
@@ -191,66 +209,66 @@ def _eval_body(f: Formula, ctx: _PositionGraph, prop_bound: int) -> list[bool]:
     if isinstance(f, PropAtom):
         # a bare quantified proposition holds when every trace of T carries it
         traces = list(ctx.T.traces)
-        if not traces:
-            return [True] * n
         return [all(f.var in t.at(j) for t in traces) for j in range(n)]
-    if isinstance(f, Not):
-        return [not v for v in _eval_body(f.child, ctx, prop_bound)]
-    if isinstance(f, (And, Or, Implies, Iff)):
-        a = _eval_body(f.left, ctx, prop_bound)
-        b = _eval_body(f.right, ctx, prop_bound)
-        if isinstance(f, And):
-            return [x and y for x, y in zip(a, b)]
-        if isinstance(f, Or):
-            return [x or y for x, y in zip(a, b)]
-        if isinstance(f, Implies):
-            return [(not x) or y for x, y in zip(a, b)]
-        return [x == y for x, y in zip(a, b)]
-    if isinstance(f, Next):
-        a = _eval_body(f.child, ctx, prop_bound)
-        return [a[ctx.succ(j)] for j in range(n)]
-    if isinstance(f, Eventually):
-        a = _eval_body(f.child, ctx, prop_bound)
-        res = [False] * n
-        loop_any = any(a[ctx.pre:])
-        for j in range(n - 1, -1, -1):
-            nxt = res[ctx.succ(j)] if ctx.succ(j) > j else loop_any
-            res[j] = a[j] or nxt
-        return res
-    if isinstance(f, Globally):
-        a = _eval_body(f.child, ctx, prop_bound)
-        res = [False] * n
-        loop_all = all(a[ctx.pre:])
-        for j in range(n - 1, -1, -1):
-            nxt = res[ctx.succ(j)] if ctx.succ(j) > j else loop_all
-            res[j] = a[j] and nxt
-        return res
-    if isinstance(f, (Until, WeakUntil, Release)):
-        a = _eval_body(f.left, ctx, prop_bound)
-        b = _eval_body(f.right, ctx, prop_bound)
-        if isinstance(f, Until):
-            init = False
-            combine = lambda x, y, r: y or (x and r)
-        elif isinstance(f, Release):
-            init = True
-            combine = lambda x, y, r: y and (x or r)
-        else:  # a W b  =  b R (a | b)
-            a2 = [x or y for x, y in zip(a, b)]
-            a, b = b, a2
-            init = True
-            combine = lambda x, y, r: y and (x or r)
-        res = [init] * n
-        # two backward passes saturate the fixpoint on the lasso cycle
-        for _ in range(2):
-            for j in range(n - 1, -1, -1):
-                res[j] = combine(a[j], b[j], res[ctx.succ(j)])
-        return res
     if isinstance(f, Knowledge):
         return [_knowledge_at(f, ctx, j, prop_bound) for j in range(n)]
     if isinstance(f, Quantifier):
         # a non-prenex quantifier under a temporal operator: evaluate pointwise
         return [_eval(f, ctx.T, ctx.Pi, j, prop_bound) for j in range(n)]
     raise TypeError(f"cannot evaluate node {type(f).__name__}")
+
+
+_OPERATORS = (BoolConst, Not, And, Or, Implies, Iff, Next, Eventually, Globally, Until, WeakUntil, Release)
+
+
+def _eval_body(f: Formula, pre: int, n: int, full: int, leaf) -> list[int]:
+    """Per-position row masks of f on lassos of n positions, the last wrapping to
+    pre: `full` has one bit per row, and `leaf` evaluates every non-operator node."""
+
+    def rec(g: Formula) -> list[int]:
+        if not isinstance(g, _OPERATORS):
+            return leaf(g)
+        if isinstance(g, BoolConst):
+            return [full if g.value else 0] * n
+        if isinstance(g, Not):
+            return [full ^ x for x in rec(g.child)]
+        if isinstance(g, (And, Or, Implies, Iff)):
+            a, b = rec(g.left), rec(g.right)
+            if isinstance(g, And):
+                return [x & y for x, y in zip(a, b)]
+            if isinstance(g, Or):
+                return [x | y for x, y in zip(a, b)]
+            if isinstance(g, Implies):
+                return [(full ^ x) | y for x, y in zip(a, b)]
+            return [full ^ x ^ y for x, y in zip(a, b)]
+        if isinstance(g, Next):
+            a = rec(g.child)
+            return a[1:] + [a[pre]]
+        if isinstance(g, (Eventually, Globally)):
+            # every loop position sees the whole cycle, so the loop value is uniform
+            a = rec(g.child)
+            some = isinstance(g, Eventually)
+            loop = 0 if some else full
+            for x in a[pre:]:
+                loop = loop | x if some else loop & x
+            res = a[:pre] + [loop] * (n - pre)
+            for j in range(pre - 1, -1, -1):
+                res[j] = a[j] | res[j + 1] if some else a[j] & res[j + 1]
+            return res
+        # Until, WeakUntil or Release
+        a, b = rec(g.left), rec(g.right)
+        if isinstance(g, WeakUntil):  # a W b  =  b R (a | b)
+            a, b = b, [x | y for x, y in zip(a, b)]
+        release = not isinstance(g, Until)
+        res = [full if release else 0] * n
+        # two backward passes saturate the fixpoint on the lasso cycle
+        for _ in range(2):
+            nxt = res[pre]
+            for j in range(n - 1, -1, -1):
+                nxt = res[j] = b[j] & (a[j] | nxt) if release else b[j] | (a[j] & nxt)
+        return res
+
+    return rec(f)
 
 
 def _knowledge_at(f: Knowledge, ctx: _PositionGraph, j: int, prop_bound: int) -> bool:

@@ -464,7 +464,8 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
                     for base2, nd in rows:
                         for e2, tail in tails:
                             node2 = (base2 + e2) * Q + q2
-                            add([*nd, *tail, -rn, r1 + node2])
+                            if node2 != node:  # a self-loop's reach clause is a tautology
+                                add([*nd, *tail, -rn, r1 + node2])
                             if counted:
                                 add([*nd, *tail, -rn, counter_lit(ls, l_start[node2], q2)])
 
@@ -518,7 +519,7 @@ def decode(problem: ConstraintProblem, model: set):
     at = f"at ({n},{problem.m})"
     vm = problem.var_maps
     inputs, outputs = inst.inputs, inst.outputs
-    V = len(all_valuations(inputs))
+    V = 1 << len(inputs)
 
     def true(v: int) -> bool:
         return v in model

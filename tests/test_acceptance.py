@@ -1,11 +1,11 @@
 """Acceptance checks: one test per shipping criterion, each printing a pass line."""
 
+import functools
 import itertools
 import math
 import random
 import time
 
-import numpy as np
 import pytest
 
 from hypersynth.automata import ltl_to_nba
@@ -43,13 +43,13 @@ from hypersynth.reductions import eliminate_knowledge
 from hypersynth.semantics import (
     LassoTrace,
     TraceSet,
+    eval_bulk,
     eval_formula,
     replace_set,
     system_traces,
 )
 from hypersynth.synth import prepare, search, solve_at_bounds
 
-from _bulk import eval_bulk
 from _oracles import (
     CHAINED,
     FORKED,
@@ -235,6 +235,34 @@ def _word_tables(nba):
     return reach, accs
 
 
+@functools.lru_cache(maxsize=None)
+def _index_bit(k, rows):
+    """Mask of the rows 0 .. rows - 1 whose index has bit k set (1 << k < rows):
+    runs of 2**k zeros then 2**k ones, doubled up to `rows` bits."""
+    half = 1 << k
+    mask, width = ((1 << half) - 1) << half, 2 * half
+    while width < rows:
+        mask |= mask << width
+        width *= 2
+    return mask
+
+
+def _lowest_bit(mask):
+    return (mask & -mask).bit_length() - 1
+
+
+def _state_rows(masks, spacing):
+    """Per automaton state, the bits i * spacing of the state sets masks[i] that hold it."""
+    rows = {}
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            s = low.bit_length() - 1
+            rows[s] = rows.get(s, 0) | 1 << (i * spacing)
+            m ^= low
+    return rows
+
+
 def test_criterion_4_automata_match_oracle_exhaustively():
     t0 = time.monotonic()
     formulas = _depth3_bodies()
@@ -243,27 +271,37 @@ def test_criterion_4_automata_match_oracle_exhaustively():
     assert lassos == 7140
     rng = random.Random(4)
     plain = frozenset({"a", "b"})
+    # row i of a shape is the word whose letters are the base-4 digits of i,
+    # first letter most significant; a is bit 0 of a letter, b is bit 1
+    letter_atoms = {
+        (p, l): {
+            ("trace", sig, "pi"): [_index_bit(2 * (p + l - 1 - w) + b, 4 ** (p + l)) for w in range(p + l)]
+            for b, sig in enumerate(("a", "b"))
+        }
+        for p, l in _SHAPES
+    }
     agreements = 0
     samples = 0
     for fi, f in enumerate(formulas):
         nba = ltl_to_nba(f)
         reach, accs = _word_tables(nba)
+        # per loop length, each state's mask of the loop words it accepts
+        loops = {
+            l: _state_rows([accs[v] for v in itertools.product(range(4), repeat=l)], 1)
+            for l in range(1, 4)
+        }
         for p, l in _SHAPES:
             pr = [reach[w] for w in itertools.product(range(4), repeat=p)]
-            al = [accs[v] for v in itertools.product(range(4), repeat=l)]
-            fl = 4 ** l
             count = 4 ** (p + l)
-            got = [(pr[i // fl] & al[i % fl]) != 0 for i in range(count)]
-            nn = p + l
-            powers = 4 ** np.arange(nn - 1, -1, -1)
-            digits = (np.arange(count)[:, None] // powers[None, :]) % 4
-            atoms = {
-                ("trace", "a", "pi"): (digits & 1).astype(bool),
-                ("trace", "b", "pi"): ((digits >> 1) & 1).astype(bool),
-            }
-            want = eval_bulk(f, atoms, p, l)[:, 0].tolist()
+            # row prefix * 4**l + loop is accepted when a state reached by the
+            # prefix accepts the loop: per state, its loop-word mask repeated
+            # at the rows of the prefixes that reach it
+            got = 0
+            for state, prefixes in _state_rows(pr, 4 ** l).items():
+                got |= loops[l].get(state, 0) * prefixes
+            want = eval_bulk(f, letter_atoms[p, l], p, l, count)[0]
             if got != want:
-                bad = next(i for i in range(count) if got[i] != want[i])
+                bad = _lowest_bit(got ^ want)
                 pytest.fail(f"mismatch: {f} at shape ({p},{l}) word index {bad}")
             agreements += count
         if fi % 15 == 0:
@@ -316,37 +354,62 @@ def _q_lasso(pre, loop):
     return LassoTrace(frozenset({"q"}), wrap(pre), wrap(loop))
 
 
-def _c5_eval_rows(M, body, pi_var, qpre, qloop, p, l, idx):
-    """Verdicts of body at position 0 for the input lassos with the given indices."""
-    n_m = len(M.labels)
-    nvals = 1 << len(M.inputs)
+def _c5_eval_rows(M, body, pi_var, qpre, qloop, p, l, lo, rows):
+    """Mask of body's verdicts at position 0 on the input lassos lo .. lo + rows - 1.
+
+    Lasso idx reads its p + l letters as the base-2**|I| digits of idx, first
+    letter most significant, input b being bit b of a digit; `rows` is a
+    power of two that divides lo.
+    """
+    nin, n_m = len(M.inputs), len(M.labels)
     # uniform lasso shape: past p + n_m*l every driven state run has looped,
     # and the period is a common multiple of every input, state, and q cycle
     c0 = math.lcm(*range(1, n_m + 1))
     big_p = max(p + n_m * l, len(qpre))
     big_l = math.lcm(l * c0, len(qloop))
     npos = big_p + big_l
-    delta = np.array(M.delta, dtype=np.int64)
-    out_bits = {o: np.array([o in lab for lab in M.labels]) for o in M.outputs}
-    digs = [(idx // nvals ** (p + l - 1 - w)) % nvals for w in range(p + l)]
-    rows = idx.shape[0]
-    arrs = {}
-    for sig in (*M.inputs, *M.outputs):
-        arrs[("trace", sig, pi_var)] = np.empty((rows, npos), dtype=bool, order="F")
-    states = np.full(rows, M.initial, dtype=np.int64)
+    full = (1 << rows) - 1
+
+    def index_bit(k):
+        # bit k of lo + r: a fixed pattern below the chunk size, constant above it
+        return _index_bit(k, rows) if 1 << k < rows else full * (lo >> k & 1)
+
+    # per word position: each input's mask, then each input valuation's
+    letters = []
+    for w in range(p + l):
+        ins = [index_bit(nin * (p + l - 1 - w) + b) for b in range(nin)]
+        vals = []
+        for d in range(1 << nin):
+            m = full
+            for b, x in enumerate(ins):
+                m &= x if d >> b & 1 else full ^ x
+            vals.append(m)
+        letters.append((ins, vals))
+    arrs = {("trace", sig, pi_var): [] for sig in (*M.inputs, *M.outputs)}
+    # the machine runs on every row at once, as one row mask per state
+    states = [0] * n_m
+    states[M.initial] = full
     for j in range(npos):
-        wj = j if j < p else p + (j - p) % l
-        d = digs[wj]
-        for b, sig in enumerate(M.inputs):
-            arrs[("trace", sig, pi_var)][:, j] = (d >> b) & 1
+        ins, vals = letters[j if j < p else p + (j - p) % l]
+        for sig, x in zip(M.inputs, ins):
+            arrs[("trace", sig, pi_var)].append(x)
         for o in M.outputs:
-            arrs[("trace", o, pi_var)][:, j] = out_bits[o][states]
-        states = delta[states, d]
-    qvals = np.array(
-        [qpre[j] if j < len(qpre) else qloop[(j - len(qpre)) % len(qloop)] for j in range(npos)]
-    )
-    arrs[("prop", "q")] = np.broadcast_to(qvals, (rows, npos))
-    return eval_bulk(body, arrs, big_p, big_l)[:, 0]
+            m = 0
+            for s, lab in enumerate(M.labels):
+                if o in lab:
+                    m |= states[s]
+            arrs[("trace", o, pi_var)].append(m)
+        nxt = [0] * n_m
+        for s, row in enumerate(M.delta):
+            if states[s]:
+                for d, s2 in enumerate(row):
+                    nxt[s2] |= states[s] & vals[d]
+        states = nxt
+    arrs[("prop", "q")] = [
+        full if (qpre[j] if j < len(qpre) else qloop[(j - len(qpre)) % len(qloop)]) else 0
+        for j in range(npos)
+    ]
+    return eval_bulk(body, arrs, big_p, big_l, rows)[0]
 
 
 def _c5_check(name, fam, max_prefix=4, max_loop=4):
@@ -362,11 +425,11 @@ def _c5_check(name, fam, max_prefix=4, max_loop=4):
     for p in range(max_prefix + 1):
         for l in range(1, max_loop + 1):
             total = nvals ** (p + l)
-            for lo in range(0, total, _CHUNK):
-                idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-                col = _c5_eval_rows(M, body, pi_var, qpre, qloop, p, l, idx)
-                assert col.all(), (name, p, l, int(idx[int(np.argmin(col))]))
-                total_rows += idx.shape[0]
+            rows = min(_CHUNK, total)
+            for lo in range(0, total, rows):
+                col = _c5_eval_rows(M, body, pi_var, qpre, qloop, p, l, lo, rows)
+                assert col == (1 << rows) - 1, (name, p, l, lo + _lowest_bit(~col))
+                total_rows += rows
 
     # spot checks through the member-level pipeline: drive the machine one
     # step at a time, attach the witness with replace_set, then eval_formula
@@ -396,7 +459,7 @@ def _c5_check(name, fam, max_prefix=4, max_loop=4):
         t = LassoTrace(sig, tuple(vals[:start]), tuple(vals[start:]))
         Tq = replace_set(TraceSet(sig, frozenset({t})), "q", qw)
         scal = eval_formula(body, Tq, {pi_var: next(iter(Tq.traces))}, prop_bound=3)
-        vec = bool(_c5_eval_rows(M, body, pi_var, qpre, qloop, p, l, np.array([idx]))[0])
+        vec = _c5_eval_rows(M, body, pi_var, qpre, qloop, p, l, idx, 1) == 1
         assert scal and vec, (name, p, l, idx, scal, vec)
 
     # the quantified document itself, evaluated literally on a small bound

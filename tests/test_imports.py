@@ -1,12 +1,13 @@
-"""The installed package carries no dependency that only the tests use,
-prefix classification reads only the syntax tree, the pipeline never
-imports the reference evaluator, and the package exports exactly the names
-it imports."""
+"""Neither the package nor its tests import numpy, prefix classification
+reads only the syntax tree, no pipeline module imports the reference
+evaluator (while `import hypersynth` still loads it through the package's
+re-exports), and the package exports exactly the names it imports."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hypersynth"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hypersynth"
 
 
 def _top_level_imports(path: Path) -> set:
@@ -21,8 +22,9 @@ def _top_level_imports(path: Path) -> set:
 
 def test_no_module_imports_numpy():
     modules = sorted(SRC.glob("*.py"))
-    assert len(modules) >= 10
-    offenders = [p.name for p in modules if "numpy" in _top_level_imports(p)]
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert len(modules) >= 10 and len(tests) >= 10
+    offenders = [str(p.relative_to(ROOT)) for p in modules + tests if "numpy" in _top_level_imports(p)]
     assert offenders == []
 
 
@@ -43,7 +45,8 @@ def test_fragments_reads_only_the_formula_module():
 
 def test_pipeline_does_not_import_the_reference_evaluator():
     # semantics is the tests' and the benchmark judge's oracle; no pipeline
-    # module reaches it, directly or through another module
+    # module imports it, directly or through another module, while
+    # `import hypersynth` still loads it through the package's re-exports
     for name in ("automata", "machines", "mc", "reductions", "sat", "synth"):
         reached, todo = set(), [name]
         while todo:

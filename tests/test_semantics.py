@@ -1,21 +1,21 @@
 """Reference evaluator over lasso traces: the oracle everything else is checked against."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypersynth.formula import parse_formula
 from hypersynth.machines import MooreSystem
 from hypersynth.semantics import (
     LassoTrace,
     TraceSet,
+    eval_bulk,
     eval_formula,
     prop_witnesses,
     replace,
     system_traces,
 )
-
-# the vectorized oracle's property test lives in _bulk next to the oracle;
-# importing it here keeps it collected, as pytest reads only test_*.py files
-from _bulk import test_eval_bulk_matches_scalar  # noqa: F401
 
 SIG = frozenset({"a", "b"})
 
@@ -181,3 +181,53 @@ def test_system_traces_follow_delta():
     for t in T.sorted_traces():
         assert eval_formula(f, TraceSet(T.signals, frozenset({t})), {"pi": t})
 
+
+# ---------------------------------------------------------------------------
+# many lassos at once agree with one at a time
+
+
+@st.composite
+def _bodies(draw):
+    ops = ["atom", "!", "&", "|", "X", "F", "G", "U", "W", "R"]
+    def build(depth):
+        op = draw(st.sampled_from(ops if depth > 0 else ["atom"]))
+        if op == "atom":
+            return draw(st.sampled_from(["a[pi]", "b[pi]", "true"]))
+        if op == "!":
+            return f"!({build(depth - 1)})"
+        if op in ("X", "F", "G"):
+            return f"{op} ({build(depth - 1)})"
+        return f"({build(depth - 1)}) {op} ({build(depth - 1)})"
+    return build(3)
+
+
+@given(_bodies(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_eval_bulk_matches_scalar(text, data):
+    f = parse_formula(text, {"a", "b"}, trace_vars={"pi"})
+    pre = data.draw(st.integers(0, 2))
+    period = data.draw(st.integers(1, 3))
+    n = pre + period
+    rows = 8
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    # one row mask per position: bit r is the atom's value on row r
+    bits_a = [rng.getrandbits(rows) for _ in range(n)]
+    bits_b = [rng.getrandbits(rows) for _ in range(n)]
+    out = eval_bulk(f, {("trace", "a", "pi"): bits_a, ("trace", "b", "pi"): bits_b}, pre, period, rows)
+    for r in range(rows):
+        vals = [
+            (frozenset({"a"}) if bits_a[i] >> r & 1 else frozenset())
+            | (frozenset({"b"}) if bits_b[i] >> r & 1 else frozenset())
+            for i in range(n)
+        ]
+        t = LassoTrace(SIG, tuple(vals[:pre]), tuple(vals[pre:]))
+        want = eval_formula(f, TraceSet(SIG, frozenset({t})), {"pi": t})
+        assert (out[0] >> r & 1) == want, f"{text} pre={pre} period={period} row={r}"
+
+
+def test_eval_bulk_refuses_knowledge_and_quantifiers():
+    atoms = {("trace", "a", "pi"): [1]}
+    for text in ("X (forall tau : trace . a[tau])", "K {a} [pi] (a[pi])"):
+        f = parse_formula(text, {"a"}, trace_vars={"pi"})
+        with pytest.raises(TypeError, match="cannot bulk-evaluate"):
+            eval_bulk(f, atoms, 0, 1, 1)

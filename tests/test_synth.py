@@ -559,80 +559,80 @@ def _encoding_points():
 # SHA-1 of the DIMACS text and of repr(var_maps) at each point
 ENCODING_DIGESTS = {
     ('arbiter-2', 2, 1): (
-        "78dca686bbb07250396365c4ba81e9e517724c72",
-        "349e9fd7f767aa0ecbd9591dccb5591c1b11b317",
+        "4452704470c1b7f915f8087845f9b527f460e87c",
+        "f3bbebf9f4ec59b46e78ef9cf2f72b1628f9a0cc",
     ),
     ('arbiter-2', 2, 2): (
-        "e1dfc59d69f370f5e1b1c40a1994c0548bdb56f0",
-        "c823c36d4a3f8605f9563a8df9dc2c01b45f177f",
+        "387004dd469f720e40285ee0ee872686d16baba3",
+        "6988e73ca2f9bfdbfcdf8137c8bafd429d2c0730",
     ),
     ('arbiter-2-full', 3, 1): (
-        "6a67d164323561b91bf03cbb9255ea2f353afe6d",
-        "8cc65a06948a156529a3c85093221e19e2d42eab",
+        "2a6c0291e0832a4e0c7056dd5739459472b6d81d",
+        "a237d7e9bf80e481da48ed8402aa3632eadf796e",
     ),
     ('arbiter-2-full', 3, 2): (
-        "06b3b39ea9dabca458837679cb58dbdc37fefc4d",
-        "e2535db418594a4b97276edb3f976070b53b5f6e",
+        "4021256ee774be1ed0ed4876feb52631411ccdfb",
+        "b9cdd9de41e63685b2604c896f6ec6d6ecde5c56",
     ),
     ('arbiter-2-full', 4, 2): (
-        "a607f71b7ac77b62c21de7c0b236fcbe48a92b5a",
-        "614eb6f65bacde8950cc4dcfc7fd32d4a5e789dc",
+        "ac17bc7e9ea170752bb4196e7a793d0b1f538dd8",
+        "2ccf5ed818623a347405e96c5fd7abd4b9af85be",
     ),
     ('arbiter-3', 3, 1): (
-        "8f3757088dfaa106d98cdce4a3eea058fb83a475",
-        "e163484972bf11c85c9d9337558078ec79fb3225",
+        "26adc122d856f6aeccc86410ef99a7364ebc19aa",
+        "23c5a07562898cc2ecabb1e85405c0a67b749176",
     ),
     ('arbiter-3', 3, 2): (
-        "8eb384456128432fd0203156bff0bfa9cbbb86ad",
-        "3cf47657b39843641a7357ea51298bdc5876e94b",
+        "27d56d268b24f52c41bb283334fc8c3ccb6732b6",
+        "df4aafba7ec2d41ddd5eefeb824ab12b83182181",
     ),
     ('arbiter-3', 4, 2): (
-        "3bbb6108839422988eb2e953c7bef5cb9ac92d12",
-        "b572ca76e25584fc37f29b925b0af8d04c1bcab2",
+        "339b35d113ca624de270bde73788a58553eabbac",
+        "fc87dc10a4c50c57276e458ebf99b83bc00e15e2",
     ),
     ('arbiter-4', 4, 1): (
-        "0ee2b862b9fcd035d097e567751a22c6cccfe497",
-        "3954a5b9c8d0376d4ab4e0d36d41856af50d9906",
+        "b6e0fdeb989e538bce1ce3429cdb5a104fd96eac",
+        "cbe930489f397c791ae6495d9ca8021d60501bde",
     ),
     ('demo', 1, 1): (
-        "9f432c05eb27bcc75bb63a4c1bed5267786352ce",
-        "ea0175edd1d2c08af7f07e9781d735deab2ab748",
+        "da54ad166352fa1302dc362ad91537b42b96292d",
+        "0aeb28cd265421dfa4c2521d452e4980758d6946",
     ),
     ('demo', 1, 2): (
-        "49578c9d7f2ec9b6b9000d2d000e4c4e82e62f5c",
-        "78654ce31f181ae8763cf5ab149af6e4a38065c0",
+        "e64dadb1bb00dba32a543b6fd60590be5ea41a7b",
+        "71972708a5d6a353303e407560558b96a4573d39",
     ),
     ('demo', 2, 1): (
-        "78dca686bbb07250396365c4ba81e9e517724c72",
-        "349e9fd7f767aa0ecbd9591dccb5591c1b11b317",
+        "4452704470c1b7f915f8087845f9b527f460e87c",
+        "f3bbebf9f4ec59b46e78ef9cf2f72b1628f9a0cc",
     ),
     ('demo', 1, 3): (
-        "967433f80a6a515f59b0934cd135d913f2366fad",
-        "a3d9ca48b4d14f949d99879f8053506cde0750f3",
+        "4c7352ff9f5d3423c69a74b2f74f7d5b3f04b4b3",
+        "2081929b52130192d5eb25af5d4fb0430d196452",
     ),
     ('demo', 2, 2): (
-        "e1dfc59d69f370f5e1b1c40a1994c0548bdb56f0",
-        "c823c36d4a3f8605f9563a8df9dc2c01b45f177f",
+        "387004dd469f720e40285ee0ee872686d16baba3",
+        "6988e73ca2f9bfdbfcdf8137c8bafd429d2c0730",
     ),
     ('arbiter-k2', 1, 1): (
-        "1b18007ace98274c7f4beae151c89bcbbfc392c3",
-        "0832b4178b2de3a402b325e1f5a4b8f89b44cae5",
+        "45611c538258b6a998b9c0187eeb7d2c5c5a3915",
+        "cdd601ce335b86665a21186eb7b7a092fb0de0b6",
     ),
     ('arbiter-k2', 2, 1): (
-        "55d4f766835d1b2fca3c352f72b0aa2002ac20c3",
-        "f04a57bb4bdbb0cc1c0c2b0f8c1b367a7c82814c",
+        "cce1cbb0bdcec6a1d3cb4315f2ffebd0d58467be",
+        "a489eca0927541fbfaf36fdf6df2c973c112ebec",
     ),
     ('arbiter-k2', 3, 1): (
-        "fbfa375ed02ce48fb7ff813c3cb8c26c2e7bee55",
-        "6269c365b44312c392b573d33c848d0258bee2db",
+        "446d86b8a6a07b41a81aac19108c4b8565edfd2c",
+        "c39791195946b4f139a7421a14efbc61943ceea5",
     ),
     ('arbiter-k2', 4, 1): (
-        "70a34b275b94d63ca04c086e431ba8b3780be440",
-        "ce9870180dad0fd07ac9067507a84b19dce7504d",
+        "2c10fe9d923f72bd981dfa35264c9f041895cb46",
+        "9c491945f92a15dce0d6fe306892fdeb1089d02d",
     ),
     ('two-universal', 1, 1): (
-        "ef95b74bb75ad591240a9777f71d0eb359d589da",
-        "6d93ee9023f41c239ab9f76096cd1fd12a18fa19",
+        "6515c9e916c632fad9540ddea397f80d6d5d9b21",
+        "f47bfcbecf0e49e4bb6af972f440252324fa2cdf",
     ),
 }
 
@@ -657,6 +657,8 @@ def test_clause_families_sum_to_the_clauses():
         families = problem.var_maps["clauses_by_family"]
         assert tuple(families) == CLAUSE_FAMILIES
         assert sum(families.values()) == len(problem.clauses), (name, n, m)
+        tautologies = [c for c in problem.clauses if any(-lit in c for lit in c)]
+        assert tautologies == [], (name, n, m)
         step = problem.var_maps["step"]
         assert families["step_definitions"] == sum(len(F) for _, F, _ in step), (name, n, m)
     inst = prepare(gen_arbiter(2, {1}))
