@@ -42,7 +42,6 @@ ALLOWED_CLASSES = (NO_UNIVERSAL, SINGLE_UNIVERSAL, LINEAR_CANDIDATE)
 CLAUSE_FAMILIES = (
     "totality",
     "state_order",
-    "counter_order",
     "guard_conjunctions",
     "step_definitions",
     "counter_steps",
@@ -223,13 +222,13 @@ class ConstraintProblem:
 
 
 def _scc_bounds(instance: SynthesisInstance, n: int, m: int) -> list:
-    """Sufficient counter height of each accepting SCC C: n^|R| * m^[gen] * |F & C|.
+    """Counter height of each accepting SCC C, in marks: n^|R| * m^[gen] * |F & C|.
 
     The counter of C ranges over C's nodes projected onto what C's guards
     read (`SynthesisInstance.scc_reads`): the system copies R and, if read,
     the generator. A projected path that closes no cycle through an accepting
     step enters each accepting projected node at most once, so this many
-    accepting steps suffice. Every component the
+    marks suffice. Every component the
     projection drops is total: a system steps on every admitted input and
     the generator is a deterministic lasso. So a projected cycle, repeated
     from a reachable node, returns by pigeonhole to the same product node:
@@ -289,6 +288,12 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     delta(j-1, 0) and point that one transition at the copy. Since t <= j-1,
     that edge was never the edge that enters t from a lower state, so the
     earlier clauses still hold, and no branch of the system changes.
+
+    Each projected counter is a set of marks 1..lambda (`counter_steps`): an
+    accepting step marks 1 at its target and carries mark j to j+1, any other
+    step carries j to j, and an accepting step's source lacks mark lambda.
+    Around a reachable cycle with an accepting step the largest mark would
+    never fall yet rise, so no model has one; marks need no order between them.
     """
     if n < 1 or m < 1:
         raise SpecError("bounds must be at least 1")
@@ -327,7 +332,7 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     svecs = list(itertools.product(range(n), repeat=k))
     n_nodes = len(svecs) * m_eff * Q
     # product node (svec_i, e, q) is (svec_i * m_eff + e) * Q + q; its reach
-    # variable is r1 + node, its "annotation >= j" variable l_start[node] + j - 1
+    # variable is r1 + node, its "mark j" variable l_start[node] + j - 1
     r1 = nxt[0] + 1
     nxt[0] += n_nodes
 
@@ -356,7 +361,7 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     counter_vars = nxt[0] - l_base
 
     # clauses by family (CLAUSE_FAMILIES), concatenated in that order
-    totality, state_order, order, conj, steps, counter, trans = ([] for _ in CLAUSE_FAMILIES)
+    totality, state_order, conj, steps, counter, trans = ([] for _ in CLAUSE_FAMILIES)
 
     def exactly_one(row: list):
         totality.append(list(row))
@@ -372,11 +377,6 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     # symmetry breaking: some transition enters state j from a state below j
     for j in range(1, n):
         state_order.append([d_var[i][iv][j] for i in range(j) for iv in range(V)])
-
-    # annotation order chains
-    for (_, _, q), ls in projected.items():
-        for j in range(2, lam_of[q] + 1):
-            order.append([-(ls + j - 1), ls + j - 2])
 
     add = trans.append
     # initial nodes: all copies in state 0, generator state 0
@@ -412,9 +412,8 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
         return y
 
     # per pair of projected counters inside one counted SCC, keyed on their
-    # first variables: an activation variable that implies the annotation
-    # clauses; every counted SCC holds an accepting state, so its height
-    # lam_c is at least 1
+    # first variables: an activation variable that implies the mark clauses;
+    # every counted SCC holds an accepting state, so its height lam_c >= 1
     counter_act: dict = {}
 
     def counter_lit(ls: int, ls2: int, q2: int) -> int:
@@ -469,7 +468,7 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
                             if counted:
                                 add([*nd, *tail, -rn, counter_lit(ls, l_start[node2], q2)])
 
-    families = (totality, state_order, order, conj, steps, counter, trans)
+    families = (totality, state_order, conj, steps, counter, trans)
     var_maps = {
         "d": d_var,
         "out": out_var,

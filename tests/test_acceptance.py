@@ -185,9 +185,10 @@ def _step_mask(succ, mask, li):
 
 
 def _loop_acceptance(succ, accepting, n_states, v):
-    # states that start an accepting run over v repeated forever, as a Buchi
-    # fixpoint over the loop product: Z[j] is the set of states that, at
-    # position j of v, have a run through an accepting state infinitely often,
+    # per position j of v, the states that start an accepting run over the
+    # rotation v[j:] + v[:j] repeated forever, as a Buchi fixpoint over the
+    # loop product: Z[j] is the set of states that, at position j of v, have
+    # a run through an accepting state infinitely often,
     # Z = nu Z. mu Y. (accepting & pre Z) | pre Y, one bitmask per position
     lv = len(v)
     acc = 0
@@ -215,7 +216,7 @@ def _loop_acceptance(succ, accepting, n_states, v):
                 break
             y = y2
         if y == z:
-            return z[0]
+            return z
         z = y
 
 
@@ -231,7 +232,11 @@ def _word_tables(nba):
     accs = {}
     for n in range(1, 4):
         for v in itertools.product(range(4), repeat=n):
-            accs[v] = _loop_acceptance(succ, nba.accepting, nba.n_states, v)
+            # one fixpoint serves every rotation of v
+            if v not in accs:
+                z = _loop_acceptance(succ, nba.accepting, nba.n_states, v)
+                for j in range(n):
+                    accs[v[j:] + v[:j]] = z[j]
     return reach, accs
 
 

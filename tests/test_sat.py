@@ -224,7 +224,7 @@ def test_decisions_follow_activity_after_rescale():
 TABLE_SOLVES = (
     ((2, False), (2, 1), False, 8, None),
     ((2, False), (2, 2), True, 21, "20331e0fd35695c8fcadc91f5fefa213123ce936"),
-    ((2, True), (3, 1), False, 54, None),
+    ((2, True), (3, 1), False, 55, None),
     ((2, True), (3, 2), False, 188, None),
     ((2, True), (4, 2), True, 48, "e05c506bd71d86b8072796d4da028f2344b33d55"),
     ((3, False), (3, 1), False, 15, None),

@@ -201,11 +201,11 @@ def test_counters_are_scc_local():
     problem = encode(inst, n, m)
     assert problem.lambda_max == 3
     # one counter of height n^k * m * |F & C| per product node took 4,604
-    # clauses and 324 counter variables; projected ones take 2,909 and 63,
+    # clauses and 324 counter variables; projected ones take 2,794 and 63,
     # besides one state_order clause per system state above 0
     vm = problem.var_maps
     assert vm["clauses_by_family"]["state_order"] == n - 1
-    assert len(problem.clauses) - vm["clauses_by_family"]["state_order"] <= 2_909
+    assert len(problem.clauses) - vm["clauses_by_family"]["state_order"] <= 2_794
     assert vm["counter_vars"] <= 63
     starts = vm["l_start"]
     counted = set().union(*_accepting_sccs(inst.nba))
@@ -559,80 +559,80 @@ def _encoding_points():
 # SHA-1 of the DIMACS text and of repr(var_maps) at each point
 ENCODING_DIGESTS = {
     ('arbiter-2', 2, 1): (
-        "4452704470c1b7f915f8087845f9b527f460e87c",
-        "f3bbebf9f4ec59b46e78ef9cf2f72b1628f9a0cc",
+        "36d0e2b4f82a2fade84a79c909880a8b1535499f",
+        "261f9902fac7cec115679a7d1e2395ca8862654f",
     ),
     ('arbiter-2', 2, 2): (
-        "387004dd469f720e40285ee0ee872686d16baba3",
-        "6988e73ca2f9bfdbfcdf8137c8bafd429d2c0730",
+        "0b74ac64f2bc3f5ae292b4ead33a9e1594b0ddc3",
+        "794f42261ab47b720d3ccdf353168b5d0614a842",
     ),
     ('arbiter-2-full', 3, 1): (
-        "2a6c0291e0832a4e0c7056dd5739459472b6d81d",
-        "a237d7e9bf80e481da48ed8402aa3632eadf796e",
+        "09ba7ff6611bfd4f07d33deb731f97276dffb7fa",
+        "000eab0e2c9e842a80b0c239af995c59000b0b76",
     ),
     ('arbiter-2-full', 3, 2): (
-        "4021256ee774be1ed0ed4876feb52631411ccdfb",
-        "b9cdd9de41e63685b2604c896f6ec6d6ecde5c56",
+        "dfa25b1855cffedb55fc99ddae90627b34d59642",
+        "4e8ded278b4eaf3ed39aeb240f753e1a48916df0",
     ),
     ('arbiter-2-full', 4, 2): (
-        "ac17bc7e9ea170752bb4196e7a793d0b1f538dd8",
-        "2ccf5ed818623a347405e96c5fd7abd4b9af85be",
+        "ed5a632893e0bcf81d799bd210bffd30fdd99fdb",
+        "afc5ea841446e9bf060d483d66d544a231049318",
     ),
     ('arbiter-3', 3, 1): (
-        "26adc122d856f6aeccc86410ef99a7364ebc19aa",
-        "23c5a07562898cc2ecabb1e85405c0a67b749176",
+        "d513e30c98d6531433d3fe0246cdf43d2499ba47",
+        "645072ef448ffcbea478c2b7a5bf47ccca6edbd9",
     ),
     ('arbiter-3', 3, 2): (
-        "27d56d268b24f52c41bb283334fc8c3ccb6732b6",
-        "df4aafba7ec2d41ddd5eefeb824ab12b83182181",
+        "2b55004bdf4114a70d0c43e3fbbfeb7d3531628b",
+        "eccb1b8bbbe9f322fb5a66d6720a5cab189b5add",
     ),
     ('arbiter-3', 4, 2): (
-        "339b35d113ca624de270bde73788a58553eabbac",
-        "fc87dc10a4c50c57276e458ebf99b83bc00e15e2",
+        "9e823dc033b5390564a667dfbf12f5624f8b42d0",
+        "d2e3af073fa742fe4c62114e300d59d3084e42c1",
     ),
     ('arbiter-4', 4, 1): (
-        "b6e0fdeb989e538bce1ce3429cdb5a104fd96eac",
-        "cbe930489f397c791ae6495d9ca8021d60501bde",
+        "a2c92dd37d2b658881e5ca660b6773f5d4c902d8",
+        "0996bf4720210e4a69fe6744cedefbee774b0d5b",
     ),
     ('demo', 1, 1): (
         "da54ad166352fa1302dc362ad91537b42b96292d",
-        "0aeb28cd265421dfa4c2521d452e4980758d6946",
+        "bb608d3eb80df4dd05f37073094357830766a4b2",
     ),
     ('demo', 1, 2): (
-        "e64dadb1bb00dba32a543b6fd60590be5ea41a7b",
-        "71972708a5d6a353303e407560558b96a4573d39",
+        "51539174fd6582049debb441c9406d3a1ea3c3d9",
+        "467f00220cf23f575ba02535b447d303760ef60e",
     ),
     ('demo', 2, 1): (
-        "4452704470c1b7f915f8087845f9b527f460e87c",
-        "f3bbebf9f4ec59b46e78ef9cf2f72b1628f9a0cc",
+        "36d0e2b4f82a2fade84a79c909880a8b1535499f",
+        "261f9902fac7cec115679a7d1e2395ca8862654f",
     ),
     ('demo', 1, 3): (
-        "4c7352ff9f5d3423c69a74b2f74f7d5b3f04b4b3",
-        "2081929b52130192d5eb25af5d4fb0430d196452",
+        "0f3be82a40fda414ec9ee5a737a012cb3b40963d",
+        "4c450136b11c1cd63c8dbd63526ab15639d20143",
     ),
     ('demo', 2, 2): (
-        "387004dd469f720e40285ee0ee872686d16baba3",
-        "6988e73ca2f9bfdbfcdf8137c8bafd429d2c0730",
+        "0b74ac64f2bc3f5ae292b4ead33a9e1594b0ddc3",
+        "794f42261ab47b720d3ccdf353168b5d0614a842",
     ),
     ('arbiter-k2', 1, 1): (
         "45611c538258b6a998b9c0187eeb7d2c5c5a3915",
-        "cdd601ce335b86665a21186eb7b7a092fb0de0b6",
+        "319124236eaffe187515c98a8fbb2b8083982a14",
     ),
     ('arbiter-k2', 2, 1): (
-        "cce1cbb0bdcec6a1d3cb4315f2ffebd0d58467be",
-        "a489eca0927541fbfaf36fdf6df2c973c112ebec",
+        "87a7a9b194742a57c48bff5c139bc08cd926c9b7",
+        "8846d836035be526c199cf1693588908987517d6",
     ),
     ('arbiter-k2', 3, 1): (
-        "446d86b8a6a07b41a81aac19108c4b8565edfd2c",
-        "c39791195946b4f139a7421a14efbc61943ceea5",
+        "c42ad1b944f67ad474e47fc007869f5c4ee3fef7",
+        "11ffa3741ede2db652a895e5063b3e54aa8e9f1b",
     ),
     ('arbiter-k2', 4, 1): (
-        "2c10fe9d923f72bd981dfa35264c9f041895cb46",
-        "9c491945f92a15dce0d6fe306892fdeb1089d02d",
+        "e526f9135bbdd8c5b7f1a012acc2818e8ce4cc04",
+        "9fccef0c59ae17b5f8699852d098b4244e6adb41",
     ),
     ('two-universal', 1, 1): (
         "6515c9e916c632fad9540ddea397f80d6d5d9b21",
-        "f47bfcbecf0e49e4bb6af972f440252324fa2cdf",
+        "a8b781d3537364edb06cec78b8f58e1783eb73d0",
     ),
 }
 
@@ -714,19 +714,57 @@ def test_singleton_input_sets_make_no_step_variable():
         assert all(len(F) > 1 for _, F, _ in encode(prepare(doc), n, m).var_maps["step"]), name
 
 
+def _without_family(problem, family: str):
+    """`problem` with the clauses of one of `CLAUSE_FAMILIES` cut out."""
+    sizes = problem.var_maps["clauses_by_family"]
+    names = list(sizes)
+    start = sum(sizes[f] for f in names[: names.index(family)])
+    kept = problem.clauses[:start] + problem.clauses[start + sizes[family] :]
+    return dataclasses.replace(problem, clauses=kept)
+
+
 def test_decode_rejects_a_state_entered_only_from_above():
     # a CNF that lost its state_order clauses admits a model whose state 1 is
     # entered from no lower state; decode refuses it instead of reporting it
     problem = encode(prepare(spec(ALWAYS)), 2, 1)
-    families = problem.var_maps["clauses_by_family"]
-    assert families["state_order"] == 1
+    assert problem.var_maps["clauses_by_family"]["state_order"] == 1
     d = problem.var_maps["d"]
     not_from_0 = [[-d[0][iv][1]] for iv in range(len(d[0]))]
     assert solve_clauses(problem.nvars, problem.clauses + not_from_0)[0] is False
-    start = families["totality"]
-    cut = problem.clauses[:start] + problem.clauses[start + 1 :] + not_from_0
+    cut = _without_family(problem, "state_order")
     with pytest.raises(EncoderSoundnessError, match=r"state 1 is entered from no state below it at \(2,1\)"):
-        solve(dataclasses.replace(problem, clauses=cut))
+        solve(dataclasses.replace(cut, clauses=cut.clauses + not_from_0))
+
+
+# what refuses the model of an UNSAT point's CNF with one clause family cut
+# out: a match for the EncoderSoundnessError that decode or the model check
+# raises, or None when the point stays unsat
+WITHOUT_FAMILY = {
+    "totality": r"transition \(\d,\d\) decoded to \[\]",
+    # state_order decides no verdict; it stays for the arbiter-table speed-up
+    # recorded in BENCH_22.json
+    "state_order": None,
+    "guard_conjunctions": "fails containment verification",
+    "step_definitions": "fails containment verification",
+    "counter_steps": "fails containment verification",
+    "transitions": "fails containment verification",
+}
+
+
+def test_every_clause_family_is_needed():
+    # arbiter-2-prompt has no machine at (2,1), so a CNF that loses a needed
+    # family there has a model that the pipeline must refuse; a new family
+    # must say here what its loss lets through
+    problem = encode(prepare(gen_arbiter(2, {1})), 2, 1)
+    assert solve(problem).status == "unsat"
+    assert tuple(WITHOUT_FAMILY) == CLAUSE_FAMILIES
+    for family in CLAUSE_FAMILIES:
+        cut = _without_family(problem, family)
+        if WITHOUT_FAMILY[family] is None:
+            assert solve(cut).status == "unsat", family
+        else:
+            with pytest.raises(EncoderSoundnessError, match=WITHOUT_FAMILY[family]):
+                solve(cut)
 
 
 def _bfs_order(M: MooreSystem) -> list:
