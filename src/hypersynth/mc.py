@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import getitem
 from typing import Optional
 
 from .automata import NBA, flatten_atom, ltl_to_nba, split_atom
@@ -25,9 +26,14 @@ def body_trace_vars(f: Formula) -> list:
 
 @dataclass
 class ProductGraph:
-    """The explored part of the product of system copies, an optional generator
-    and an automaton, with a lasso of joint-input labels through an accepting
-    node, or None when no run is accepted."""
+    """The part of the product of system copies, an optional generator and an
+    automaton that the search made, with a lasso of joint-input labels through
+    an accepting node, or None when no run is accepted.
+
+    `edges` maps each expanded node to the edges the search took from it, as
+    (joint input, target) pairs, one per distinct successor and labelled by
+    the first joint input that reaches it; every node in `nodes` was expanded.
+    """
 
     nodes: list
     edges: dict
@@ -74,7 +80,14 @@ def build_product(
     E: Optional[ExistGenerator] = None,
 ) -> ProductGraph:
     """The product explored depth first from its initial nodes, up to the
-    first cycle through an accepting node."""
+    first cycle through an accepting node.
+
+    The product is made on demand: a node's successors are made one at a
+    time, as the search asks for its next edge, so the siblings of an edge
+    that closes an accepting cycle are never built. The lasso is read from
+    the edges taken, which hold the search tree and every edge that merged
+    components.
+    """
     if E is None:
         E = _NO_GENERATOR
     k = len(trace_vars)
@@ -106,8 +119,9 @@ def build_product(
         got = moves.get((vec, e))
         if got is None:
             base = gen_masks[e] | sum(out_masks[j][s] for j, s in enumerate(vec))
+            rows = [M.delta[s] for s in vec]
             got = moves[vec, e] = [
-                (joint, base | jm, tuple(M.delta[s][x] for s, x in zip(vec, joint)))
+                (joint, base | jm, tuple(map(getitem, rows, joint)))
                 for joint, jm in joint_inputs
             ]
         return got
@@ -132,18 +146,24 @@ def build_product(
         return index[node]
 
     def expand(u):
+        # a successor is made and its edge recorded only when the search asks
+        # for the next edge; a successor this node already has is skipped
         vec, e, q = nodes[u]
-        out = edges[u] = [
-            (joint, nid((succ_vec, e_next[e], d)))
-            for joint, letter, succ_vec in step(vec, e)
-            for d in succ(q, letter)
-        ]
-        return iter(out)
+        e2 = e_next[e]
+        out = edges[u] = []
+        seen = set()
+        for joint, letter, succ_vec in step(vec, e):
+            for d in succ(q, letter):
+                v = nid((succ_vec, e2, d))
+                if v not in seen:
+                    seen.add(v)
+                    out.append((joint, v))
+                    yield v
 
     # Couvreur's on-the-fly emptiness check: a depth-first search that keeps
     # a stack of SCC roots, each with an accepting node merged into it (or
     # -1), and stops when a back edge closes a cycle through one.
-    initial = [nid(((M.initial,) * k, E.initial, q)) for q in sorted(nba.initial)]
+    initial = []     # initial nodes, each made when the search starts from it
     num: dict = {}   # depth-first number of each visited node
     dead = set()     # nodes of finished SCCs
     active = []      # visited nodes not yet dead, in visiting order
@@ -156,13 +176,15 @@ def build_product(
         roots.append((num[u], u if nodes[u][2] in nba.accepting else -1))
         stack.append((u, expand(u)))
 
-    for s0 in initial:
+    for q0 in sorted(nba.initial):
+        s0 = nid(((M.initial,) * k, E.initial, q0))
+        initial.append(s0)
         if s0 in num:
             continue
         visit(s0)
         while stack:
             u, it = stack[-1]
-            for _, v in it:
+            for v in it:
                 if v not in num:
                     visit(v)
                     break

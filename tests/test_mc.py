@@ -361,6 +361,98 @@ def test_exists_forall_verdicts_match_full_product():
 
 
 # ---------------------------------------------------------------------------
+# the on-demand product, at the shape of perfbench's verify-random workload
+
+TWO_INPUTS = ("r1", "r2")
+TWO_OUTPUTS = ("g1", "g2")
+
+
+def _two_input_system(rng, n):
+    # at most one grant per state, as in verify-random's random machines
+    labels = tuple(frozenset(rng.choice(((),) + tuple((o,) for o in TWO_OUTPUTS))) for _ in range(n))
+    delta = tuple(tuple(rng.randrange(n) for _ in range(4)) for _ in range(n))
+    return MooreSystem(TWO_INPUTS, TWO_OUTPUTS, labels, delta, 0)
+
+
+def _two_input_body(rng, text, tvars):
+    """A BODY_POOL body with r and g on each copy renamed to one of r1/r2, g1/g2."""
+    for var in ("p1", "p2"):
+        text = text.replace(f"r[{var}]", f"r{rng.choice('12')}[{var}]")
+        text = text.replace(f"g[{var}]", f"g{rng.choice('12')}[{var}]")
+    return parse_formula(text, set(TWO_INPUTS + TWO_OUTPUTS), trace_vars=set(tvars))
+
+
+def _branch_generator(rng, M):
+    """A generator whose word is M's branch under a random input lasso, so it
+    passes the consistency check."""
+    pick = lambda: frozenset(i for i in TWO_INPUTS if rng.random() < 0.5)
+    ilasso = LassoTrace(frozenset(TWO_INPUTS), tuple(pick() for _ in range(rng.randrange(3))),
+                        tuple(pick() for _ in range(rng.randrange(1, 3))))
+    t = drive(M, ilasso)
+    word = t.prefix + t.loop
+    p, m = len(t.prefix), len(word)
+    labels = [{flatten_atom(s, "e") for s in v} for v in word]
+    return egen(labels, list(range(1, m)) + [p], [flatten_atom(s, "e") for s in TWO_INPUTS + TWO_OUTPUTS])
+
+
+def _assert_made_on_demand(pg):
+    # every node was expanded, and no node names the same successor twice
+    assert set(pg.edges) == set(range(len(pg.nodes)))
+    for es in pg.edges.values():
+        targets = [v for _, v in es]
+        assert len(set(targets)) == len(targets)
+
+
+def test_product_makes_only_what_the_search_reaches():
+    n = 40
+    ring = MooreSystem(("r",), ("g",), (frozenset({"g"}),) + (frozenset(),) * (n - 1),
+                       tuple((s, (s + 1) % n) for s in range(n)), 0)
+    pg = build_product(ring, ["pi"], ltl_to_nba(Not(body("G !g[pi]"))))
+    assert pg.lasso is not None
+    _assert_made_on_demand(pg)
+
+    f = parse_formula("G ((r1[p1] <-> r1[p2]) -> X (g1[p1] <-> g1[p2]))",
+                      set(TWO_INPUTS + TWO_OUTPUTS), trace_vars={"p1", "p2"})
+    nba = ltl_to_nba(Not(f))
+    rng = random.Random(3)
+    M = _two_input_system(rng, 6)
+    while reference_holds(M, ["p1", "p2"], nba)[0]:
+        M = _two_input_system(rng, 6)
+    pg = build_product(M, ["p1", "p2"], nba)
+    assert pg.lasso is not None
+    _assert_made_on_demand(pg)
+
+
+def test_verify_random_shape_matches_full_product():
+    rng = random.Random(35)
+    k2 = [(text, tvars) for text, tvars in BODY_POOL if len(tvars) == 2]
+    e_signals = tuple(flatten_atom(s, "e") for s in TWO_INPUTS + TWO_OUTPUTS)
+    verdicts = []
+    for with_generator in (False, True):
+        for _ in range(40):
+            M = _two_input_system(rng, rng.randrange(4, 9))
+            text, tvars = k2[rng.randrange(len(k2))]
+            f = _two_input_body(rng, text, tvars)
+            if with_generator:
+                f = parse_formula(str(f).replace("[p2]", "[e]"),
+                                  set(TWO_INPUTS + TWO_OUTPUTS), trace_vars={"p1", "e"})
+                E = _random_generator(rng, e_signals) if rng.random() < 0.5 else _branch_generator(rng, M)
+                anchor = consistency_anchor(f, ["e"])
+                uvars = [v for v in body_trace_vars(f) if v != "e"] or [anchor]
+                checked = And(f, build_consistency(["e"], anchor, M.inputs, M.outputs))
+                fixed = {"e": generator_trace(M, E)}
+            else:
+                E, uvars, checked, fixed = None, body_trace_vars(f), f, None
+            ok, cex = mc_exists_forall(M, E, f)
+            assert ok == reference_holds(M, uvars, ltl_to_nba(Not(checked)), E)[0], str(f)
+            if not ok:
+                assert replay(M, checked, uvars, cex, fixed) is False, str(f)
+            verdicts.append((with_generator, ok))
+    # both verdicts occur, with and without a generator
+    assert set(verdicts) == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# ---------------------------------------------------------------------------
 # machine serialization
 
 def test_moore_json_round_trip():
