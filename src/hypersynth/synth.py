@@ -85,31 +85,72 @@ class SynthesisInstance:
         return ltl_to_nba(Not(self.body))
 
     @cached_property
+    def _edge_reads(self) -> tuple:
+        """What each automaton edge's guard reads, as (q, copies, generator, q2).
+
+        `copies` is the set of universal copies whose outputs appear in the
+        guard; `generator` says that some existential-copy signal appears.
+        Inputs of universal copies are not reads: every copy steps on every
+        input its guard admits.
+        """
+        out = []
+        for q, g, q2 in self.nba.transitions:
+            copies, gen = set(), False
+            for sig, _ in g:
+                a, var = split_atom(sig)
+                if var in self.exist_vars:
+                    gen = True
+                elif a not in self.inputs:
+                    copies.add(var)
+            out.append((q, copies, gen, q2))
+        return tuple(out)
+
+    def _in_order(self, reads: list, generator: list) -> tuple:
+        return tuple(
+            (tuple(v for v in self.universal_vars if v in cs), gen) for cs, gen in zip(reads, generator)
+        )
+
+    @cached_property
     def scc_reads(self) -> tuple:
         """What the guards inside each accepting SCC read, as (copies, generator).
 
         `copies` are the universal copies whose outputs appear in the guard of
         some edge between two states of the SCC, in `universal_vars` order;
         `generator` says that some existential-copy signal appears there.
-        Inputs of universal copies are not reads: every copy steps on every
-        input its guard admits.
         """
         scc_of, weight = self.nba.sccs
         copies = [set() for _ in weight]
         generator = [False] * len(weight)
-        for q, g, q2 in self.nba.transitions:
+        for q, cs, gen, q2 in self._edge_reads:
             c = scc_of[q]
-            if c < 0 or scc_of[q2] != c:
-                continue
-            for sig, _ in g:
-                a, var = split_atom(sig)
-                if var in self.exist_vars:
-                    generator[c] = True
-                elif a not in self.inputs:
-                    copies[c].add(var)
-        return tuple(
-            (tuple(v for v in self.universal_vars if v in cs), gen) for cs, gen in zip(copies, generator)
-        )
+            if c >= 0 and scc_of[q2] == c:
+                copies[c] |= cs
+                generator[c] |= gen
+        return self._in_order(copies, generator)
+
+    @cached_property
+    def state_reads(self) -> tuple:
+        """What the guards reachable from each automaton state read, as
+        (copies, generator): R(q) and G(q), in the form of `scc_reads`.
+
+        An edge q -> q2 gives R(q2) <= R(q) and G(q2) <= G(q), so a copy or
+        generator that q does not read is never read again on any run from q.
+        For q in an accepting SCC, R(q) holds the copies of its `scc_reads`.
+        """
+        Q = self.nba.n_states
+        copies = [set() for _ in range(Q)]
+        generator = [False] * Q
+        changed = True
+        while changed:
+            changed = False
+            for q, cs, gen, q2 in self._edge_reads:
+                cs2 = cs | copies[q2]
+                gen2 = gen or generator[q2]
+                if not (cs2 <= copies[q] and gen2 <= generator[q]):
+                    copies[q] |= cs2
+                    generator[q] |= gen2
+                    changed = True
+        return self._in_order(copies, generator)
 
 
 def prepare(
@@ -280,6 +321,21 @@ def _compile_guards(instance: SynthesisInstance, in_vals: list) -> list:
 def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     """Constraint system for an n-state system and m-state generator.
 
+    A product node is (q, sv, e): an automaton state q, the states sv of the
+    universal copies in R(q), and the generator state e if G(q), else None
+    (`SynthesisInstance.state_reads`). R(q) holds the copies whose outputs
+    some guard reachable from q reads; G(q) says whether such a guard reads
+    an existential-copy signal. An edge q -> q2 names the step literals of
+    the copies in R(q2) only, and the generator's loop-back literal only if
+    G(q2). This is exact. R and G are closed forward (R(q2) <= R(q) on every
+    edge), so a dropped component is never read again, and every dropped
+    component is total: a system steps on every input, a guard is a
+    consistent cube and so admits some input on every copy, and the
+    generator is a deterministic lasso. So a projected path from a reachable
+    node lifts to a product path, and a projected cycle with an accepting
+    step, repeated, returns by pigeonhole to one product node: it lifts to a
+    reachable product cycle with the same accepting steps.
+
     Every system state j >= 1 must be entered from a state below j (one
     `state_order` clause per j), which cuts most of the n! renumberings of a
     machine. This keeps every verdict: renumber the reachable states of a
@@ -329,35 +385,43 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     gen_succ = [[(e + 1, None)] for e in range(m_eff - 1)]
     gen_succ.append(list(enumerate(back_var)) or [(0, None)])
 
-    svecs = list(itertools.product(range(n), repeat=k))
-    n_nodes = len(svecs) * m_eff * Q
-    # product node (svec_i, e, q) is (svec_i * m_eff + e) * Q + q; its reach
-    # variable is r1 + node, its "mark j" variable l_start[node] + j - 1
+    # R(q) as copy positions, and G(q)
+    upos = {v: i for i, v in enumerate(instance.universal_vars)}
+    reads = [(tuple(upos[v] for v in copies), gen) for copies, gen in instance.state_reads]
+    # product node (q, sv, e) is nodes[base[q] + sv_i * width + e], where sv_i
+    # is sv's place in product(range(n), repeat=|R(q)|), width is m_eff if
+    # G(q) else 1, and e counts as 0 when it is None; its reach variable is
+    # r1 + its index
+    nodes: list = []
+    base = []
+    for q, (R, gen) in enumerate(reads):
+        base.append(len(nodes))
+        es = range(m_eff) if gen else (None,)
+        nodes.extend((q, sv, e) for sv in itertools.product(range(n), repeat=len(R)) for e in es)
     r1 = nxt[0] + 1
-    nxt[0] += n_nodes
+    nxt[0] += len(nodes)
 
     # counters only for nodes whose automaton state lies in an accepting SCC,
     # one per projection onto what that SCC reads (_scc_bounds), shared by
-    # the nodes that agree there; None for the other nodes
-    upos = {v: i for i, v in enumerate(instance.universal_vars)}
-    reads = [([upos[v] for v in copies], gen) for copies, gen in instance.scc_reads]
+    # the nodes that agree there; l_start[node] is its first "mark" variable
+    # (mark j is l_start[node] + j - 1), None for the other nodes
     counter_vars_by_kind = dict.fromkeys(COUNTER_KINDS.values(), 0)
     l_base = nxt[0]
-    l_start: list = [None] * n_nodes
+    l_start: list = [None] * len(nodes)
     projected: dict = {}
-    for svec_i, svec in enumerate(svecs):
-        for e in range(m_eff):
-            for q, c in enumerate(scc_of):
-                if c < 0:
-                    continue
-                R, gen = reads[c]
-                key = (tuple(svec[u] for u in R), e if gen else 0, q)
-                ls = projected.get(key)
-                if ls is None:
-                    ls = projected[key] = nxt[0] + 1
-                    nxt[0] += scc_lam[c]
-                    counter_vars_by_kind[COUNTER_KINDS[bool(R), gen]] += scc_lam[c]
-                l_start[(svec_i * m_eff + e) * Q + q] = ls
+    for node, (q, sv, e) in enumerate(nodes):
+        c = scc_of[q]
+        if c < 0:
+            continue
+        copies, gen = instance.scc_reads[c]
+        state = dict(zip(reads[q][0], sv))
+        key = (q, tuple(state[upos[v]] for v in copies), e if gen else None)
+        ls = projected.get(key)
+        if ls is None:
+            ls = projected[key] = nxt[0] + 1
+            nxt[0] += scc_lam[c]
+            counter_vars_by_kind[COUNTER_KINDS[bool(copies), gen]] += scc_lam[c]
+        l_start[node] = ls
     counter_vars = nxt[0] - l_base
 
     # clauses by family (CLAUSE_FAMILIES), concatenated in that order
@@ -379,9 +443,10 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
         state_order.append([d_var[i][iv][j] for i in range(j) for iv in range(V)])
 
     add = trans.append
-    # initial nodes: all copies in state 0, generator state 0
+    # initial nodes: every copy in R(q0) in state 0, and the generator in
+    # state 0 if G(q0); that is the first node of q0's block
     for q0 in sorted(nba.initial):
-        add([r1 + q0])
+        add([r1 + base[q0]])
 
     conj_cache: dict = {}
 
@@ -435,38 +500,43 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
 
     # each generator state's successors, as (e2, antecedent literals)
     gen_tails = [[(e2, [] if back is None else [-back]) for e2, back in succ] for succ in gen_succ]
+    # per (q2, state and admitted inputs of each copy in R(q2)): each
+    # successor sv2's node index at generator state 0, and the negated step
+    # literals that lead there; q2 fixes the successor's whole layout
+    succ_rows: dict = {}
 
-    for svec_i, svec in enumerate(svecs):
-        # per copy's admitted inputs: each successor vector's first node
-        # index and the negated step literals that lead there
-        succ_rows: dict = {}
-        for e in range(m_eff):
-            # the output and generator variables a guard's other atoms read
-            lit_vars = [out_var[s] for s in svec] + [gen_var[e]]
-            tails_e = gen_tails[e]
-            for q in range(Q):
-                node = (svec_i * m_eff + e) * Q + q
-                rn = r1 + node
-                ls = l_start[node]
-                for admitted, lits, q2, counted in guards[q]:
-                    residual = {lit_vars[u][a] if val else -lit_vars[u][a] for u, a, val in lits}
-                    if any(-b in residual for b in residual):
-                        continue
-                    ok = conj_lit(frozenset(residual))
-                    tails = [(e2, back if ok is None else back + [-ok]) for e2, back in tails_e]
-                    rows = succ_rows.get(admitted)
-                    if rows is None:
-                        rows = succ_rows[admitted] = [
-                            (svec2_i * m_eff, [-step_lit(s, F, s2) for s, F, s2 in zip(svec, admitted, svec2)])
-                            for svec2_i, svec2 in enumerate(svecs)
-                        ]
-                    for base2, nd in rows:
-                        for e2, tail in tails:
-                            node2 = (base2 + e2) * Q + q2
-                            if node2 != node:  # a self-loop's reach clause is a tautology
-                                add([*nd, *tail, -rn, r1 + node2])
-                            if counted:
-                                add([*nd, *tail, -rn, counter_lit(ls, l_start[node2], q2)])
+    for node, (q, sv, e) in enumerate(nodes):
+        R, gen = reads[q]
+        state = dict(zip(R, sv))
+        # the output and generator variables a guard's other atoms read
+        lit_vars = {u: out_var[s] for u, s in state.items()}
+        if gen:
+            lit_vars[k] = gen_var[e]
+        rn = r1 + node
+        ls = l_start[node]
+        for admitted, lits, q2, counted in guards[q]:
+            residual = {lit_vars[u][a] if val else -lit_vars[u][a] for u, a, val in lits}
+            if any(-b in residual for b in residual):
+                continue
+            ok = conj_lit(frozenset(residual))
+            ok_tail = [] if ok is None else [-ok]
+            R2, gen2 = reads[q2]
+            tails = [(e2, back + ok_tail) for e2, back in gen_tails[e]] if gen2 else [(0, ok_tail)]
+            key = (q2, tuple((state[u], admitted[u]) for u in R2))
+            rows = succ_rows.get(key)
+            if rows is None:
+                width2 = m_eff if gen2 else 1
+                rows = succ_rows[key] = [
+                    (base[q2] + i * width2, [-step_lit(state[u], admitted[u], s2) for u, s2 in zip(R2, sv2)])
+                    for i, sv2 in enumerate(itertools.product(range(n), repeat=len(R2)))
+                ]
+            for base2, nd in rows:
+                for e2, tail in tails:
+                    node2 = base2 + e2
+                    if node2 != node:  # a self-loop's reach clause is a tautology
+                        add([*nd, *tail, -rn, r1 + node2])
+                    if counted:
+                        add([*nd, *tail, -rn, counter_lit(ls, l_start[node2], q2)])
 
     families = (totality, state_order, conj, steps, counter, trans)
     var_maps = {
@@ -475,7 +545,8 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
         "gen": gen_var,
         "gen_succ": gen_succ,
         "gen_signals": gen_signals,
-        "l_start": l_start,
+        "reach_nodes": len(nodes),
+        "counters": {nodes[i]: ls for i, ls in enumerate(l_start) if ls is not None},
         "lam_of": lam_of,
         "counter_vars": counter_vars,
         "counter_vars_by_kind": counter_vars_by_kind,
@@ -485,9 +556,10 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     }
     comments = [
         f"bounded synthesis: n={n} m={m} k={k} nba={Q} lambda={lam}",
-        f"vars: delta 1..{n*V*n}, outputs, generator, reach at {r1}, "
-        f"{counter_vars} counters at {l_base+1}, one per node of an accepting SCC projected onto what it reads, "
-        f"{len(step_var)} step literals, one per (state, copy's admitted inputs, successor)",
+        f"vars: delta 1..{n*V*n}, outputs, generator, reach at {r1}, one per node (q, states of R(q), "
+        f"generator if G(q)): {len(nodes)}, {counter_vars} counters at {l_base+1}, one per node of an "
+        f"accepting SCC projected onto what it reads, {len(step_var)} step literals, one per (state, "
+        "copy's admitted inputs, successor)",
     ]
     return ConstraintProblem(
         nvars=nxt[0],
@@ -572,7 +644,9 @@ def solve(problem: ConstraintProblem, timeout=None) -> SynthesisResult:
     """Run the bundled solver on an encoded problem; decode and verify any model.
 
     `stats` gets the size of the negated body's automaton (`nba_states`,
-    `nba_accepting`, `nba_edges`), the seconds of the solve (`solve_s`: clause
+    `nba_accepting`, `nba_edges`), the number of product nodes with a reach
+    variable (`reach_nodes`: the sum over automaton states q of
+    n^|R(q)| * m^[G(q)]), the seconds of the solve (`solve_s`: clause
     load and search) and of the verification (`verify_s`: decode and model
     check, 0.0 when unsat). Raises SolverFailure when the solver runs past
     `timeout` seconds; it and EncoderSoundnessError name the point (n, m).
@@ -592,6 +666,7 @@ def solve(problem: ConstraintProblem, timeout=None) -> SynthesisResult:
         "vars": problem.nvars,
         "clauses": len(problem.clauses),
         "lambda": problem.lambda_max,
+        "reach_nodes": problem.var_maps["reach_nodes"],
         "counter_vars": problem.var_maps["counter_vars"],
         "counter_vars_by_kind": problem.var_maps["counter_vars_by_kind"],
         "step_vars": len(problem.var_maps["step"]),

@@ -141,13 +141,13 @@ def test_suite_report_render_and_json():
     # each row carries the stats of the solve that decided it
     stats = {(row["n"], row["m"]): row["stats"] for row in data[0]["bounds"]}
     assert {p: s["lambda"] for p, s in stats.items()} == {(2, 1): 2, (2, 2): 2}
-    assert all(s["counter_vars"] > 0 and s["clauses"] > 0 for s in stats.values())
+    assert all(s["counter_vars"] > 0 and s["clauses"] > 0 and s["reach_nodes"] > 0 for s in stats.values())
     # counters by what their SCC reads: the system copy, the generator, both or neither
     by_kind = [s["counter_vars_by_kind"] for s in stats.values()]
     assert all(set(c) == {"none", "system", "generator", "mixed"} for c in by_kind)
     assert all(sum(c.values()) == s["counter_vars"] for c, s in zip(by_kind, stats.values()))
     assert all(c["system"] > 0 and c["generator"] > 0 for c in by_kind)
-    assert {p: s["conflicts"] for p, s in stats.items()} == {(2, 1): 8, (2, 2): 21}
+    assert {p: s["conflicts"] for p, s in stats.items()} == {(2, 1): 4, (2, 2): 9}
     assert all(s["decisions"] > 0 and s["propagations"] > 0 and "restarts" in s for s in stats.values())
     assert all(s[key] >= 0.0 for s in stats.values() for key in ("encode_s", "solve_s", "verify_s"))
     assert all(0 < s["nba_accepting"] <= s["nba_states"] < s["nba_edges"] for s in stats.values())

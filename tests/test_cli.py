@@ -113,6 +113,7 @@ def test_synth_stats_prints_one_json_line_per_attempt(specfile, capsys):
             assert families["state_order"] == r["n"] - 1
             assert sum(families.values()) == r["stats"]["clauses"]
             assert r["stats"]["conflicts"] >= 0
+            assert r["stats"]["reach_nodes"] > 0
     # without the flag the output ends with the verdict's own lines
     assert main(["synth", specfile(INSTANT), "--max-system", "2", "--max-exists", "1"]) == EXIT_UNREALIZABLE
     assert "{" not in capsys.readouterr().out

@@ -222,14 +222,14 @@ def test_decisions_follow_activity_after_rescale():
 # the arbiter table's solve points: ((k, full), (n, m), status, conflicts,
 # SHA-1 of the model's signed literals joined by spaces, or None if unsat)
 TABLE_SOLVES = (
-    ((2, False), (2, 1), False, 8, None),
-    ((2, False), (2, 2), True, 21, "20331e0fd35695c8fcadc91f5fefa213123ce936"),
-    ((2, True), (3, 1), False, 55, None),
-    ((2, True), (3, 2), False, 188, None),
-    ((2, True), (4, 2), True, 48, "e05c506bd71d86b8072796d4da028f2344b33d55"),
-    ((3, False), (3, 1), False, 15, None),
-    ((3, False), (3, 2), False, 172, None),
-    ((3, False), (4, 2), True, 179, "cdc869fb9b7243c55fa0fddb821af80dd9abb06e"),
+    ((2, False), (2, 1), False, 4, None),
+    ((2, False), (2, 2), True, 9, "defbf12af2b5d80a2eddb20ad497de54fefbcc94"),
+    ((2, True), (3, 1), False, 12, None),
+    ((2, True), (3, 2), False, 71, None),
+    ((2, True), (4, 2), True, 73, "82dc98f2e1590fa063701fb62b6a1244a0e0df25"),
+    ((3, False), (3, 1), False, 8, None),
+    ((3, False), (3, 2), False, 208, None),
+    ((3, False), (4, 2), True, 94, "3c643c0e3936c94f3d5e90d4ef70a5eee237fb6d"),
 )
 
 

@@ -207,21 +207,21 @@ def test_counters_are_scc_local():
     assert vm["clauses_by_family"]["state_order"] == n - 1
     assert len(problem.clauses) - vm["clauses_by_family"]["state_order"] <= 2_794
     assert vm["counter_vars"] <= 63
-    starts = vm["l_start"]
+    starts = vm["counters"]
     counted = set().union(*_accepting_sccs(inst.nba))
-    Q = inst.nba.n_states
-    assert any(q in counted for q in range(Q))
-    svecs = list(itertools.product(range(n), repeat=inst.k))
+    assert counted
     scc_of, _ = inst.nba.sccs
+    # every node of a counted automaton state has a counter, and no other node
+    nodes_of = {q: n ** len(copies) * (m if gen else 1) for q, (copies, gen) in enumerate(inst.state_reads)}
+    assert {q for q, _, _ in starts} == counted
+    assert all(sum(key[0] == q for key in starts) == nodes_of[q] for q in counted)
     owners: dict = {}
-    for node, ls in enumerate(starts):
-        q = node % Q
-        assert (ls is None) == (q not in counted), node
-        if ls is not None:
-            copies, gen = inst.scc_reads[scc_of[q]]
-            svec, e = svecs[node // Q // m], node // Q % m
-            read = (q, tuple(svec[inst.universal_vars.index(v)] for v in copies), e if gen else None)
-            owners.setdefault(ls, set()).add(read)
+    for (q, sv, e), ls in starts.items():
+        state = dict(zip(inst.state_reads[q][0], sv))
+        assert (e is None) == (not inst.state_reads[q][1])
+        copies, gen = inst.scc_reads[scc_of[q]]
+        read = (q, tuple(state[v] for v in copies), e if gen else None)
+        owners.setdefault(ls, set()).add(read)
     # nodes share a counter exactly when they agree on what their SCC reads
     assert all(len(reads) == 1 for reads in owners.values())
     assert len({r for reads in owners.values() for r in reads}) == len(owners)
@@ -250,11 +250,15 @@ def _scc_reads_from_transitions(inst) -> dict:
     return out
 
 
-def test_scc_reads_match_the_transitions():
+def _read_set_docs() -> list:
     docs = _specs_in_this_module() + [spec(ARBITER_K2_3, inputs="r1, r2, r3", outputs="g1, g2, g3")]
     docs += [spec(text) for text, _ in TWO_COMPONENT_READS]
     docs += [gen_arbiter(k, {1}, full) for k, full in ((3, True), (4, False))]
-    for doc in docs:
+    return docs
+
+
+def test_scc_reads_match_the_transitions():
+    for doc in _read_set_docs():
         inst = prepare(doc)
         scc_of, _ = inst.nba.sccs
         want = _scc_reads_from_transitions(inst)
@@ -270,6 +274,77 @@ def test_scc_reads_match_the_transitions():
         inst = prepare(spec(text))
         assert max(len(copies) + gen for copies, gen in inst.scc_reads) == 2
         assert encode(inst, 2, 2).var_maps["counter_vars_by_kind"][kind] > 0
+
+
+def _state_reads_from_transitions(inst) -> list:
+    """R(q) and G(q) of each automaton state q, by a search of its own: the
+    universal copies with an output atom in the guard of some edge whose
+    source q reaches (q included), and whether an atom of an existential
+    copy appears there."""
+    succ: dict = {}
+    for q, _, q2 in inst.nba.transitions:
+        succ.setdefault(q, set()).add(q2)
+    out = []
+    for q in range(inst.nba.n_states):
+        seen, todo = {q}, [q]
+        while todo:
+            for q2 in succ.get(todo.pop(), ()):
+                if q2 not in seen:
+                    seen.add(q2)
+                    todo.append(q2)
+        copies, gen = set(), False
+        for src, g, _ in inst.nba.transitions:
+            if src in seen:
+                for sig, _ in g:
+                    prop, copy = split_atom(sig)
+                    gen |= copy in inst.exist_vars
+                    if copy in inst.universal_vars and prop in inst.outputs:
+                        copies.add(copy)
+        out.append((copies, gen))
+    return out
+
+
+def test_state_reads_match_the_transitions():
+    for doc in _read_set_docs():
+        inst = prepare(doc)
+        want = _state_reads_from_transitions(inst)
+        got = inst.state_reads
+        assert got == tuple((tuple(v for v in inst.universal_vars if v in c), g) for c, g in want)
+        # closed forward: taking an edge never adds a read
+        for q, _, q2 in inst.nba.transitions:
+            assert set(got[q2][0]) <= set(got[q][0]) and got[q2][1] <= got[q][1]
+        # the counters' projection is a function of every node's projection
+        scc_of, _ = inst.nba.sccs
+        for q, c in enumerate(scc_of):
+            if c >= 0:
+                copies, gen = inst.scc_reads[c]
+                assert set(copies) <= set(got[q][0]) and gen <= got[q][1]
+    # 12 of ARBITER_K2_3's 16 automaton states read only p1 from there on
+    k23 = prepare(spec(ARBITER_K2_3, inputs="r1, r2, r3", outputs="g1, g2, g3"))
+    assert k23.state_reads.count((("p1",), False)) == 12 and len(k23.state_reads) == 16
+
+
+def test_projected_product_sizes():
+    # a node keeps only what its automaton state's future reads; keeping
+    # every copy at every node took 10,360 and 37,339 clauses here
+    k2 = prepare(spec(ARBITER_K2, inputs="r1, r2", outputs="g1, g2"))
+    k23 = prepare(spec(ARBITER_K2_3, inputs="r1, r2, r3", outputs="g1, g2, g3"))
+    assert len(encode(k2, 4, 1).clauses) <= 2_239
+    assert len(encode(k23, 5, 1).clauses) <= 6_427
+
+
+def test_reach_nodes_count_the_projected_product():
+    # one reach variable per (q, states of R(q), generator state if G(q))
+    k2 = prepare(spec(ARBITER_K2, inputs="r1, r2", outputs="g1, g2"))
+    demo = prepare(spec(DEMO, inputs="r1, r2", outputs="g1, g2"))
+    for inst, n, m in ((k2, 3, 1), (demo, 2, 2)):
+        reads = _state_reads_from_transitions(inst)
+        want = sum(n ** len(copies) * (m if gen else 1) for copies, gen in reads)
+        assert encode(inst, n, m).var_maps["reach_nodes"] == want
+        assert solve_at_bounds(inst, n, m).stats["reach_nodes"] == want
+        assert want < inst.nba.n_states * n**inst.k * m
+    # a k=2 point, and a point whose generator some states read
+    assert k2.k == 2 and any(gen for _, gen in reads)
 
 
 def test_dimacs_emission_parses_back():
@@ -559,80 +634,80 @@ def _encoding_points():
 # SHA-1 of the DIMACS text and of repr(var_maps) at each point
 ENCODING_DIGESTS = {
     ('arbiter-2', 2, 1): (
-        "36d0e2b4f82a2fade84a79c909880a8b1535499f",
-        "261f9902fac7cec115679a7d1e2395ca8862654f",
+        "dbaf1021227a268e22e7065d300e17a58bc02011",
+        "8f999471720069b682a8b6eb027a674a8aa640e9",
     ),
     ('arbiter-2', 2, 2): (
-        "0b74ac64f2bc3f5ae292b4ead33a9e1594b0ddc3",
-        "794f42261ab47b720d3ccdf353168b5d0614a842",
+        "d1f0a059e137afa9e199c61008f93906acab2877",
+        "35643d9fddd50edb38d34202452a13fd081e2fe6",
     ),
     ('arbiter-2-full', 3, 1): (
-        "09ba7ff6611bfd4f07d33deb731f97276dffb7fa",
-        "000eab0e2c9e842a80b0c239af995c59000b0b76",
+        "eb10cba9ebd9050d6584d94aff6ace70876234bf",
+        "b314f44d9202da0214fccf2820b6fb6eb6184fb1",
     ),
     ('arbiter-2-full', 3, 2): (
-        "dfa25b1855cffedb55fc99ddae90627b34d59642",
-        "4e8ded278b4eaf3ed39aeb240f753e1a48916df0",
+        "241ad510c84ec5eac1d6a53698e2118e91d86041",
+        "1ac6aac0bfd3e707ba8c246b610f7983827ca2ef",
     ),
     ('arbiter-2-full', 4, 2): (
-        "ed5a632893e0bcf81d799bd210bffd30fdd99fdb",
-        "afc5ea841446e9bf060d483d66d544a231049318",
+        "6b64df6d74f04188efc1c0c86fb6ba83fea0e217",
+        "62f87c256bcb96093683b24d59c9d0bdb2968ed5",
     ),
     ('arbiter-3', 3, 1): (
-        "d513e30c98d6531433d3fe0246cdf43d2499ba47",
-        "645072ef448ffcbea478c2b7a5bf47ccca6edbd9",
+        "d296e83daf0f7e140446cbee84427708dc277c55",
+        "5eb88d15309a18cf8121281b8fcefc1a5dade2e8",
     ),
     ('arbiter-3', 3, 2): (
-        "2b55004bdf4114a70d0c43e3fbbfeb7d3531628b",
-        "eccb1b8bbbe9f322fb5a66d6720a5cab189b5add",
+        "90af59925d24b9e983026869b665482501a493ff",
+        "28de287d036c0d7fe13f08cb5b0bd73f7402998f",
     ),
     ('arbiter-3', 4, 2): (
-        "9e823dc033b5390564a667dfbf12f5624f8b42d0",
-        "d2e3af073fa742fe4c62114e300d59d3084e42c1",
+        "3a15e0da41df09f97419ef7ce9a4f9f597c41bdd",
+        "380808bed26c330019133e4632bc097f9a211bc6",
     ),
     ('arbiter-4', 4, 1): (
-        "a2c92dd37d2b658881e5ca660b6773f5d4c902d8",
-        "0996bf4720210e4a69fe6744cedefbee774b0d5b",
+        "7be63d984b9deade6722aad93277ae313df77d83",
+        "8c7f8fa376af3c705842ea76e2a0716d98b16519",
     ),
     ('demo', 1, 1): (
-        "da54ad166352fa1302dc362ad91537b42b96292d",
-        "bb608d3eb80df4dd05f37073094357830766a4b2",
+        "acc2d82b75329fc90a12d4690505aac2740a5eb6",
+        "1b555054b1fd32d052d9fa5557c634d5161cc44b",
     ),
     ('demo', 1, 2): (
-        "51539174fd6582049debb441c9406d3a1ea3c3d9",
-        "467f00220cf23f575ba02535b447d303760ef60e",
+        "12dd5247a95721a418992eaccc983f358eb30f99",
+        "6c352a9378329f19bf56e719bfe174dacee59ee9",
     ),
     ('demo', 2, 1): (
-        "36d0e2b4f82a2fade84a79c909880a8b1535499f",
-        "261f9902fac7cec115679a7d1e2395ca8862654f",
+        "dbaf1021227a268e22e7065d300e17a58bc02011",
+        "8f999471720069b682a8b6eb027a674a8aa640e9",
     ),
     ('demo', 1, 3): (
-        "0f3be82a40fda414ec9ee5a737a012cb3b40963d",
-        "4c450136b11c1cd63c8dbd63526ab15639d20143",
+        "338826bc56dacf8f5e65d9519dd346bf9e598ba8",
+        "e054430cad61e8ad16b281410417d1924b6a25d0",
     ),
     ('demo', 2, 2): (
-        "0b74ac64f2bc3f5ae292b4ead33a9e1594b0ddc3",
-        "794f42261ab47b720d3ccdf353168b5d0614a842",
+        "d1f0a059e137afa9e199c61008f93906acab2877",
+        "35643d9fddd50edb38d34202452a13fd081e2fe6",
     ),
     ('arbiter-k2', 1, 1): (
-        "45611c538258b6a998b9c0187eeb7d2c5c5a3915",
-        "319124236eaffe187515c98a8fbb2b8083982a14",
+        "663e70c517723c01c07c19fc75b6475a26d1d04f",
+        "4a17e26cd9a11649b04faf674545953e5bed6409",
     ),
     ('arbiter-k2', 2, 1): (
-        "87a7a9b194742a57c48bff5c139bc08cd926c9b7",
-        "8846d836035be526c199cf1693588908987517d6",
+        "3ca569e0215fbf49a9c93c20dfa0abaa28c5a616",
+        "27a7c4956850e201f7018e5a198a1d7d509bcba1",
     ),
     ('arbiter-k2', 3, 1): (
-        "c42ad1b944f67ad474e47fc007869f5c4ee3fef7",
-        "11ffa3741ede2db652a895e5063b3e54aa8e9f1b",
+        "7dcc05935eaf04079981ce1248d1265dfdab15ec",
+        "08d77edede71357e41ba67f7856ea1de3c865646",
     ),
     ('arbiter-k2', 4, 1): (
-        "e526f9135bbdd8c5b7f1a012acc2818e8ce4cc04",
-        "9fccef0c59ae17b5f8699852d098b4244e6adb41",
+        "0a15b2d5ecf29c9f701b4121e5bf113416e743a3",
+        "d8652d4b1e1a17ae5d483e552535131db5041598",
     ),
     ('two-universal', 1, 1): (
-        "6515c9e916c632fad9540ddea397f80d6d5d9b21",
-        "a8b781d3537364edb06cec78b8f58e1783eb73d0",
+        "22dc6909c75e12a8d51657989281d754622e9884",
+        "a0738f9aa6a61c824eae10e3c0376e42dcbc8d41",
     ),
 }
 
@@ -752,10 +827,11 @@ WITHOUT_FAMILY = {
 
 
 def test_every_clause_family_is_needed():
-    # arbiter-2-prompt has no machine at (2,1), so a CNF that loses a needed
-    # family there has a model that the pipeline must refuse; a new family
-    # must say here what its loss lets through
-    problem = encode(prepare(gen_arbiter(2, {1})), 2, 1)
+    # arbiter-2-full-prompt has no machine at (3,2), and its refutation reads
+    # the system, so a CNF that loses a needed family there has a model that
+    # the pipeline must refuse; a new family must say here what its loss
+    # lets through
+    problem = encode(prepare(gen_arbiter(2, {1}, True)), 3, 2)
     assert solve(problem).status == "unsat"
     assert tuple(WITHOUT_FAMILY) == CLAUSE_FAMILIES
     for family in CLAUSE_FAMILIES:
