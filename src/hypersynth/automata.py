@@ -84,6 +84,27 @@ class NBA:
             weight.append(len(comp & self.accepting))
         return tuple(scc_of), tuple(weight)
 
+    @cached_property
+    def reads(self) -> tuple:
+        """The signals of every guard reachable from each state, as a frozenset
+        per state; a state's own edges count.
+
+        They are closed forward: reads[d] <= reads[s] on every edge s -> d, so
+        a signal outside reads[s] is never read again on any run from s.
+        """
+        succ = {s: [d for _, d in es] for s, es in enumerate(self.edges)}
+        out = [frozenset()] * self.n_states
+        # Tarjan settles an SCC after every SCC it reaches
+        for comp in tarjan_sccs(self.n_states, succ):
+            sigs: set = set()
+            for q in comp:
+                for g, d in self.edges[q]:
+                    sigs.update(sig for sig, _ in g)
+                    sigs |= out[d]
+            for q in comp:
+                out[q] = frozenset(sigs)
+        return tuple(out)
+
 # ---------------------------------------------------------------------------
 # flattening trace-indexed atoms to composite signals
 

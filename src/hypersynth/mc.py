@@ -5,8 +5,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import getitem
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .automata import NBA, flatten_atom, ltl_to_nba, split_atom
 from .formula import Formula, Not, SpecError, TraceAtom, Quantifier, walk
@@ -30,9 +31,14 @@ class ProductGraph:
     automaton that the search made, with a lasso of joint-input labels through
     an accepting node, or None when no run is accepted.
 
-    `edges` maps each expanded node to the edges the search took from it, as
-    (joint input, target) pairs, one per distinct successor and labelled by
-    the first joint input that reaches it; every node in `nodes` was expanded.
+    A node is (copy states, generator state, q), projected onto what q still
+    reads (`NBA.reads`): a copy's state is -1 when no guard reachable from q
+    reads its outputs, and the generator state is None when none reads a
+    generator signal. `edges` maps each expanded node to the edges the search
+    took from it, as (joint input, target) pairs, one per distinct successor
+    and labelled by the first joint input that reaches it; a copy that q
+    reads nothing of has input 0 in every label from q. Every node in `nodes`
+    was expanded.
     """
 
     nodes: list
@@ -41,7 +47,7 @@ class ProductGraph:
     lasso: Optional[tuple]
 
 
-def _guard_masks(nba: NBA, bit: dict) -> list:
+def _guard_masks(nba: NBA, bit: dict) -> tuple:
     """Each state's edges as (pos, neg, target) masks over the letter bits.
 
     A positive literal on a signal outside the letter space never holds, so
@@ -63,8 +69,60 @@ def _guard_masks(nba: NBA, bit: dict) -> list:
                     neg |= b
             else:
                 masks.append((pos, neg, d))
-        out.append(masks)
-    return out
+        out.append(tuple(masks))
+    return tuple(out)
+
+
+class _Layout(NamedTuple):
+    """What `build_product` needs of an automaton over a letter space, apart
+    from the machines: built once per (automaton, system signals, copies,
+    generator signals)."""
+
+    bit: dict          # letter signal -> its bit
+    guards: tuple      # `_guard_masks`
+    keep: tuple        # per state: per copy, whether its state is kept
+    keep_gen: tuple    # per state: whether the generator state is kept
+    joints: tuple      # per state: (joint input, input mask) pairs to enumerate
+    joint_id: tuple    # per state: index of its joint-input list
+
+
+# automata layouts kept; a verify run checks a handful of bodies
+_LAYOUT_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _layout(nba: NBA, inputs: tuple, outputs: tuple, trace_vars: tuple, gen_signals: tuple) -> _Layout:
+    # one bit per letter signal: the generator's, then each copy's outputs and inputs
+    bit: dict = {}
+    for sig in gen_signals:
+        bit.setdefault(sig, 1 << len(bit))
+    for var in trace_vars:
+        for sig in outputs + inputs:
+            bit.setdefault(flatten_atom(sig, var), 1 << len(bit))
+    in_masks = [
+        [sum(bit[flatten_atom(i, var)] for i in val) for val in all_valuations(inputs)]
+        for var in trace_vars
+    ]
+    copy_outputs = [{flatten_atom(o, var) for o in outputs} for var in trace_vars]
+    copy_signals = [{flatten_atom(s, var) for s in outputs + inputs} for var in trace_vars]
+    kept_of: dict = {}  # one shared tuple per distinct keep vector
+    joints_of: dict = {}  # enumerated copies -> (index, joint-input list)
+    keep, keep_gen, joints, joint_id = [], [], [], []
+    for reads in nba.reads:
+        kept = tuple(not reads.isdisjoint(os) for os in copy_outputs)
+        keep.append(kept_of.setdefault(kept, kept))
+        keep_gen.append(not reads.isdisjoint(gen_signals))
+        # a copy whose signals are never read again keeps input 0
+        free = tuple(not reads.isdisjoint(ss) for ss in copy_signals)
+        if free not in joints_of:
+            joints_of[free] = (len(joints_of), tuple(
+                (joint, sum(in_masks[j][x] for j, x in enumerate(joint)))
+                for joint in itertools.product(*(range(1 << len(inputs)) if f else (0,) for f in free))
+            ))
+        jid, js = joints_of[free]
+        joint_id.append(jid)
+        joints.append(js)
+    return _Layout(bit, _guard_masks(nba, bit), tuple(keep), tuple(keep_gen), tuple(joints), tuple(joint_id))
 
 
 # stand in for the generator when the body has no existential copies, and
@@ -82,47 +140,50 @@ def build_product(
     """The product explored depth first from its initial nodes, up to the
     first cycle through an accepting node.
 
+    Each node is projected onto what its automaton state q still reads
+    (`NBA.reads`): it keeps a copy's state only if some guard reachable from
+    q reads that copy's outputs, and the generator state only if such a guard
+    reads a generator signal. A copy none of whose signals is read from q on
+    has its input fixed to the first valuation, so it is not enumerated in
+    the joint inputs. This is exact. The read sets are closed forward, so a
+    dropped component is never read again, and every dropped component is
+    total: a system steps on every input and the generator is a
+    deterministic lasso. So a projected path lifts to a product path, and a
+    projected accepting cycle keeps the kept components constant, so
+    repeating it lifts to a product lasso over the same input labels.
+
     The product is made on demand: a node's successors are made one at a
     time, as the search asks for its next edge, so the siblings of an edge
     that closes an accepting cycle are never built. The lasso is read from
     the edges taken, which hold the search tree and every edge that merged
-    components.
+    components. What depends only on the automaton and the letter space is
+    compiled once (`_layout`).
     """
     if E is None:
         E = _NO_GENERATOR
     k = len(trace_vars)
-    # one bit per letter signal: the generator's, then each copy's outputs and inputs
-    bit: dict = {}
-    for sig in E.signals:
-        bit.setdefault(sig, 1 << len(bit))
-    for var in trace_vars:
-        for sig in M.outputs + M.inputs:
-            bit.setdefault(flatten_atom(sig, var), 1 << len(bit))
+    bit, guards, keep, keep_gen, joints, joint_id = _layout(nba, M.inputs, M.outputs, tuple(trace_vars), E.signals)
 
     def mask(sigs) -> int:
         return sum(bit[s] for s in sigs)
 
-    out_masks = [[mask(flatten_atom(o, var) for o in lab) for lab in M.labels] for var in trace_vars]
-    in_masks = [[mask(flatten_atom(i, var) for i in val) for val in all_valuations(M.inputs)]
-                for var in trace_vars]
-    joint_inputs = [
-        (joint, sum(in_masks[j][x] for j, x in enumerate(joint)))
-        for joint in itertools.product(range(1 << len(M.inputs)), repeat=k)
-    ]
+    # a trailing entry serves the dropped state -1: it outputs nothing and stays dropped
+    out_masks = [[mask(flatten_atom(o, var) for o in lab) for lab in M.labels] + [0] for var in trace_vars]
+    delta = M.delta + ((-1,) * (1 << len(M.inputs)),)
     gen_masks = [mask(lab) for lab in E.labels]
-    guards = _guard_masks(nba, bit)
 
-    moves: dict = {}    # (system vector, generator state) -> [(joint, letter, successor vector)]
+    moves: dict = {}    # (system vector, generator state, joint list) -> [(joint, letter, successor vector)]
     targets: dict = {}  # (automaton state, letter) -> sorted successor states
 
-    def step(vec, e):
-        got = moves.get((vec, e))
+    def step(vec, e, q):
+        key = (vec, e, joint_id[q])
+        got = moves.get(key)
         if got is None:
-            base = gen_masks[e] | sum(out_masks[j][s] for j, s in enumerate(vec))
-            rows = [M.delta[s] for s in vec]
-            got = moves[vec, e] = [
+            base = (0 if e is None else gen_masks[e]) | sum(out_masks[j][s] for j, s in enumerate(vec))
+            rows = [delta[s] for s in vec]
+            got = moves[key] = [
                 (joint, base | jm, tuple(map(getitem, rows, joint)))
-                for joint, jm in joint_inputs
+                for joint, jm in joints[q]
             ]
         return got
 
@@ -145,16 +206,28 @@ def build_product(
             nodes.append(node)
         return index[node]
 
+    def project(vec, e, q):
+        # the node at q, with -1 and None for what q never reads again
+        kept = keep[q]
+        if not all(kept):
+            vec = tuple(s if b else -1 for s, b in zip(vec, kept))
+        return vec, e if keep_gen[q] else None, q
+
     def expand(u):
         # a successor is made and its edge recorded only when the search asks
         # for the next edge; a successor this node already has is skipped
         vec, e, q = nodes[u]
-        e2 = e_next[e]
+        e2 = None if e is None else e_next[e]
+        kq = keep[q]
         out = edges[u] = []
         seen = set()
-        for joint, letter, succ_vec in step(vec, e):
+        for joint, letter, succ_vec in step(vec, e, q):
             for d in succ(q, letter):
-                v = nid((succ_vec, e2, d))
+                # equal keep vectors are one object: `is` means nothing to drop
+                if keep[d] is kq:
+                    v = nid((succ_vec, e2 if keep_gen[d] else None, d))
+                else:
+                    v = nid(project(succ_vec, e2, d))
                 if v not in seen:
                     seen.add(v)
                     out.append((joint, v))
@@ -177,7 +250,7 @@ def build_product(
         stack.append((u, expand(u)))
 
     for q0 in sorted(nba.initial):
-        s0 = nid(((M.initial,) * k, E.initial, q0))
+        s0 = nid(project((M.initial,) * k, E.initial, q0))
         initial.append(s0)
         if s0 in num:
             continue
@@ -271,18 +344,30 @@ def generator_vars(E: ExistGenerator) -> list:
     return seen
 
 
+# checked bodies kept, with their universal copies and automata
+_CHECKED_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_CHECKED_CACHE_SIZE)
+def _checked(body: Formula, evars: tuple, inputs: tuple, outputs: tuple) -> tuple:
+    """(universal copies, automaton of the negated checked body)."""
+    checked = with_consistency(body, evars, inputs, outputs)
+    uvars = tuple(v for v in body_trace_vars(checked) if v not in evars)
+    return uvars, ltl_to_nba(Not(checked))
+
+
 def mc_exists_forall(M: MooreSystem, E: Optional[ExistGenerator], body: Formula):
     """Check the body with existential copies fixed to the generator's word.
 
     The checked formula is `with_consistency` of the body, as in `prepare`,
     and the universal copies are the other copies it reads; each ranges over
     all branches of M. Returns (True, None), or (False, one counterexample
-    input lasso per universal copy).
+    input lasso per universal copy). The checked body, its copies and its
+    automaton are made once per (body, existential copies, signals).
     """
-    evars = generator_vars(E) if E is not None else []
-    checked = with_consistency(body, evars, M.inputs, M.outputs)
-    uvars = [v for v in body_trace_vars(checked) if v not in evars]
-    pg = build_product(M, uvars, ltl_to_nba(Not(checked)), E)
+    evars = tuple(generator_vars(E)) if E is not None else ()
+    uvars, nba = _checked(body, evars, M.inputs, M.outputs)
+    pg = build_product(M, uvars, nba, E)
     if pg.lasso is None:
         return True, None
     return False, _labels_to_input_lassos(M, uvars, *pg.lasso)

@@ -84,26 +84,22 @@ class SynthesisInstance:
         """Buchi automaton for the negated body, built once per instance."""
         return ltl_to_nba(Not(self.body))
 
-    @cached_property
-    def _edge_reads(self) -> tuple:
-        """What each automaton edge's guard reads, as (q, copies, generator, q2).
+    def _reads_of(self, signals) -> tuple:
+        """(copies, generator) that a set of guard signals reads.
 
-        `copies` is the set of universal copies whose outputs appear in the
-        guard; `generator` says that some existential-copy signal appears.
+        `copies` is the set of universal copies whose outputs appear among
+        them; `generator` says that some existential-copy signal appears.
         Inputs of universal copies are not reads: every copy steps on every
         input its guard admits.
         """
-        out = []
-        for q, g, q2 in self.nba.transitions:
-            copies, gen = set(), False
-            for sig, _ in g:
-                a, var = split_atom(sig)
-                if var in self.exist_vars:
-                    gen = True
-                elif a not in self.inputs:
-                    copies.add(var)
-            out.append((q, copies, gen, q2))
-        return tuple(out)
+        copies, gen = set(), False
+        for sig in signals:
+            a, var = split_atom(sig)
+            if var in self.exist_vars:
+                gen = True
+            elif a not in self.inputs:
+                copies.add(var)
+        return copies, gen
 
     def _in_order(self, reads: list, generator: list) -> tuple:
         return tuple(
@@ -121,9 +117,10 @@ class SynthesisInstance:
         scc_of, weight = self.nba.sccs
         copies = [set() for _ in weight]
         generator = [False] * len(weight)
-        for q, cs, gen, q2 in self._edge_reads:
+        for q, g, q2 in self.nba.transitions:
             c = scc_of[q]
             if c >= 0 and scc_of[q2] == c:
+                cs, gen = self._reads_of(sig for sig, _ in g)
                 copies[c] |= cs
                 generator[c] |= gen
         return self._in_order(copies, generator)
@@ -131,26 +128,14 @@ class SynthesisInstance:
     @cached_property
     def state_reads(self) -> tuple:
         """What the guards reachable from each automaton state read, as
-        (copies, generator): R(q) and G(q), in the form of `scc_reads`.
+        (copies, generator): R(q) and G(q), in the form of `scc_reads`, taken
+        from `NBA.reads`.
 
         An edge q -> q2 gives R(q2) <= R(q) and G(q2) <= G(q), so a copy or
         generator that q does not read is never read again on any run from q.
         For q in an accepting SCC, R(q) holds the copies of its `scc_reads`.
         """
-        Q = self.nba.n_states
-        copies = [set() for _ in range(Q)]
-        generator = [False] * Q
-        changed = True
-        while changed:
-            changed = False
-            for q, cs, gen, q2 in self._edge_reads:
-                cs2 = cs | copies[q2]
-                gen2 = gen or generator[q2]
-                if not (cs2 <= copies[q] and gen2 <= generator[q]):
-                    copies[q] |= cs2
-                    generator[q] |= gen2
-                    changed = True
-        return self._in_order(copies, generator)
+        return self._in_order(*zip(*map(self._reads_of, self.nba.reads)))
 
 
 def prepare(

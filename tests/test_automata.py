@@ -16,6 +16,7 @@ from hypersynth.automata import (
     split_atom,
     tarjan_sccs,
 )
+from hypersynth.bench import TABLE_INSTANCES
 from hypersynth.formula import Knowledge, Not, SpecError, TraceAtom, TraceForall, parse, parse_formula
 from hypersynth.mc import accepts_lasso
 from hypersynth.semantics import LassoTrace, TraceSet, eval_formula
@@ -341,3 +342,19 @@ def test_nba_edges_and_sccs():
     assert nba.edges == (((a, 1), (t, 2)), ((t, 1),), ((t, 3),), ((t, 3),))
     scc_of, weight = nba.sccs
     assert scc_of == (-1, 0, -1, -1) and weight == (1,)
+
+
+def test_reads_hold_each_guard_and_are_closed_forward():
+    t = frozenset()
+    a, b = frozenset({("a", True)}), frozenset({("b", False)})
+    # 0 -a-> 1 <-b-> 2 -t-> 3 -t-> 3: 1 and 2 share one SCC and its reads
+    nba = NBA(4, frozenset([0]), frozenset([3]), ((0, a, 1), (1, b, 2), (2, t, 1), (2, t, 3), (3, t, 3)))
+    assert nba.reads == (frozenset({"a", "b"}), frozenset({"b"}), frozenset({"b"}), frozenset())
+    for bi in TABLE_INSTANCES:
+        nba = prepare(bi.doc).nba
+        assert len(nba.reads) == nba.n_states
+        for q, g, d in nba.transitions:
+            assert {sig for sig, _ in g} <= nba.reads[q]
+            assert nba.reads[d] <= nba.reads[q]
+        # some state reads less than the initial one
+        assert min(map(len, nba.reads)) < len(nba.reads[min(nba.initial)])

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from hypersynth.automata import accepting_sccs, flatten_atom, ltl_to_nba, split_atom
-from hypersynth.formula import And, Not, SpecError, TraceForall, parse_formula
+from hypersynth.formula import And, Not, SpecError, TraceForall, parse, parse_formula
 from hypersynth.machines import ExistGenerator, MooreSystem, all_valuations
 from hypersynth.mc import (
     accepts_lasso,
@@ -16,9 +16,11 @@ from hypersynth.mc import (
     generator_vars,
     mc_exists_forall,
 )
-from hypersynth.reductions import build_consistency, consistency_anchor
+from hypersynth.reductions import build_consistency, consistency_anchor, with_consistency
 from hypersynth.semantics import LassoTrace, TraceSet, eval_formula
+from hypersynth.synth import prepare
 from test_acceptance import _depth3_bodies
+from test_synth import ARBITER_K2
 
 ECHO = MooreSystem(
     inputs=("r",),
@@ -450,6 +452,62 @@ def test_verify_random_shape_matches_full_product():
             verdicts.append((with_generator, ok))
     # both verdicts occur, with and without a generator
     assert set(verdicts) == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# ---------------------------------------------------------------------------
+# the projected product: each node keeps what its automaton state still reads
+
+
+def _dropped(M, trace_vars, nba, E, q):
+    """(copies, generator) of a node at q as NBA.reads leaves them: -1 for a
+    copy none of whose outputs q still reads, None for an unread generator."""
+    reads = nba.reads[q]
+    copies = tuple(reads.isdisjoint(flatten_atom(o, v) for o in M.outputs) for v in trace_vars)
+    return copies, E is None or reads.isdisjoint(E.signals)
+
+
+def test_product_nodes_drop_what_the_automaton_no_longer_reads():
+    # once the automaton of the negated body has seen g1 on one side, it reads
+    # only the other: p2 (or the generator) and p1 are each dropped in turn
+    signals = set(TWO_INPUTS + TWO_OUTPUTS)
+    k2 = parse_formula("G !g1[p2] | G (r1[p1] -> X g1[p1])", signals, trace_vars={"p1", "p2"})
+    ke = parse_formula("G !g1[e] | G (r1[p1] -> X g1[p1])", signals, trace_vars={"p1", "e"})
+    rng = random.Random(37)
+    for f, evars in ((k2, ()), (ke, ("e",))):
+        kinds = set()
+        for _ in range(12):
+            M = _two_input_system(rng, rng.randrange(4, 9))
+            E = _branch_generator(rng, M) if evars else None
+            checked = with_consistency(f, evars, M.inputs, M.outputs)
+            uvars = [v for v in body_trace_vars(checked) if v not in evars]
+            nba = ltl_to_nba(Not(checked))
+            pg = build_product(M, uvars, nba, E)
+            for vec, e, q in pg.nodes:
+                copies, no_gen = _dropped(M, uvars, nba, E, q)
+                assert tuple(s == -1 for s in vec) == copies
+                assert (e is None) == no_gen
+                kinds.add((copies, no_gen))
+            if pg.lasso is not None:
+                fixed = {"e": generator_trace(M, E)} if evars else None
+                assert replay(M, checked, uvars, mc_exists_forall(M, E, f)[1], fixed) is False
+        # every combination of kept and dropped components occurs
+        assert len(kinds) == 4, kinds
+
+
+def test_projected_product_node_tripwire():
+    # 40 machines of verify-random's shape (4 to 16 states, at most one grant
+    # per state) against the body of perfbench's arbiter2_k2.hq, all of them
+    # violations: keeping every copy at every node made 2,509 nodes here
+    core = prepare(parse("inputs: r1, r2\noutputs: g1, g2\n" + ARBITER_K2)).core
+    uvars = body_trace_vars(core)
+    nba = ltl_to_nba(Not(core))
+    rng = random.Random(37)
+    total = 0
+    for j in range(40):
+        pg = build_product(_two_input_system(rng, 4 + j % 13), uvars, nba)
+        assert pg.lasso is not None
+        total += len(pg.nodes)
+    assert total <= 338
 
 
 # ---------------------------------------------------------------------------
