@@ -23,6 +23,7 @@ from .formula import (
     TraceAtom,
     Until,
     WeakUntil,
+    hash_once,
     map_children,
     print_formula,
     to_nnf,
@@ -43,9 +44,14 @@ def merge_guards(g1: Guard, g2: Guard) -> Optional[Guard]:
     return merged
 
 
+@hash_once
 @dataclass(frozen=True)
 class NBA:
-    """Nondeterministic Buchi automaton with literal-conjunction edge guards."""
+    """Nondeterministic Buchi automaton with literal-conjunction edge guards.
+
+    It is frozen, and its hash, which walks every transition, is computed
+    once (`hash_once`).
+    """
 
     n_states: int
     initial: frozenset

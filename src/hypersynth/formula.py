@@ -27,9 +27,41 @@ class QuantKind(Enum):
 Pos = Optional[tuple[int, int]]
 
 
-@dataclass(frozen=True)
+def hash_once(cls):
+    """Class decorator for a frozen dataclass: each instance computes the
+    generated field hash on first use and keeps it, so hashing a deep tree
+    again costs one lookup. The value is the generated one, so set and dict
+    orders do not change. The cached hash stays out of the pickled state:
+    string hashes are salted per process, so it would be stale in another.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = field_hash(self)
+        return h
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
+    cls._hash = None  # until the instance's first hash
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+def _node(cls):
+    return hash_once(dataclass(frozen=True)(cls))
+
+
+@_node
 class Formula:
-    """Base class of all AST nodes. Source position never takes part in equality."""
+    """Base class of all AST nodes. Source position never takes part in
+    equality. Nodes are frozen, and each computes its hash once (`hash_once`).
+    """
 
     pos: Pos = field(default=None, compare=False, repr=False, kw_only=True)
 
@@ -40,7 +72,7 @@ class Formula:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@_node
 class BoolConst(Formula):
     value: bool = True
 
@@ -49,7 +81,7 @@ TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-@dataclass(frozen=True)
+@_node
 class TraceAtom(Formula):
     """Atomic proposition indexed by a trace variable, written a[pi]."""
 
@@ -57,14 +89,14 @@ class TraceAtom(Formula):
     trace_var: str = ""
 
 
-@dataclass(frozen=True)
+@_node
 class PropAtom(Formula):
     """Bare quantified proposition, written q."""
 
     var: str = ""
 
 
-@dataclass(frozen=True)
+@_node
 class Unary(Formula):
     child: Formula = TRUE
 
@@ -72,27 +104,27 @@ class Unary(Formula):
         return (self.child,)
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Unary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Next(Unary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Eventually(Unary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Globally(Unary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Binary(Formula):
     left: Formula = TRUE
     right: Formula = TRUE
@@ -101,42 +133,42 @@ class Binary(Formula):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True)
+@_node
 class And(Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Until(Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class WeakUntil(Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Release(Binary):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Quantifier(Formula):
     var: str = ""
     child: Formula = TRUE
@@ -147,22 +179,22 @@ class Quantifier(Formula):
         return (self.child,)
 
 
-@dataclass(frozen=True)
+@_node
 class TraceForall(Quantifier):
     kind: QuantKind = field(default=QuantKind.TRACE_FORALL, init=False)
 
 
-@dataclass(frozen=True)
+@_node
 class TraceExists(Quantifier):
     kind: QuantKind = field(default=QuantKind.TRACE_EXISTS, init=False)
 
 
-@dataclass(frozen=True)
+@_node
 class PropForall(Quantifier):
     kind: QuantKind = field(default=QuantKind.PROP_FORALL, init=False)
 
 
-@dataclass(frozen=True)
+@_node
 class PropExists(Quantifier):
     kind: QuantKind = field(default=QuantKind.PROP_EXISTS, init=False)
 
@@ -175,7 +207,7 @@ QUANT_CLASS = {
 }
 
 
-@dataclass(frozen=True)
+@_node
 class Knowledge(Formula):
     """K{a,b}[pi] phi: phi holds on every trace that agrees with pi on the agent set so far."""
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import getitem
+from functools import lru_cache, reduce
+from operator import getitem, or_
 from typing import NamedTuple, Optional
 
 from .automata import NBA, flatten_atom, ltl_to_nba, split_atom
@@ -73,21 +73,51 @@ def _guard_masks(nba: NBA, bit: dict) -> tuple:
     return tuple(out)
 
 
+class _LabelMasks(dict):
+    """Memo from a label (a set of signals) to its mask: the sum of each
+    signal's bit in `bit_of`, made the first time the label is looked up."""
+
+    def __init__(self, bit_of: dict):
+        super().__init__()
+        self.bit_of = bit_of
+
+    def __missing__(self, label):
+        m = self[label] = sum(self.bit_of[s] for s in label)
+        return m
+
+
 class _Layout(NamedTuple):
     """What `build_product` needs of an automaton over a letter space, apart
     from the machines: built once per (automaton, system signals, copies,
-    generator signals)."""
+    generator signals), and bounded by `_layout`'s cache.
 
-    bit: dict          # letter signal -> its bit
-    guards: tuple      # `_guard_masks`
-    keep: tuple        # per state: per copy, whether its state is kept
-    keep_gen: tuple    # per state: whether the generator state is kept
-    joints: tuple      # per state: (joint input, input mask) pairs to enumerate
-    joint_id: tuple    # per state: index of its joint-input list
+    Two tables make a call's preamble and successor lookups cheap. Each
+    copy's output masks map a system label to its bits in the letter, filled
+    the first time a label is seen, so a call formats no signal names. Each
+    state's local guard mask holds the bits its own guards read; a guard's
+    verdict depends only on its own bits, so successors are looked up under
+    the letter cut to that mask.
+    """
+
+    bit: dict               # letter signal -> its bit
+    guards: tuple           # `_guard_masks`
+    local: tuple            # per state: its local guard mask, the OR of pos | neg over its edges
+    label_masks: tuple      # per copy: its output masks, a `_LabelMasks` from a system label
+    gen_label_masks: dict   # `_LabelMasks` from a generator label
+    keep: tuple             # per state: per copy, whether its state is kept
+    keep_gen: tuple         # per state: whether the generator state is kept
+    joints: tuple           # per state: (joint input, input mask) pairs to enumerate
+    joint_id: tuple         # per state: index of its joint-input list
 
 
 # automata layouts kept; a verify run checks a handful of bodies
 _LAYOUT_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _valuations(inputs: tuple) -> tuple:
+    """`all_valuations` of an input tuple, made once; a tuple, as it is shared."""
+    return tuple(all_valuations(inputs))
 
 
 @lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
@@ -100,7 +130,7 @@ def _layout(nba: NBA, inputs: tuple, outputs: tuple, trace_vars: tuple, gen_sign
         for sig in outputs + inputs:
             bit.setdefault(flatten_atom(sig, var), 1 << len(bit))
     in_masks = [
-        [sum(bit[flatten_atom(i, var)] for i in val) for val in all_valuations(inputs)]
+        [sum(bit[flatten_atom(i, var)] for i in val) for val in _valuations(inputs)]
         for var in trace_vars
     ]
     copy_outputs = [{flatten_atom(o, var) for o in outputs} for var in trace_vars]
@@ -122,7 +152,18 @@ def _layout(nba: NBA, inputs: tuple, outputs: tuple, trace_vars: tuple, gen_sign
         jid, js = joints_of[free]
         joint_id.append(jid)
         joints.append(js)
-    return _Layout(bit, _guard_masks(nba, bit), tuple(keep), tuple(keep_gen), tuple(joints), tuple(joint_id))
+    guards = _guard_masks(nba, bit)
+    local = tuple(reduce(or_, (pos | neg for pos, neg, _ in gs), 0) for gs in guards)
+    label_masks = tuple(_LabelMasks({o: bit[flatten_atom(o, var)] for o in outputs}) for var in trace_vars)
+    return _Layout(
+        bit, guards, local, label_masks, _LabelMasks(bit),
+        tuple(keep), tuple(keep_gen), tuple(joints), tuple(joint_id),
+    )
+
+
+def _successors(guards: tuple, letter: int) -> list:
+    """Sorted targets of the (pos, neg, target) guard masks that the letter meets."""
+    return sorted({d for pos, neg, d in guards if letter & pos == pos and not letter & neg})
 
 
 # stand in for the generator when the body has no existential copies, and
@@ -156,24 +197,29 @@ def build_product(
     time, as the search asks for its next edge, so the siblings of an edge
     that closes an accepting cycle are never built. The lasso is read from
     the edges taken, which hold the search tree and every edge that merged
-    components. What depends only on the automaton and the letter space is
-    compiled once (`_layout`).
+    components.
+
+    What depends only on the automaton and the letter space is compiled
+    once (`_layout`): the letter bits, the guard masks, each state's local
+    guard mask, each copy's output masks, the keep tables and the joint-input
+    lists. A call builds only the machine's output and step tables and the
+    part of the product it explores; it looks up a successor list per
+    (state, letter cut to the state's local guard mask).
     """
     if E is None:
         E = _NO_GENERATOR
     k = len(trace_vars)
-    bit, guards, keep, keep_gen, joints, joint_id = _layout(nba, M.inputs, M.outputs, tuple(trace_vars), E.signals)
-
-    def mask(sigs) -> int:
-        return sum(bit[s] for s in sigs)
+    _, guards, local, label_masks, gen_label_masks, keep, keep_gen, joints, joint_id = _layout(
+        nba, M.inputs, M.outputs, tuple(trace_vars), E.signals
+    )
 
     # a trailing entry serves the dropped state -1: it outputs nothing and stays dropped
-    out_masks = [[mask(flatten_atom(o, var) for o in lab) for lab in M.labels] + [0] for var in trace_vars]
+    out_masks = [[*map(lm.__getitem__, M.labels), 0] for lm in label_masks]
     delta = M.delta + ((-1,) * (1 << len(M.inputs)),)
-    gen_masks = [mask(lab) for lab in E.labels]
+    gen_masks = [*map(gen_label_masks.__getitem__, E.labels)]
 
     moves: dict = {}    # (system vector, generator state, joint list) -> [(joint, letter, successor vector)]
-    targets: dict = {}  # (automaton state, letter) -> sorted successor states
+    targets: dict = {}  # (automaton state, letter & its local bits) -> sorted successor states
 
     def step(vec, e, q):
         key = (vec, e, joint_id[q])
@@ -188,11 +234,12 @@ def build_product(
         return got
 
     def succ(q, letter):
-        got = targets.get((q, letter))
+        # a guard's verdict depends only on its own bits, so the letter is
+        # cut to the bits that q's guards read
+        key = (q, letter & local[q])
+        got = targets.get(key)
         if got is None:
-            got = targets[q, letter] = sorted(
-                {d for pos, neg, d in guards[q] if letter & pos == pos and not letter & neg}
-            )
+            got = targets[key] = _successors(guards[q], key[1])
         return got
 
     e_next = E.next_state
@@ -325,7 +372,7 @@ def _labels_to(edges: dict, starts: list, goal: int, inside=None) -> list:
 def _labels_to_input_lassos(
     M: MooreSystem, trace_vars: list, prefix_labels, loop_labels
 ) -> list:
-    in_vals = all_valuations(M.inputs)
+    in_vals = _valuations(M.inputs)
     sig = frozenset(M.inputs)
     out = []
     for j, _ in enumerate(trace_vars):

@@ -137,6 +137,12 @@ class SynthesisInstance:
         """
         return self._in_order(*zip(*map(self._reads_of, self.nba.reads)))
 
+    @cached_property
+    def guards(self) -> tuple:
+        """Each automaton state's edges, compiled by `_compile_guards` over
+        every input valuation, once per instance: they read the instance only."""
+        return tuple(map(tuple, _compile_guards(self, all_valuations(self.inputs))))
+
 
 def prepare(
     doc: SpecDocument,
@@ -345,10 +351,9 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     nba = instance.nba
     Q = nba.n_states
 
-    in_vals = all_valuations(instance.inputs)
-    V = len(in_vals)
+    V = 1 << len(instance.inputs)
     gen_signals = tuple(flatten_atom(a, j) for j in instance.exist_vars for a in instance.inputs + outputs)
-    guards = _compile_guards(instance, in_vals)
+    guards = instance.guards
 
     scc_of, _ = nba.sccs
     scc_lam = _scc_bounds(instance, n, m)

@@ -1,5 +1,6 @@
 """Tableau-built Buchi automata checked against the reference evaluator."""
 
+import pickle
 import random
 import signal
 
@@ -286,6 +287,16 @@ def test_equal_formulas_share_one_automaton():
     nba = ltl_to_nba(body("G (F a[pi])"))
     assert ltl_to_nba(body("G (F a[pi])")) is nba
     assert ltl_to_nba.cache_info().misses == 1
+
+
+def test_nba_hash_is_cached_and_not_pickled():
+    nba = ltl_to_nba(body("G (a[pi] -> F b[pi])"))
+    h = hash(nba)
+    assert h == hash((nba.n_states, nba.initial, nba.accepting, nba.transitions))
+    assert vars(nba)["_hash"] == h
+    back = pickle.loads(pickle.dumps(nba))
+    assert "_hash" not in vars(back)
+    assert back == nba and hash(back) == h
 
 
 def test_empty_language_nba():

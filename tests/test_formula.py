@@ -1,5 +1,8 @@
 """Parser, printer, normal forms, and prefix handling."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -411,3 +414,58 @@ def test_map_children_keeps_every_other_field():
     # renaming inside a knowledge node keeps its other fields
     s = substitute_trace_var(k, "pi", "tau")
     assert (s.trace_var, s.child) == ("tau", TraceAtom("b", "tau"))
+
+
+# ---------------------------------------------------------------------------
+# hashing: each node computes its hash once
+
+
+HASHED = "G (a[pi] -> F (b[pi] U !a[pi])) & (K {a} [pi] X c[pi] | exists tau : trace . a[tau] W c[tau])"
+
+
+def _field_hash(f):
+    """What the generated dataclass __hash__ computes over f's compared fields."""
+    return hash(tuple(getattr(f, x.name) for x in dataclasses.fields(f) if x.compare))
+
+
+def test_node_hash_is_cached_field_hash():
+    f = parse_formula(HASHED, SIG, trace_vars={"pi"})
+    # nothing is hashed at construction
+    assert all("_hash" not in vars(g) for g in walk(f))
+    h = hash(f)
+    for g in walk(f):
+        assert "_hash" in vars(g)
+        assert hash(g) == _field_hash(g)
+    assert hash(f) == h
+
+    a, b, c = (TraceAtom(x, "pi") for x in "abc")
+    built = And(
+        Globally(Implies(a, Eventually(Until(b, Not(a))))),
+        Or(
+            Knowledge(frozenset({"a"}), "pi", Next(c)),
+            TraceExists("tau", WeakUntil(TraceAtom("a", "tau"), TraceAtom("c", "tau"))),
+        ),
+    )
+    assert built == f and hash(built) == h
+
+    # the source position takes no part in equality or hashing
+    moved = dataclasses.replace(f, pos=(7, 7))
+    assert moved.pos != f.pos and moved == f and hash(moved) == h
+
+    # a replaced child gives a node whose hash is taken afresh
+    swapped = dataclasses.replace(f, left=Globally(a))
+    assert "_hash" not in vars(swapped)
+    assert hash(swapped) == _field_hash(swapped) != h
+
+
+def test_pickled_node_carries_no_cached_hash():
+    # string hashes are salted per process, so a pickled cache would be stale
+    # in the process that loads it
+    fresh = parse_formula(HASHED, SIG, trace_vars={"pi"})
+    hashed = parse_formula(HASHED, SIG, trace_vars={"pi"})
+    hash(hashed)
+    data = pickle.dumps(hashed)
+    assert data == pickle.dumps(fresh)
+    back = pickle.loads(data)
+    assert all("_hash" not in vars(g) for g in walk(back))
+    assert back == hashed and hash(back) == _field_hash(back) == hash(hashed)

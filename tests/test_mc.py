@@ -1,12 +1,16 @@
 """Product-graph model checking replayed against the reference evaluator."""
 
+import hashlib
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from hypersynth import mc
 from hypersynth.automata import accepting_sccs, flatten_atom, ltl_to_nba, split_atom
+from hypersynth.bench import TABLE_INSTANCES
 from hypersynth.formula import And, Not, SpecError, TraceForall, parse, parse_formula
 from hypersynth.machines import ExistGenerator, MooreSystem, all_valuations
 from hypersynth.mc import (
@@ -508,6 +512,48 @@ def test_projected_product_node_tripwire():
         assert pg.lasso is not None
         total += len(pg.nodes)
     assert total <= 338
+
+
+def test_exploration_pin():
+    # the tripwire's 40 machines: verdict, product-node count and each copy's
+    # counterexample lasso, as one digest, so a change that makes the check
+    # cheaper cannot change what it explores or returns; valuations are
+    # written as sorted signals, so the digest does not depend on PYTHONHASHSEED
+    core = prepare(parse("inputs: r1, r2\noutputs: g1, g2\n" + ARBITER_K2)).core
+    uvars = body_trace_vars(core)
+    nba = ltl_to_nba(Not(core))
+    rng = random.Random(37)
+    rows = []
+    for j in range(40):
+        M = _two_input_system(rng, 4 + j % 13)
+        ok, cex = mc_exists_forall(M, None, core)
+        lassos = [[[sorted(v) for v in part] for part in (l.prefix, l.loop)] for l in cex or ()]
+        rows.append([ok, len(build_product(M, uvars, nba).nodes), lassos])
+    digest = hashlib.sha1(json.dumps(rows).encode()).hexdigest()
+    assert digest == "d8bcba4be6a7964aa54dfc0ad958e11eb91c4f91"
+
+
+def test_masked_successor_lookup_is_exact():
+    # build_product looks up a state's successors under the letter cut to the
+    # bits its own guards read; over every letter (a fixed sample above 2^16),
+    # that gives what the guard scan on the whole letter gives
+    specs = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "specs").glob("*.hq"))
+    docs = [b.doc for b in TABLE_INSTANCES] + [parse(p.read_text(encoding="utf-8")) for p in specs]
+    assert len(docs) == 6
+    for doc in docs:
+        inst = prepare(doc)
+        uvars, nba = mc._checked(inst.core, inst.exist_vars, inst.inputs, inst.outputs)
+        gen = tuple(flatten_atom(a, e) for e in inst.exist_vars for a in inst.inputs + inst.outputs)
+        lay = mc._layout(nba, inst.inputs, inst.outputs, uvars, gen)
+        width = len(lay.bit)
+        letters = range(1 << width) if width <= 16 else random.Random(1).sample(range(1 << width), 4096)
+        for q, guards in enumerate(lay.guards):
+            masked = {}
+            for letter in letters:
+                cut = letter & lay.local[q]
+                if cut not in masked:
+                    masked[cut] = mc._successors(guards, cut)
+                assert masked[cut] == mc._successors(guards, letter), (q, letter)
 
 
 # ---------------------------------------------------------------------------
