@@ -8,7 +8,6 @@ import math
 import sys
 import traceback
 
-from .automata import flatten_atom
 from .bench import TABLE_INSTANCES, run_suite
 from .formula import SpecError, parse, print_formula
 from .fragments import classify_formula
@@ -164,8 +163,7 @@ def _check_generator(generator, inst) -> None:
             f"generator copies ({', '.join(generator_vars(generator))}) are not the "
             f"specification's existential copies ({', '.join(inst.exist_vars)})"
         )
-    declared = {flatten_atom(a, e) for e in inst.exist_vars for a in inst.inputs + inst.outputs}
-    stray = [s for s in generator.signals if s not in declared]
+    stray = [s for s in generator.signals if s not in inst.gen_signals]
     if stray:
         raise SpecError(f"generator signals {', '.join(stray)} name no declared input or output")
 

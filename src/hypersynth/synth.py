@@ -84,27 +84,51 @@ class SynthesisInstance:
         """Buchi automaton for the negated body, built once per instance."""
         return ltl_to_nba(Not(self.body))
 
-    def _reads_of(self, signals) -> tuple:
-        """(copies, generator) that a set of guard signals reads.
+    @cached_property
+    def gen_signals(self) -> tuple:
+        """The generator's signals: each declared input and output of each
+        existential copy, copy by copy."""
+        return tuple(flatten_atom(a, j) for j in self.exist_vars for a in self.inputs + self.outputs)
 
-        `copies` is the set of universal copies whose outputs appear among
-        them; `generator` says that some existential-copy signal appears.
-        Inputs of universal copies are not reads: every copy steps on every
-        input its guard admits.
+    @cached_property
+    def guards(self) -> tuple:
+        """Each automaton state's edges, as (admitted, lits, q2, counted),
+        compiled once per instance.
+
+        A guard is a consistent cube, so it admits some input on every copy, and
+        the joint inputs it admits are the product of what it admits on each
+        copy: `admitted` holds one tuple of indices into
+        `all_valuations(inputs)` per universal copy. `lits` are its other
+        atoms as (u, name, value): output `name` of copy u, or generator signal
+        `name` when u = k. `counted` says that the edge stays inside its
+        accepting SCC.
         """
-        copies, gen = set(), False
-        for sig in signals:
-            a, var = split_atom(sig)
-            if var in self.exist_vars:
-                gen = True
-            elif a not in self.inputs:
-                copies.add(var)
-        return copies, gen
-
-    def _in_order(self, reads: list, generator: list) -> tuple:
-        return tuple(
-            (tuple(v for v in self.universal_vars if v in cs), gen) for cs, gen in zip(reads, generator)
-        )
+        in_vals = all_valuations(self.inputs)
+        upos = {v: i for i, v in enumerate(self.universal_vars)}
+        scc_of, _ = self.nba.sccs
+        guards = []
+        for q, edges in enumerate(self.nba.edges):
+            compiled = []
+            for g, q2 in edges:
+                ins, lits = [[] for _ in upos], []
+                for sig, val in g:
+                    a, var = split_atom(sig)
+                    if var in upos and a in self.inputs:
+                        ins[upos[var]].append((a, val))
+                    elif var in upos:
+                        lits.append((upos[var], a, val))
+                    elif var in self.exist_vars:
+                        lits.append((self.k, sig, val))
+                    else:
+                        raise SpecError(f"atom {sig!r} bound to no copy")
+                admitted = tuple(
+                    tuple(i for i, vals in enumerate(in_vals) if all((a in vals) == val for a, val in c)) for c in ins
+                )
+                # a step that leaves its accepting SCC closes no counted cycle:
+                # reachability only
+                compiled.append((admitted, lits, q2, scc_of[q] == scc_of[q2] >= 0))
+            guards.append(tuple(compiled))
+        return tuple(guards)
 
     @cached_property
     def scc_reads(self) -> tuple:
@@ -113,17 +137,17 @@ class SynthesisInstance:
         `copies` are the universal copies whose outputs appear in the guard of
         some edge between two states of the SCC, in `universal_vars` order;
         `generator` says that some existential-copy signal appears there.
+        Both come from the counted edges of `guards`.
         """
         scc_of, weight = self.nba.sccs
-        copies = [set() for _ in weight]
-        generator = [False] * len(weight)
-        for q, g, q2 in self.nba.transitions:
-            c = scc_of[q]
-            if c >= 0 and scc_of[q2] == c:
-                cs, gen = self._reads_of(sig for sig, _ in g)
-                copies[c] |= cs
-                generator[c] |= gen
-        return self._in_order(copies, generator)
+        reads = [set() for _ in weight]
+        for q, edges in enumerate(self.guards):
+            for _, lits, _, counted in edges:
+                if counted:
+                    reads[scc_of[q]].update(u for u, _, _ in lits)
+        return tuple(
+            (tuple(v for u, v in enumerate(self.universal_vars) if u in us), self.k in us) for us in reads
+        )
 
     @cached_property
     def state_reads(self) -> tuple:
@@ -135,13 +159,11 @@ class SynthesisInstance:
         generator that q does not read is never read again on any run from q.
         For q in an accepting SCC, R(q) holds the copies of its `scc_reads`.
         """
-        return self._in_order(*zip(*map(self._reads_of, self.nba.reads)))
-
-    @cached_property
-    def guards(self) -> tuple:
-        """Each automaton state's edges, compiled by `_compile_guards` over
-        every input valuation, once per instance: they read the instance only."""
-        return tuple(map(tuple, _compile_guards(self, all_valuations(self.inputs))))
+        outputs = [(v, {flatten_atom(o, v) for o in self.outputs}) for v in self.universal_vars]
+        return tuple(
+            (tuple(v for v, sigs in outputs if not reads.isdisjoint(sigs)), not reads.isdisjoint(self.gen_signals))
+            for reads in self.nba.reads
+        )
 
 
 def prepare(
@@ -246,7 +268,6 @@ class ConstraintProblem:
     clauses: list
     n: int
     m: int
-    k: int
     lambda_max: int
     instance: SynthesisInstance
     var_maps: dict
@@ -260,53 +281,13 @@ def _scc_bounds(instance: SynthesisInstance, n: int, m: int) -> list:
     read (`SynthesisInstance.scc_reads`): the system copies R and, if read,
     the generator. A projected path that closes no cycle through an accepting
     step enters each accepting projected node at most once, so this many
-    marks suffice. Every component the
-    projection drops is total: a system steps on every admitted input and
-    the generator is a deterministic lasso. So a projected cycle, repeated
-    from a reachable node, returns by pigeonhole to the same product node:
-    it lifts to a reachable product cycle with the same accepting steps.
+    marks suffice; a projected cycle lifts to a product cycle as `encode`'s
+    docstring shows.
     """
     _, weight = instance.nba.sccs
     return [
         n ** len(copies) * (m if gen else 1) * w for (copies, gen), w in zip(instance.scc_reads, weight)
     ]
-
-
-def _compile_guards(instance: SynthesisInstance, in_vals: list) -> list:
-    """Each automaton state's edges, as (admitted, lits, q2, counted).
-
-    A guard is a consistent cube, so it admits some input on every copy, and
-    the joint inputs it admits are the product of what it admits on each
-    copy: `admitted` holds one tuple of indices into `in_vals` per universal
-    copy. `lits` are its other atoms as (u, name, value): output `name` of
-    copy u, or generator signal `name` when u = k.
-    `counted` says that the edge stays inside its accepting SCC.
-    """
-    upos = {v: i for i, v in enumerate(instance.universal_vars)}
-    k = len(upos)
-    scc_of, _ = instance.nba.sccs
-    guards = []
-    for q, edges in enumerate(instance.nba.edges):
-        guards.append([])
-        for g, q2 in edges:
-            ins, lits = [[] for _ in upos], []
-            for sig, val in g:
-                a, var = split_atom(sig)
-                if var in upos and a in instance.inputs:
-                    ins[upos[var]].append((a, val))
-                elif var in upos:
-                    lits.append((upos[var], a, val))
-                elif var in instance.exist_vars:
-                    lits.append((k, sig, val))
-                else:
-                    raise SpecError(f"atom {sig!r} bound to no copy")
-            admitted = tuple(
-                tuple(i for i, vals in enumerate(in_vals) if all((a in vals) == val for a, val in c)) for c in ins
-            )
-            # a step that leaves its accepting SCC closes no counted cycle:
-            # reachability only
-            guards[q].append((admitted, lits, q2, scc_of[q] == scc_of[q2] >= 0))
-    return guards
 
 
 def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
@@ -325,7 +306,9 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     generator is a deterministic lasso. So a projected path from a reachable
     node lifts to a product path, and a projected cycle with an accepting
     step, repeated, returns by pigeonhole to one product node: it lifts to a
-    reachable product cycle with the same accepting steps.
+    reachable product cycle with the same accepting steps. The same holds for
+    the coarser projection of each counter (`_scc_bounds`), which drops the
+    copies and generator that its SCC's guards do not read.
 
     Every system state j >= 1 must be entered from a state below j (one
     `state_order` clause per j), which cuts most of the n! renumberings of a
@@ -352,7 +335,7 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
     Q = nba.n_states
 
     V = 1 << len(instance.inputs)
-    gen_signals = tuple(flatten_atom(a, j) for j in instance.exist_vars for a in instance.inputs + outputs)
+    gen_signals = instance.gen_signals
     guards = instance.guards
 
     scc_of, _ = nba.sccs
@@ -556,7 +539,6 @@ def encode(instance: SynthesisInstance, n: int, m: int) -> ConstraintProblem:
         clauses=[cl for c in families for cl in c],
         n=n,
         m=m,
-        k=k,
         lambda_max=lam,
         instance=instance,
         var_maps=var_maps,
@@ -696,14 +678,9 @@ def solve_at_bounds(
 ) -> SynthesisResult:
     """Verdict at one bound point: one encode, one solve.
 
-    A product cycle projects onto a cycle of the automaton, so it stays
-    inside one accepting SCC C. C's counter ranges over product nodes
-    projected onto what C's guards read and runs to the sufficient height
-    n^|R| * m^[gen] * |F & C| (_scc_bounds): a projected cycle with an
-    accepting step lifts to a reachable product cycle, because the dropped
-    components are total. The verdict is therefore exact at (n, m): UNSAT
-    proves that no n-state system with an m-state generator exists. `stats`
-    also gets `encode_s`.
+    The encoding is exact at (n, m), by the lifting argument in `encode`'s
+    docstring, so UNSAT proves that no n-state system with an m-state
+    generator exists. `stats` also gets `encode_s`.
     """
     t0 = time.perf_counter()
     problem = encode(instance, n, m)

@@ -104,6 +104,7 @@ def test_criterion_1_arbiter2_prompt(arb2):
     assert res.n <= 3 and res.m <= 3
     assert (res.n, res.m) == (2, 2)
     assert res.system is not None and res.generator is not None
+    assert res.generator.signals == inst.gen_signals
     ok, _ = mc_exists_forall(res.system, res.generator, inst.body)
     assert ok
     secs = arb2["secs"] + time.monotonic() - t0

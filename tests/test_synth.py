@@ -765,7 +765,7 @@ def test_guards_admit_the_product_of_their_per_copy_inputs():
     for doc in docs:
         inst = prepare(doc)
         ks.add(inst.k)
-        guards = synth._compile_guards(inst, all_valuations(inst.inputs))
+        guards = inst.guards
         for edges, compiled in zip(inst.nba.edges, guards):
             joint = [(_joint_inputs_admitted(inst, g), q2) for g, q2 in edges]
             product = [(set(itertools.product(*a)), q2) for a, _, q2, _ in compiled]
@@ -777,7 +777,7 @@ def test_guards_admit_the_product_of_their_per_copy_inputs():
 def test_singleton_input_sets_make_no_step_variable():
     # the guard i[pi] admits one valuation of pi's inputs: its step is d itself
     inst = prepare(spec("forall pi : trace . G (i[pi] -> X o[pi])"))
-    guards = synth._compile_guards(inst, all_valuations(inst.inputs))
+    guards = inst.guards
     assert any(len(F) == 1 for edges in guards for admitted, *_ in edges for F in admitted)
     problem = encode(inst, 2, 1)
     vm = problem.var_maps
