@@ -173,7 +173,7 @@ class SuiteReport:
         lines = []
         width = max((len(r.name) for r in self.reports), default=8)
         for r in self.reports:
-            lines.append(f"{r.name:<{width}}  {r.classification}  [{r.seconds:.1f}s]")
+            lines.append(f"{r.name:<{width}}  {r.classification}  [{r.seconds:.3f}s]")
             lines.append(f"{'':<{width}}  reduction: {', '.join(r.reduction_steps) or 'none'}")
             if r.error:
                 lines.append(f"{'':<{width}}  ERROR: {r.error}")
@@ -183,11 +183,11 @@ class SuiteReport:
                 used = f" (at {b.slack[0]},{b.slack[1]})" if b.slack else ""
                 lines.append(
                     f"{'':<{width}}  ({b.n},{b.m}) expected {b.expected:<8} got "
-                    f"{b.verdict}{used}{ver}  {mark}  [{b.seconds:.1f}s]"
+                    f"{b.verdict}{used}{ver}  {mark}  [{b.seconds:.3f}s]"
                 )
         total = sum(r.seconds for r in self.reports)
         good = sum(1 for r in self.reports if r.ok)
-        lines.append(f"{good}/{len(self.reports)} instances as expected, {total:.1f}s total")
+        lines.append(f"{good}/{len(self.reports)} instances as expected, {total:.3f}s total")
         return "\n".join(lines)
 
     def to_json(self) -> str:

@@ -142,10 +142,16 @@ class MooreSystem:
         if d.get("kind") != "moore":
             raise ValueError("not a moore machine document")
         inputs = _names(d["inputs"], "inputs")
+        labels = _label_list(d["labels"])
         n = d["states"]
-        if type(n) is not int:
-            raise ValueError(f"state count {n!r} is not an integer")
+        # checked before the transition table is allocated, which is n rows long
+        if type(n) is not int or n != len(labels):
+            raise ValueError(f"state count {n!r} does not match {len(labels)} labels")
         width = 1 << len(inputs)
+        # each transition fills one slot, so a document too short to fill the
+        # table is refused before the table is allocated
+        if len(d["transitions"]) < n * width:
+            raise ValueError("incomplete transition function")
         delta = [[None] * width for _ in range(n)]
         for tr in d["transitions"]:
             src, val = tr["from"], frozenset(_names(tr["input"], "transition input"))
@@ -162,7 +168,7 @@ class MooreSystem:
         return MooreSystem(
             inputs=inputs,
             outputs=_names(d["outputs"], "outputs"),
-            labels=_label_list(d["labels"]),
+            labels=labels,
             delta=tuple(tuple(row) for row in delta),
             initial=d["initial"],
         )

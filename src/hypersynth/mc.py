@@ -91,12 +91,15 @@ class _Layout(NamedTuple):
     from the machines: built once per (automaton, system signals, copies,
     generator signals), and bounded by `_layout`'s cache.
 
-    Two tables make a call's preamble and successor lookups cheap. Each
+    Three tables make a call's preamble and successor lookups cheap. Each
     copy's output masks map a system label to its bits in the letter, filled
     the first time a label is seen, so a call formats no signal names. Each
     state's local guard mask holds the bits its own guards read; a guard's
     verdict depends only on its own bits, so successors are looked up under
-    the letter cut to that mask.
+    the letter cut to that mask. The successor lists live here too, one
+    table per state keyed on that cut letter: each list is computed once per
+    automaton, by the first call that needs it, and a state q holds at most
+    2^popcount(local[q]) of them.
     """
 
     bit: dict               # letter signal -> its bit
@@ -104,10 +107,10 @@ class _Layout(NamedTuple):
     local: tuple            # per state: its local guard mask, the OR of pos | neg over its edges
     label_masks: tuple      # per copy: its output masks, a `_LabelMasks` from a system label
     gen_label_masks: dict   # `_LabelMasks` from a generator label
-    keep: tuple             # per state: per copy, whether its state is kept
+    drop: tuple             # per state: per copy, 0 if its state is kept, -1 if dropped: OR it in
     keep_gen: tuple         # per state: whether the generator state is kept
     joints: tuple           # per state: (joint input, input mask) pairs to enumerate
-    joint_id: tuple         # per state: index of its joint-input list
+    targets: tuple          # per state: letter & its local mask -> sorted successors, filled on first use
 
 
 # automata layouts kept; a verify run checks a handful of bodies
@@ -135,29 +138,27 @@ def _layout(nba: NBA, inputs: tuple, outputs: tuple, trace_vars: tuple, gen_sign
     ]
     copy_outputs = [{flatten_atom(o, var) for o in outputs} for var in trace_vars]
     copy_signals = [{flatten_atom(s, var) for s in outputs + inputs} for var in trace_vars]
-    kept_of: dict = {}  # one shared tuple per distinct keep vector
-    joints_of: dict = {}  # enumerated copies -> (index, joint-input list)
-    keep, keep_gen, joints, joint_id = [], [], [], []
+    drop_of: dict = {}  # one shared tuple per distinct drop vector
+    joints_of: dict = {}  # enumerated copies -> joint-input list
+    drop, keep_gen, joints = [], [], []
     for reads in nba.reads:
-        kept = tuple(not reads.isdisjoint(os) for os in copy_outputs)
-        keep.append(kept_of.setdefault(kept, kept))
+        dropped = tuple(-1 if reads.isdisjoint(os) else 0 for os in copy_outputs)
+        drop.append(drop_of.setdefault(dropped, dropped))
         keep_gen.append(not reads.isdisjoint(gen_signals))
         # a copy whose signals are never read again keeps input 0
         free = tuple(not reads.isdisjoint(ss) for ss in copy_signals)
         if free not in joints_of:
-            joints_of[free] = (len(joints_of), tuple(
+            joints_of[free] = tuple(
                 (joint, sum(in_masks[j][x] for j, x in enumerate(joint)))
                 for joint in itertools.product(*(range(1 << len(inputs)) if f else (0,) for f in free))
-            ))
-        jid, js = joints_of[free]
-        joint_id.append(jid)
-        joints.append(js)
+            )
+        joints.append(joints_of[free])
     guards = _guard_masks(nba, bit)
     local = tuple(reduce(or_, (pos | neg for pos, neg, _ in gs), 0) for gs in guards)
     label_masks = tuple(_LabelMasks({o: bit[flatten_atom(o, var)] for o in outputs}) for var in trace_vars)
     return _Layout(
         bit, guards, local, label_masks, _LabelMasks(bit),
-        tuple(keep), tuple(keep_gen), tuple(joints), tuple(joint_id),
+        tuple(drop), tuple(keep_gen), tuple(joints), tuple({} for _ in guards),
     )
 
 
@@ -201,47 +202,29 @@ def build_product(
 
     What depends only on the automaton and the letter space is compiled
     once (`_layout`): the letter bits, the guard masks, each state's local
-    guard mask, each copy's output masks, the keep tables and the joint-input
-    lists. A call builds only the machine's output and step tables and the
-    part of the product it explores; it looks up a successor list per
-    (state, letter cut to the state's local guard mask).
+    guard mask, each copy's output masks, the drop and keep tables, the
+    joint-input lists and the successor lists, keyed on (state, letter cut
+    to the state's local guard mask). Moves are made one joint input at a
+    time: a call keeps a memo from (system vector, generator state) to the
+    letter bits of the outputs and each copy's step row, and makes a joint's
+    letter and successor vector only when the search reaches that joint,
+    skipping a joint with no successor. So a call pays for the part of the
+    product it explores, the edges it walks and the lasso it returns, and
+    for successor lists no earlier call on the automaton needed.
     """
     if E is None:
         E = _NO_GENERATOR
     k = len(trace_vars)
-    _, guards, local, label_masks, gen_label_masks, keep, keep_gen, joints, joint_id = _layout(
+    _, guards, local, label_masks, gen_label_masks, drop, keep_gen, joints, targets = _layout(
         nba, M.inputs, M.outputs, tuple(trace_vars), E.signals
     )
 
     # a trailing entry serves the dropped state -1: it outputs nothing and stays dropped
-    out_masks = [[*map(lm.__getitem__, M.labels), 0] for lm in label_masks]
+    labels = M.labels + (frozenset(),)
     delta = M.delta + ((-1,) * (1 << len(M.inputs)),)
-    gen_masks = [*map(gen_label_masks.__getitem__, E.labels)]
+    gen_labels = E.labels
 
-    moves: dict = {}    # (system vector, generator state, joint list) -> [(joint, letter, successor vector)]
-    targets: dict = {}  # (automaton state, letter & its local bits) -> sorted successor states
-
-    def step(vec, e, q):
-        key = (vec, e, joint_id[q])
-        got = moves.get(key)
-        if got is None:
-            base = (0 if e is None else gen_masks[e]) | sum(out_masks[j][s] for j, s in enumerate(vec))
-            rows = [delta[s] for s in vec]
-            got = moves[key] = [
-                (joint, base | jm, tuple(map(getitem, rows, joint)))
-                for joint, jm in joints[q]
-            ]
-        return got
-
-    def succ(q, letter):
-        # a guard's verdict depends only on its own bits, so the letter is
-        # cut to the bits that q's guards read
-        key = (q, letter & local[q])
-        got = targets.get(key)
-        if got is None:
-            got = targets[key] = _successors(guards[q], key[1])
-        return got
-
+    moves: dict = {}  # (system vector, generator state) -> (output letter bits, each copy's delta row)
     e_next = E.next_state
     index: dict = {}
     nodes: list = []
@@ -255,26 +238,49 @@ def build_product(
 
     def project(vec, e, q):
         # the node at q, with -1 and None for what q never reads again
-        kept = keep[q]
-        if not all(kept):
-            vec = tuple(s if b else -1 for s, b in zip(vec, kept))
+        dq = drop[q]
+        if any(dq):
+            vec = tuple(map(or_, vec, dq))
         return vec, e if keep_gen[q] else None, q
 
     def expand(u):
-        # a successor is made and its edge recorded only when the search asks
-        # for the next edge; a successor this node already has is skipped
+        # a joint input's letter, successor list and successor vector are made
+        # only when the search reaches that joint, and a successor is made and
+        # its edge recorded only when the search asks for the next edge; a
+        # successor this node already has is skipped
         vec, e, q = nodes[u]
+        got = moves.get((vec, e))
+        if got is None:
+            got = moves[vec, e] = (
+                (0 if e is None else gen_label_masks[gen_labels[e]])
+                | sum(map(getitem, label_masks, map(labels.__getitem__, vec))),
+                [*map(delta.__getitem__, vec)],
+            )
+        base, rows = got
         e2 = None if e is None else e_next[e]
-        kq = keep[q]
+        dq, lq, tq, gq = drop[q], local[q], targets[q], guards[q]
         out = edges[u] = []
         seen = set()
-        for joint, letter, succ_vec in step(vec, e, q):
-            for d in succ(q, letter):
-                # equal keep vectors are one object: `is` means nothing to drop
-                if keep[d] is kq:
-                    v = nid((succ_vec, e2 if keep_gen[d] else None, d))
+        for joint, jm in joints[q]:
+            # a guard's verdict depends only on its own bits, so the letter is
+            # cut to the bits that q's guards read
+            cut = (base | jm) & lq
+            ds = tq.get(cut)
+            if ds is None:
+                ds = tq[cut] = _successors(gq, cut)
+            if not ds:
+                continue
+            succ_vec = tuple(map(getitem, rows, joint))
+            for d in ds:
+                # equal drop vectors are one object: `is` means nothing more to drop
+                if drop[d] is dq:
+                    node = (succ_vec, e2 if keep_gen[d] else None, d)
                 else:
-                    v = nid(project(succ_vec, e2, d))
+                    node = project(succ_vec, e2, d)
+                v = index.get(node)
+                if v is None:
+                    v = index[node] = len(nodes)
+                    nodes.append(node)
                 if v not in seen:
                     seen.add(v)
                     out.append((joint, v))
@@ -369,17 +375,25 @@ def _labels_to(edges: dict, starts: list, goal: int, inside=None) -> list:
     raise AssertionError("goal not reachable over the explored edges")
 
 
+# input lassos kept; counterexamples are short, so the same columns recur
+# across machines
+_LASSO_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_LASSO_CACHE_SIZE)
+def _input_lasso(inputs: tuple, prefix: tuple, loop: tuple) -> LassoTrace:
+    """The input lasso of one copy's prefix and loop columns of valuation
+    indices, made once; shared, as a LassoTrace is immutable."""
+    in_vals = _valuations(inputs)
+    return LassoTrace(frozenset(inputs), tuple(in_vals[x] for x in prefix), tuple(in_vals[x] for x in loop))
+
+
 def _labels_to_input_lassos(
     M: MooreSystem, trace_vars: list, prefix_labels, loop_labels
 ) -> list:
-    in_vals = _valuations(M.inputs)
-    sig = frozenset(M.inputs)
-    out = []
-    for j, _ in enumerate(trace_vars):
-        pre = tuple(in_vals[joint[j]] for joint in prefix_labels)
-        loop = tuple(in_vals[joint[j]] for joint in loop_labels)
-        out.append(LassoTrace(sig, pre, loop))
-    return out
+    # zip(*labels) gives each copy's column of the joint-input labels
+    prefixes = zip(*prefix_labels) if prefix_labels else [()] * len(trace_vars)
+    return [_input_lasso(M.inputs, pre, loop) for pre, loop in zip(prefixes, zip(*loop_labels))]
 
 
 def generator_vars(E: ExistGenerator) -> list:
@@ -410,7 +424,8 @@ def mc_exists_forall(M: MooreSystem, E: Optional[ExistGenerator], body: Formula)
     and the universal copies are the other copies it reads; each ranges over
     all branches of M. Returns (True, None), or (False, one counterexample
     input lasso per universal copy). The checked body, its copies and its
-    automaton are made once per (body, existential copies, signals).
+    automaton are made once per (body, existential copies, signals), and an
+    input lasso once per (inputs, valuation indices).
     """
     evars = tuple(generator_vars(E)) if E is not None else ()
     uvars, nba = _checked(body, evars, M.inputs, M.outputs)

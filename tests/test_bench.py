@@ -134,6 +134,10 @@ def test_suite_report_render_and_json():
     text = suite.render()
     assert "arbiter-2-prompt" in text
     assert "1/1 instances as expected" in text
+    # a row shows its seconds as to_json rounds them
+    b = rep.bounds[-1]
+    assert any(line.lstrip().startswith(f"({b.n},{b.m})") and line.endswith(f"[{round(b.seconds, 3):.3f}s]")
+               for line in text.splitlines())
     data = json.loads(suite.to_json())
     assert data[0]["name"] == "arbiter-2-prompt"
     assert data[0]["ok"] is True

@@ -10,7 +10,7 @@ import pytest
 
 from hypersynth import mc
 from hypersynth.automata import accepting_sccs, flatten_atom, ltl_to_nba, split_atom
-from hypersynth.bench import TABLE_INSTANCES
+from hypersynth.bench import TABLE_INSTANCES, gen_arbiter
 from hypersynth.formula import And, Not, SpecError, TraceForall, parse, parse_formula
 from hypersynth.machines import ExistGenerator, MooreSystem, all_valuations
 from hypersynth.mc import (
@@ -388,17 +388,17 @@ def _two_input_body(rng, text, tvars):
     return parse_formula(text, set(TWO_INPUTS + TWO_OUTPUTS), trace_vars=set(tvars))
 
 
-def _branch_generator(rng, M):
-    """A generator whose word is M's branch under a random input lasso, so it
-    passes the consistency check."""
+def _branch_generator(rng, M, var="e"):
+    """A generator for the copy var whose word is M's branch under a random
+    input lasso, so it passes the consistency check."""
     pick = lambda: frozenset(i for i in TWO_INPUTS if rng.random() < 0.5)
     ilasso = LassoTrace(frozenset(TWO_INPUTS), tuple(pick() for _ in range(rng.randrange(3))),
                         tuple(pick() for _ in range(rng.randrange(1, 3))))
     t = drive(M, ilasso)
     word = t.prefix + t.loop
     p, m = len(t.prefix), len(word)
-    labels = [{flatten_atom(s, "e") for s in v} for v in word]
-    return egen(labels, list(range(1, m)) + [p], [flatten_atom(s, "e") for s in TWO_INPUTS + TWO_OUTPUTS])
+    labels = [{flatten_atom(s, var) for s in v} for v in word]
+    return egen(labels, list(range(1, m)) + [p], [flatten_atom(s, var) for s in TWO_INPUTS + TWO_OUTPUTS])
 
 
 def _assert_made_on_demand(pg):
@@ -533,6 +533,54 @@ def test_exploration_pin():
     assert digest == "d8bcba4be6a7964aa54dfc0ad958e11eb91c4f91"
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _known_good_generator_pairs():
+    """(system, generator, core) of each known-good pair of perfbench's data
+    file that carries a generator."""
+    known = json.loads((PERFBENCH / "data" / "known_good.json").read_text(encoding="utf-8"))
+    out = []
+    for entry in known["machines"]:
+        if entry["generator"]:
+            doc = (gen_arbiter(**entry["arbiter"]) if "arbiter" in entry
+                   else parse((PERFBENCH / "specs" / entry["spec"]).read_text(encoding="utf-8")))
+            M = MooreSystem.from_json(json.dumps(entry["system"]))
+            E = ExistGenerator.from_json(json.dumps(entry["generator"]))
+            out.append((M, E, prepare(doc).core))
+    return out
+
+
+def test_generator_exploration_pin():
+    # test_exploration_pin's digest on the path keyed on the generator state,
+    # against the README demo's core: 45 seeded random machines, each with a
+    # random generator or one that follows a branch of the machine, and 15
+    # branches of the demo's known-good machine; then the known-good pairs
+    # that carry a generator
+    demo = prepare(parse((PERFBENCH / "specs" / "demo.hq").read_text(encoding="utf-8")))
+    (var,) = demo.exist_vars
+    known = _known_good_generator_pairs()
+    assert len(known) == 4
+    good = next(M for M, E, core in known if core == demo.core)
+    rng = random.Random(42)
+    cases = []
+    for j in range(60):
+        M = _two_input_system(rng, 2 + j % 7) if j < 45 else good
+        E = _random_generator(rng, demo.gen_signals) if j % 4 == 0 else _branch_generator(rng, M, var)
+        cases.append((M, E, demo.core))
+    rows = []
+    for M, E, core in cases + known:
+        ok, cex = mc_exists_forall(M, E, core)
+        uvars, nba = mc._checked(core, tuple(generator_vars(E)), M.inputs, M.outputs)
+        lassos = [[[sorted(v) for v in part] for part in (l.prefix, l.loop)] for l in cex or ()]
+        rows.append([ok, len(build_product(M, list(uvars), nba, E).nodes), lassos])
+    # both verdicts occur on the demo; every known-good pair holds
+    assert {ok for ok, _, _ in rows[:60]} == {True, False}
+    assert all(ok for ok, _, _ in rows[60:])
+    digest = hashlib.sha1(json.dumps(rows).encode()).hexdigest()
+    assert digest == "b62ca8521b9f9bb416caac7b31d98aaf544e6323"
+
+
 def test_masked_successor_lookup_is_exact():
     # build_product looks up a state's successors under the letter cut to the
     # bits its own guards read; over every letter (a fixed sample above 2^16),
@@ -556,6 +604,61 @@ def test_masked_successor_lookup_is_exact():
                 assert masked[cut] == mc._successors(guards, letter), (q, letter)
 
 
+def test_successor_lists_are_computed_once_per_automaton(monkeypatch):
+    # the successor lists live in the cached layout: a second identical call
+    # computes none of them
+    computed = []
+
+    def counting(guards, letter):
+        computed.append(letter)
+        return successors(guards, letter)
+
+    successors = mc._successors
+    monkeypatch.setattr(mc, "_successors", counting)
+    core = prepare(parse("inputs: r1, r2\noutputs: g1, g2\n" + ARBITER_K2)).core
+    M = _two_input_system(random.Random(4), 9)
+    mc._layout.cache_clear()
+    first = mc_exists_forall(M, None, core)
+    assert computed
+    computed.clear()
+    assert mc_exists_forall(M, None, core) == first
+    assert computed == []
+
+
+def test_successor_tables_are_bounded_and_exact():
+    # after a sweep of verify-random's shape, each state q holds at most one
+    # list per subset of its local guard bits, and every list is what a scan
+    # of q's guards in the automaton gives on that letter
+    core = prepare(parse("inputs: r1, r2\noutputs: g1, g2\n" + ARBITER_K2)).core
+    demo = prepare(parse((PERFBENCH / "specs" / "demo.hq").read_text(encoding="utf-8")))
+    (var,) = demo.exist_vars
+    rng = random.Random(41)
+    cases = [(_two_input_system(rng, 4 + j % 13), None, core) for j in range(40)]
+    for j in range(20):
+        M = _two_input_system(rng, 2 + j % 7)
+        cases.append((M, _branch_generator(rng, M, var), demo.core))
+    cases += _known_good_generator_pairs()
+    layouts = {}
+    for M, E, core in cases:
+        mc_exists_forall(M, E, core)
+        # the cached layout that call explored with
+        evars, signals = (tuple(generator_vars(E)), E.signals) if E is not None else ((), ())
+        uvars, nba = mc._checked(core, evars, M.inputs, M.outputs)
+        lay = mc._layout(nba, M.inputs, M.outputs, uvars, signals)
+        layouts[id(lay)] = nba, lay
+    assert len(layouts) >= 4
+    for nba, lay in layouts.values():
+        assert len(lay.targets) == len(nba.edges)
+        assert any(lay.targets)
+        for q, table in enumerate(lay.targets):
+            assert len(table) <= 2 ** bin(lay.local[q]).count("1")
+            for cut, ds in table.items():
+                assert cut & ~lay.local[q] == 0
+                letter = {sig for sig, b in lay.bit.items() if cut & b}
+                assert ds == sorted({d for g, d in nba.edges[q]
+                                     if all((sig in letter) == val for sig, val in g)}), (q, cut)
+
+
 # ---------------------------------------------------------------------------
 # machine serialization
 
@@ -575,6 +678,19 @@ def test_generator_json_state_count_must_match_labels():
     for bad in (7, 1, "2", None):
         with pytest.raises(ValueError):
             ExistGenerator.from_json(json.dumps({**doc, "states": bad}))
+
+
+def test_moore_json_state_count_must_match_labels():
+    # the count is checked before a transition table of that many rows is
+    # made, so a huge claim fails at once with the mismatch
+    doc = json.loads(ECHO.to_json())
+    for bad in (10**6, 1, "2", None):
+        with pytest.raises(ValueError, match="does not match 2 labels"):
+            MooreSystem.from_json(json.dumps({**doc, "states": bad}))
+    # and so is a table of 2^40 inputs per state that the transitions cannot fill
+    wide = {**doc, "inputs": [f"i{j}" for j in range(40)]}
+    with pytest.raises(ValueError, match="incomplete transition function"):
+        MooreSystem.from_json(json.dumps(wide))
 
 
 def test_moore_validation():
